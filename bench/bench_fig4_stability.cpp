@@ -4,6 +4,7 @@
 // overlap week-to-week 85-98% (mean 92%), month-to-month 79-98%
 // (mean 88%), measured over 69 weekly lists.
 
+#include <array>
 #include <set>
 
 #include "bench_util.hpp"
@@ -37,21 +38,29 @@ int main() {
   for (const auto& r : population.resolvers()) before.push_back(r.weight);
   population.advance_week(rng);
 
-  Histogram pdf(-1.0, 1.0, 20);  // -100% .. +100% change, weighted
+  // Equal bins over -100% .. +100% change, weighted by query volume.
+  constexpr std::size_t kPdfBins = 20;
+  constexpr double kPdfLo = -1.0;
+  constexpr double kPdfWidth = 2.0 / kPdfBins;
+  std::array<double, kPdfBins> pdf{};
   double weighted_within_10 = 0, total_weight = 0;
   for (std::size_t i = 0; i < population.size(); ++i) {
     const double change =
         (population.resolver(i).weight - before[i]) / std::max(before[i], 1e-12);
-    pdf.add(std::clamp(change, -0.9999, 0.9999), before[i]);
+    const double clamped = std::clamp(change, -0.9999, 0.9999);
+    pdf[std::min(pdf.size() - 1, static_cast<std::size_t>((clamped - kPdfLo) / kPdfWidth))] +=
+        before[i];
     total_weight += before[i];
     if (std::abs(change) < 0.10) weighted_within_10 += before[i];
   }
 
   bench::subheading("PDF of weighted per-resolver change (paper Figure 4 shape)");
   std::printf("%16s  %8s\n", "change bucket", "pdf");
-  for (std::size_t b = 0; b < pdf.bin_count(); ++b) {
-    std::printf("[%5.0f%%, %5.0f%%)  %7.3f  |%s|\n", 100 * pdf.bin_lo(b), 100 * pdf.bin_hi(b),
-                pdf.fraction(b), render_bar(pdf.fraction(b) / 0.4, 40).c_str());
+  for (std::size_t b = 0; b < pdf.size(); ++b) {
+    const double lo = kPdfLo + kPdfWidth * static_cast<double>(b);
+    const double fraction = pdf[b] / total_weight;
+    std::printf("[%5.0f%%, %5.0f%%)  %7.3f  |%s|\n", 100 * lo, 100 * (lo + kPdfWidth),
+                fraction, render_bar(fraction / 0.4, 40).c_str());
   }
   bench::print_row("weighted resolvers within +/-10% (paper 53%)",
                    100.0 * weighted_within_10 / total_weight, "%");

@@ -236,7 +236,7 @@ void scenario_d_query_of_death() {
   bench::print_row("QoD arrivals over the hour", 120, "");
   bench::print_row("crashes (T_QoD = 10 min => <= ~6)", crashes, "");
   bench::print_row("dropped by firewall rule",
-                   static_cast<double>(nameserver.stats().dropped_firewall()), "");
+                   static_cast<double>(nameserver.lane_stats(0).dropped_firewall()), "");
   bench::print_row("dissimilar queries answered", static_cast<double>(answered_other), "");
 }
 

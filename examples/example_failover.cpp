@@ -65,8 +65,8 @@ int main() {
   };
 
   auto served_by = [&]() {
-    const auto a = pop_a.machine(0).nameserver().stats().responses_sent;
-    const auto b = pop_b.machine(0).nameserver().stats().responses_sent;
+    const auto a = pop_a.machine(0).nameserver().lane_stats(0).responses_sent;
+    const auto b = pop_b.machine(0).nameserver().lane_stats(0).responses_sent;
     return a + b == 0 ? std::string("nobody")
                       : (a >= b ? std::string("PoP A") : std::string("PoP B"));
   };
@@ -86,10 +86,10 @@ int main() {
               pop_a.advertising(1) ? "yes" : "no (withdrawn)");
   // Give BGP a moment to reconverge toward PoP B.
   platform.run_until(platform.scheduler().now() + Duration::seconds(20));
-  const auto before = pop_b.machine(0).nameserver().stats().responses_sent;
+  const auto before = pop_b.machine(0).nameserver().lane_stats(0).responses_sent;
   const auto [ok2, detail2] = ask(2);
   const bool pop_b_served =
-      pop_b.machine(0).nameserver().stats().responses_sent > before;
+      pop_b.machine(0).nameserver().lane_stats(0).responses_sent > before;
   std::printf("  query -> %s (%s), served by %s\n\n", ok2 ? "answered" : "lost",
               detail2.c_str(), pop_b_served ? "PoP B (failover!)" : "PoP A");
 

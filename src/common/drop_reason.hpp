@@ -60,12 +60,6 @@ class DropCounters {
     return sum;
   }
 
-  void merge(const DropCounters& other) noexcept {
-    for (std::size_t i = 0; i < kDropReasonCount; ++i) {
-      counts_[i] += other.counts_[i].value();
-    }
-  }
-
   bool operator==(const DropCounters& other) const noexcept {
     for (std::size_t i = 0; i < kDropReasonCount; ++i) {
       if (counts_[i].value() != other.counts_[i].value()) return false;

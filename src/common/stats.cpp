@@ -20,23 +20,6 @@ void StreamingStats::add(double x) noexcept {
   m2_ += delta * (x - mean_);
 }
 
-void StreamingStats::merge(const StreamingStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n1 = static_cast<double>(n_);
-  const auto n2 = static_cast<double>(other.n_);
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double StreamingStats::variance() const noexcept {
   return n_ ? m2_ / static_cast<double>(n_) : 0.0;
 }
@@ -122,40 +105,6 @@ std::vector<std::pair<double, double>> EmpiricalDistribution::cdf_curve(std::siz
     out.emplace_back(quantile(q), q);
   }
   return out;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0.0) {
-  if (bins == 0 || !(hi > lo)) throw std::invalid_argument("bad histogram bounds");
-}
-
-void Histogram::add(double x, double weight) noexcept {
-  std::size_t i;
-  if (x < lo_) {
-    i = 0;
-  } else if (x >= hi_) {
-    i = counts_.size() - 1;
-  } else {
-    i = static_cast<std::size_t>((x - lo_) / width_);
-    if (i >= counts_.size()) i = counts_.size() - 1;
-  }
-  counts_[i] += weight;
-  total_ += weight;
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (other.lo_ != lo_ || other.hi_ != hi_ || other.counts_.size() != counts_.size()) {
-    throw std::invalid_argument("histogram axes differ");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const noexcept { return lo_ + width_ * static_cast<double>(i); }
-double Histogram::bin_hi(std::size_t i) const noexcept { return bin_lo(i) + width_; }
-
-double Histogram::fraction(std::size_t i) const noexcept {
-  return total_ > 0.0 ? counts_[i] / total_ : 0.0;
 }
 
 LogHistogram::LogHistogram(double lo, double growth, std::size_t bins)

@@ -1,6 +1,6 @@
 // Statistics helpers used by the workload models and benchmark harnesses:
-// streaming moments, empirical CDFs (optionally weighted), histograms and
-// simple text rendering for bench output.
+// streaming moments, empirical CDFs (optionally weighted), the log-bucketed
+// LogHistogram and simple text rendering for bench output.
 #pragma once
 
 #include <cstddef>
@@ -14,7 +14,6 @@ namespace akadns {
 class StreamingStats {
  public:
   void add(double x) noexcept;
-  void merge(const StreamingStats& other) noexcept;
 
   std::uint64_t count() const noexcept { return n_; }
   double mean() const noexcept { return n_ ? mean_ : 0.0; }
@@ -72,32 +71,11 @@ class EmpiricalDistribution {
   double total_weight_ = 0.0;
 };
 
-/// Fixed-bin histogram over [lo, hi); values outside clamp to edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, double weight = 1.0) noexcept;
-  /// Element-wise merge; throws std::invalid_argument on mismatched axes.
-  void merge(const Histogram& other);
-  std::size_t bin_count() const noexcept { return counts_.size(); }
-  double bin_lo(std::size_t i) const noexcept;
-  double bin_hi(std::size_t i) const noexcept;
-  double count(std::size_t i) const noexcept { return counts_[i]; }
-  double total() const noexcept { return total_; }
-  /// Fraction of total weight in bin i (0 if empty histogram).
-  double fraction(std::size_t i) const noexcept;
-
- private:
-  double lo_, hi_, width_;
-  double total_ = 0.0;
-  std::vector<double> counts_;
-};
-
-/// Log-bucketed latency histogram for high-rate recording paths (the
-/// real-socket load generator records one sample per response at
-/// hundreds of thousands per second — a sample vector would churn memory
-/// and an arithmetic-bin histogram cannot span ns..seconds). Buckets
+/// Log-bucketed histogram: the plain value type of every distribution in
+/// the tree — registry snapshots of obs::Histogram, their merges and
+/// quantiles, and offline high-rate recording (the real-socket load
+/// generator records one sample per response at hundreds of thousands
+/// per second — a sample vector would churn memory). Buckets
 /// grow geometrically from `lo`; add() is two flops and an increment,
 /// quantile() interpolates within the winning bucket. Values below lo
 /// clamp into the first bucket, values beyond the top into the last.

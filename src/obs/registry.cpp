@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/drop_reason.hpp"
-#include "common/stage_stats.hpp"
 
 namespace akadns::obs {
 
@@ -98,22 +97,6 @@ LogHistogram snapshot_histogram(const Histogram& h) {
 
 }  // namespace
 
-LogHistogram to_log_histogram(const LatencyRecorder& recorder) {
-  // The recorder's axis is log10 over [1, 10^kDecades) with kBinsPerDecade
-  // bins per decade — exactly a LogHistogram with growth 10^(1/bins): the
-  // bucket edges coincide, so counts transfer bin-for-bin.
-  const auto& src = recorder.histogram();
-  const double growth =
-      std::pow(10.0, 1.0 / static_cast<double>(LatencyRecorder::kBinsPerDecade));
-  std::vector<std::uint64_t> counts(src.bin_count());
-  for (std::size_t i = 0; i < src.bin_count(); ++i) {
-    counts[i] = static_cast<std::uint64_t>(src.count(i) + 0.5);
-  }
-  const auto& m = recorder.moments();
-  return LogHistogram::from_buckets(1.0, growth, std::move(counts), m.sum(), m.min(),
-                                    m.max());
-}
-
 // ---------------------------------------------------------------------------
 // Labels
 
@@ -179,8 +162,6 @@ struct MetricRegistry::Series {
   const Gauge* gauge = nullptr;
   std::function<double()> gauge_fn;
   const Histogram* hist = nullptr;
-  const LatencyRecorder* recorder = nullptr;
-  std::function<LogHistogram()> hist_fn;
 };
 
 struct MetricRegistry::Family {
@@ -268,21 +249,6 @@ void MetricRegistry::histogram(std::string_view name, LabelSet ls, const Histogr
   add_series(name, MetricKind::Histogram, GaugeAgg::Sum, help, std::move(ls), std::move(s));
 }
 
-void MetricRegistry::histogram(std::string_view name, LabelSet ls,
-                               const LatencyRecorder& r, std::string_view help) {
-  Series s;
-  s.recorder = &r;
-  add_series(name, MetricKind::Histogram, GaugeAgg::Sum, help, std::move(ls), std::move(s));
-}
-
-void MetricRegistry::histogram_fn(std::string_view name, LabelSet ls,
-                                  std::function<LogHistogram()> fn,
-                                  std::string_view help) {
-  Series s;
-  s.hist_fn = std::move(fn);
-  add_series(name, MetricKind::Histogram, GaugeAgg::Sum, help, std::move(ls), std::move(s));
-}
-
 MetricsSnapshot MetricRegistry::snapshot() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snap;
@@ -305,13 +271,7 @@ MetricsSnapshot MetricRegistry::snapshot() const {
           sample.gauge = series.gauge ? series.gauge->value() : series.gauge_fn();
           break;
         case MetricKind::Histogram:
-          if (series.hist) {
-            sample.hist = snapshot_histogram(*series.hist);
-          } else if (series.recorder) {
-            sample.hist = to_log_histogram(*series.recorder);
-          } else {
-            sample.hist = series.hist_fn();
-          }
+          sample.hist = snapshot_histogram(*series.hist);
           break;
       }
       out.samples.push_back(std::move(sample));

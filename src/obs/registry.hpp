@@ -31,7 +31,6 @@
 #include "obs/instruments.hpp"
 
 namespace akadns {
-class LatencyRecorder;
 class DropCounters;
 }
 
@@ -127,14 +126,6 @@ class MetricRegistry {
                 GaugeAgg agg = GaugeAgg::Sum, std::string_view help = {});
   void histogram(std::string_view name, LabelSet ls, const Histogram& h,
                  std::string_view help = {});
-  /// Stage-latency recorders from the simulated datapath. NOT safe to
-  /// scrape while its owner is mid-phase (non-atomic internals); the sim
-  /// snapshots only at phase boundaries, which is where its reports run.
-  void histogram(std::string_view name, LabelSet ls, const LatencyRecorder& r,
-                 std::string_view help = {});
-  /// Escape hatch for computed distributions.
-  void histogram_fn(std::string_view name, LabelSet ls, std::function<LogHistogram()> fn,
-                    std::string_view help = {});
 
   /// Reads every registered instrument. Thread-safe against concurrent
   /// registration; instrument reads are relaxed-atomic (single-writer
@@ -156,11 +147,6 @@ class MetricRegistry {
   mutable std::mutex mutex_;
   std::vector<Family> families_;
 };
-
-/// Rebins a LatencyRecorder's log10 histogram onto the registry's
-/// LogHistogram form (exact count/sum/min/max; quantiles stay accurate to
-/// one source bucket's width).
-LogHistogram to_log_histogram(const LatencyRecorder& recorder);
 
 /// Registers one `family{reason=...}` series per DropReason of `drops`,
 /// each extending `base` (e.g. worker/machine labels). The default

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
@@ -17,6 +18,9 @@
 namespace akadns::obs {
 
 namespace {
+
+/// Budget for reading one whole request, however its bytes trickle in.
+constexpr auto kRequestDeadline = std::chrono::seconds(1);
 
 void send_all(int fd, std::string_view data) {
   std::size_t off = 0;
@@ -103,12 +107,23 @@ void StatsServer::serve_loop() {
 }
 
 void StatsServer::handle_conn(int fd) {
-  // Read until the header terminator; requests are tiny GETs.
-  const timeval tv{1, 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  // Read until the header terminator; requests are tiny GETs. One
+  // deadline bounds the whole read, so a peer trickling bytes holds the
+  // serial listener for at most kRequestDeadline and then gets a 400.
+  const auto deadline = std::chrono::steady_clock::now() + kRequestDeadline;
+  bool timed_out = false;
   std::string req;
   char buf[1024];
   while (req.find("\r\n\r\n") == std::string::npos && req.size() < 8192) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd pfd{fd, POLLIN, 0};
+    const int rc = left.count() > 0 ? ::poll(&pfd, 1, static_cast<int>(left.count())) : 0;
+    if (rc < 0 && errno == EINTR) continue;
+    if (rc <= 0) {
+      timed_out = true;
+      break;
+    }
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
@@ -119,7 +134,7 @@ void StatsServer::handle_conn(int fd) {
   const std::size_t sp1 = req.find(' ');
   const std::size_t sp2 = sp1 == std::string::npos ? std::string::npos
                                                    : req.find(' ', sp1 + 1);
-  if (sp2 == std::string::npos || req.substr(0, sp1) != "GET") {
+  if (timed_out || sp2 == std::string::npos || req.substr(0, sp1) != "GET") {
     send_all(fd, http_response(400, "Bad Request", "text/plain", "bad request\n"));
     return;
   }

@@ -8,7 +8,9 @@
 // plus the matching one-shot http_get client (loadgen --stats-url,
 // akadns-scrape, CI smoke). Scrapes are rare (≤10 Hz) and snapshots are
 // relaxed-atomic reads, so one accept thread handling connections
-// serially is deliberate: no pool, no perturbation of the workers.
+// serially is deliberate: no pool, no perturbation of the workers. One
+// 1 s deadline bounds each whole request read, so a slow or trickling
+// peer delays the next scrape by at most that.
 #pragma once
 
 #include <atomic>

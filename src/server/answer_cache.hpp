@@ -64,18 +64,6 @@ class AnswerCache {
       event("expired", expired);
       event("invalidation", invalidations);
     }
-
-    /// Accumulates another cache's counters (per-lane → machine view).
-    void merge(const Stats& o) noexcept {
-      hits += o.hits;
-      misses += o.misses;
-      insertions += o.insertions;
-      evictions += o.evictions;
-      expired += o.expired;
-      invalidations += o.invalidations;
-    }
-
-    bool operator==(const Stats&) const noexcept = default;
   };
 
   explicit AnswerCache(std::size_t max_entries) : max_entries_(max_entries) {}

@@ -39,16 +39,15 @@ void Nameserver::receive(std::span<const std::uint8_t> wire, const Endpoint& sou
   Lane& lane = lanes_[li];
   StageTimer receive_timer(lane.telemetry.stage(Stage::Receive));
   ++lane.stats.packets_received;
-  ++stats_.packets_received;
   if (state_ != ServerState::Running) {
-    count_drop(lane, DropReason::NotRunning);
+    lane.stats.drops.add(DropReason::NotRunning);
     return;
   }
   // NIC / kernel stack limit: when arrivals exceed the I/O capacity,
   // packets are lost before the application sees them (Figure 10, A>A2).
   // The engine's bucket is machine-wide (one NIC) and receive() is serial.
   if (!engine_.io_admit(li)) {
-    count_drop(lane, DropReason::IoOverload);
+    lane.stats.drops.add(DropReason::IoOverload);
     return;
   }
   // The once-only decode: header + question parsed here, shared by the
@@ -60,14 +59,14 @@ void Nameserver::receive(std::span<const std::uint8_t> wire, const Endpoint& sou
     if (!view) {
       // Unanswerable: no parseable header/question means no FORMERR
       // either, so the packet dies here instead of wasting queue space.
-      count_drop(lane, DropReason::Malformed);
+      lane.stats.drops.add(DropReason::Malformed);
       return;
     }
     ctx.view = std::move(view).value();
     ctx.parsed = true;
   }
   if (engine_.firewall_drops(li, ctx.view.question)) {
-    count_drop(lane, DropReason::Firewall);
+    lane.stats.drops.add(DropReason::Firewall);
     return;
   }
   ctx.source = source;
@@ -82,13 +81,12 @@ void Nameserver::receive(std::span<const std::uint8_t> wire, const Endpoint& sou
   switch (engine_.enqueue(li, std::move(ctx), score)) {
     case filters::EnqueueOutcome::Enqueued:
       ++lane.stats.queries_enqueued;
-      ++stats_.queries_enqueued;
       break;
     case filters::EnqueueOutcome::DiscardedByScore:
-      count_drop(lane, DropReason::ScoreDiscard);
+      lane.stats.drops.add(DropReason::ScoreDiscard);
       break;
     case filters::EnqueueOutcome::DroppedQueueFull:
-      count_drop(lane, DropReason::QueueFull);
+      lane.stats.drops.add(DropReason::QueueFull);
       break;
   }
 }
@@ -106,7 +104,7 @@ void Nameserver::run_lane(std::size_t lane_index, SimTime now) {
   Lane& lane = lanes_[lane_index];
   while (auto item = engine_.next(lane_index)) {
     ++lane.stats.queries_processed;
-    lane.telemetry.queue_wait().record((now - item->arrival).to_micros());
+    lane.telemetry.queue_wait().add((now - item->arrival).to_micros());
 
     // Query-of-death check: an unrecoverable fault in query processing.
     // Only this lane stops; end_phase crashes the whole instance.
@@ -166,10 +164,6 @@ std::size_t Nameserver::end_phase(SimTime now) {
       lane.qod.reset();
     }
   }
-  // Re-merge the machine view: receive-side counters were dual-written,
-  // process-side ones live only in the lanes until this point.
-  stats_ = NameserverStats{};
-  for (const auto& lane : lanes_) stats_.merge(lane.stats);
   return total;
 }
 
@@ -203,7 +197,6 @@ void Nameserver::restart(SimTime now) {
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     const std::size_t flushed = engine_.flush_lane(i);
     lanes_[i].stats.drops.add(DropReason::RestartFlush, flushed);
-    stats_.drops.add(DropReason::RestartFlush, flushed);
     lanes_[i].batch.clear();
     lanes_[i].crashed = false;
     lanes_[i].qod.reset();

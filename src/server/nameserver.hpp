@@ -33,14 +33,16 @@
 //     run_lane(i): parallel-safe; work-conserving drain of lane i's
 //       penalty queues up to its budget, responses buffered lane-locally;
 //     end_phase(): serial; flushes buffered responses in lane order,
-//       applies crash effects in lane order, refunds unspent budget to
-//       the bucket, and re-merges per-lane stats into the machine view.
+//       applies crash effects in lane order, and refunds unspent budget
+//       to the bucket.
 //   process() runs the three steps inline; Pop::pump may interleave many
 //   machines' run_lane calls across a WorkerPool between the serial ends.
 // Every drop is accounted against the unified DropReason taxonomy so
 //   packets_received == responses_sent + drops.total() + pending
-// holds exactly — per lane and for the machine; each stage records its
-// latency into the owning lane's DatapathTelemetry.
+// holds exactly per lane; each stage records its latency into the owning
+// lane's DatapathTelemetry. Every counter is written once, by its lane:
+// the machine view is the registry sum over the lane label
+// (register_metrics + snapshot().sum), never a second struct.
 //
 // Failure model:
 //   - a crash predicate marks queries-of-death (§4.2.4); processing one
@@ -148,18 +150,6 @@ struct NameserverStats {
   std::uint64_t discarded_by_score() const noexcept { return drops[DropReason::ScoreDiscard]; }
   std::uint64_t dropped_queue_full() const noexcept { return drops[DropReason::QueueFull]; }
   std::uint64_t malformed() const noexcept { return drops[DropReason::Malformed]; }
-
-  /// Accumulates another instance's counters (per-lane → machine view).
-  void merge(const NameserverStats& o) noexcept {
-    packets_received += o.packets_received;
-    queries_enqueued += o.queries_enqueued;
-    queries_processed += o.queries_processed;
-    responses_sent += o.responses_sent;
-    crashes += o.crashes;
-    drops.merge(o.drops);
-  }
-
-  bool operator==(const NameserverStats&) const noexcept = default;
 };
 
 class Nameserver {
@@ -210,7 +200,7 @@ class Nameserver {
   //   for each machine:           end_phase(now)          (serial, in order)
   // run_lane touches only that lane's state, so distinct (machine, lane)
   // pairs never race; begin/end own all shared state (buckets, firewall,
-  // machine stats, sinks).
+  // sinks).
 
   /// Serial. Assigns per-lane processing budgets from the compute bucket
   /// (one token at a time, round-robin in lane order — the take sequence
@@ -225,9 +215,9 @@ class Nameserver {
   void run_lane(std::size_t lane, SimTime now);
 
   /// Serial. Flushes buffered responses through the sink in lane order,
-  /// applies crash effects in lane order, refunds unspent budget to the
-  /// compute bucket, and re-merges lane stats into the machine view.
-  /// Returns the number of queries processed this phase.
+  /// applies crash effects in lane order, and refunds unspent budget to
+  /// the compute bucket. Returns the number of queries processed this
+  /// phase.
   std::size_t end_phase(SimTime now);
 
   /// Budget begin_phase assigned to `lane` (0 outside a phase). Drivers
@@ -292,8 +282,8 @@ class Nameserver {
   //
   // The unqualified accessors address lane 0 — exact whole-machine views
   // when lanes == 1 (the default), convenient handles otherwise (probes,
-  // single-lane tests). The lane-indexed overloads and the merged views
-  // serve multi-lane callers.
+  // single-lane tests). The lane-indexed overloads serve multi-lane
+  // callers; machine totals are registry sums (register_metrics).
 
   std::size_t lane_count() const noexcept { return lanes_.size(); }
   /// Lane a source endpoint is pinned to (exposed for tests/diagnostics).
@@ -311,10 +301,6 @@ class Nameserver {
   Responder& responder(std::size_t lane) noexcept { return lanes_[lane].responder; }
   defense::Firewall& firewall() noexcept { return engine_.firewall(); }
 
-  /// Machine-level stats: live for all receive-side counters, refreshed
-  /// from the lanes at every end_phase for process-side ones. The
-  /// reference is stable across the nameserver's lifetime.
-  const NameserverStats& stats() const noexcept { return stats_; }
   const NameserverStats& lane_stats(std::size_t lane) const noexcept {
     return lanes_[lane].stats;
   }
@@ -331,18 +317,14 @@ class Nameserver {
   const BufferPool& pool() const noexcept { return *lanes_[0].pool; }
   const BufferPool& pool(std::size_t lane) const noexcept { return *lanes_[lane].pool; }
 
-  const DatapathTelemetry& lane_telemetry(std::size_t lane) const noexcept {
-    return lanes_[lane].telemetry;
-  }
-
   /// Registers this instance's full metric surface — per-lane packet
   /// counters, drop taxonomy, stage telemetry, responder/cache counters,
   /// live pending gauges, and the defense engine's lanes — under `base`
-  /// (typically machine labels). The machine view the seed kept as merged
-  /// structs is now the registry sum over the lane label; a scrape at a
-  /// quiescent point satisfies packets == responses + Σdrops + pending
-  /// exactly, per lane and overall. Instruments are referenced in place:
-  /// the nameserver must outlive the registry.
+  /// (typically machine labels). The machine view is the registry sum
+  /// over the lane label; a scrape at a quiescent point satisfies
+  /// packets == responses + Σdrops + pending exactly, per lane and
+  /// overall. Instruments are referenced in place: the nameserver must
+  /// outlive the registry.
   void register_metrics(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
       const obs::LabelSet lane_labels = obs::with(base, "lane", i);
@@ -356,19 +338,6 @@ class Nameserver {
           obs::GaugeAgg::Sum, "queries sitting in penalty queues");
     }
     engine_.register_metrics(reg, base);
-  }
-
-  /// Machine view: all lanes' responder counters summed.
-  ResponderStats responder_stats() const {
-    ResponderStats merged;
-    for (const auto& lane : lanes_) merged.merge(lane.responder.stats());
-    return merged;
-  }
-  /// Machine view: all lanes' answer-cache counters summed.
-  AnswerCache::Stats answer_cache_stats() const {
-    AnswerCache::Stats merged;
-    for (const auto& lane : lanes_) merged.merge(lane.responder.answer_cache().stats());
-    return merged;
   }
 
  private:
@@ -421,13 +390,6 @@ class Nameserver {
     std::optional<dns::Question> qod;
   };
 
-  /// Dual-write: receive-side accounting lands in the lane AND the
-  /// machine view so stats() stays live between phases.
-  void count_drop(Lane& lane, DropReason reason) noexcept {
-    lane.stats.drops.add(reason);
-    stats_.drops.add(reason);
-  }
-
   NameserverConfig config_;
   /// The engine's time source; set to the scheduler's `now` at every
   /// public entry point. Heap-allocated so the engine's pointer to it
@@ -444,7 +406,6 @@ class Nameserver {
   ServerState state_ = ServerState::Running;
   std::optional<dns::Question> last_qod_;
   SimTime last_metadata_ = SimTime::origin();
-  NameserverStats stats_;
 };
 
 }  // namespace akadns::server

@@ -98,28 +98,6 @@ struct ResponderStats {
   /// Registers every counter as an rcode/kind-labelled series under
   /// `base` (typically worker/lane labels).
   void register_into(obs::MetricRegistry& reg, const obs::LabelSet& base) const;
-
-  /// Accumulates another responder's counters (per-lane → machine view).
-  void merge(const ResponderStats& o) noexcept {
-    responses += o.responses;
-    noerror += o.noerror;
-    nxdomain += o.nxdomain;
-    nodata += o.nodata;
-    refused += o.refused;
-    formerr += o.formerr;
-    notimp += o.notimp;
-    servfail += o.servfail;
-    referrals += o.referrals;
-    wildcard_answers += o.wildcard_answers;
-    cname_chases += o.cname_chases;
-    mapped_answers += o.mapped_answers;
-    pushed_answers += o.pushed_answers;
-    compiled_answers += o.compiled_answers;
-    cache_hits += o.cache_hits;
-    interpreted_answers += o.interpreted_answers;
-  }
-
-  bool operator==(const ResponderStats&) const noexcept = default;
 };
 
 class Responder {

@@ -24,37 +24,6 @@ TEST(StreamingStats, BasicMoments) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(StreamingStats, MergeMatchesCombined) {
-  StreamingStats a, b, combined;
-  for (int i = 0; i < 50; ++i) {
-    const double v = i * 0.7 - 3;
-    a.add(v);
-    combined.add(v);
-  }
-  for (int i = 0; i < 80; ++i) {
-    const double v = i * -0.3 + 11;
-    b.add(v);
-    combined.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), combined.count());
-  EXPECT_NEAR(a.mean(), combined.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), combined.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), combined.min());
-  EXPECT_DOUBLE_EQ(a.max(), combined.max());
-}
-
-TEST(StreamingStats, MergeWithEmpty) {
-  StreamingStats a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
 TEST(EmpiricalDistribution, QuantilesUnweighted) {
   EmpiricalDistribution d;
   for (int i = 1; i <= 100; ++i) d.add(i);
@@ -111,27 +80,6 @@ TEST(EmpiricalDistribution, CdfCurveMonotone) {
     EXPECT_GT(curve[i].second, curve[i - 1].second);
   }
   EXPECT_DOUBLE_EQ(curve.back().second, 1.0);
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(5.5);
-  h.add(9.99);
-  h.add(-100.0);  // clamps into the first bin
-  h.add(100.0);   // clamps into the last bin
-  EXPECT_DOUBLE_EQ(h.count(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.count(5), 1.0);
-  EXPECT_DOUBLE_EQ(h.count(9), 2.0);
-  EXPECT_DOUBLE_EQ(h.total(), 5.0);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.4);
-  EXPECT_DOUBLE_EQ(h.bin_lo(5), 5.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(5), 6.0);
-}
-
-TEST(Histogram, InvalidBoundsThrow) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
 TEST(LogHistogram, EmptyQuantilesAreZero) {

@@ -117,7 +117,7 @@ TEST(Platform, PopFailureAnycastFailover) {
   ASSERT_TRUE(response);
   EXPECT_EQ(response->header.rcode, Rcode::NoError);
   // PoP 1 served it.
-  EXPECT_GT(f.platform.pop_at(1).machine(0).nameserver().stats().responses_sent, 0u);
+  EXPECT_GT(f.platform.pop_at(1).machine(0).nameserver().lane_stats(0).responses_sent, 0u);
 }
 
 TEST(Platform, TotalWithdrawalTimesOut) {

@@ -116,17 +116,25 @@ void run_scenario(std::size_t threads) {
     }
   }
 
-  const auto& s = ns.stats();
-  EXPECT_EQ(s.packets_received, kGoldenReceived);
-  EXPECT_EQ(s.queries_enqueued, kGoldenEnqueued);
-  EXPECT_EQ(s.queries_processed, kGoldenProcessed);
-  EXPECT_EQ(s.responses_sent, kGoldenResponses);
+  // The machine view is the registry sum over the per-lane series, like
+  // every fleet report; the engine's own defense accounting registers
+  // alongside it and must agree with the nameserver's packet-level view.
+  obs::MetricRegistry reg;
+  ns.register_metrics(reg, {});
+  const auto snap = reg.snapshot();
+  const auto drops = [&](const char* family, const char* reason) {
+    return snap.sum(family, obs::labels({{"reason", reason}}));
+  };
+  EXPECT_EQ(snap.sum("akadns_packets_total"), kGoldenReceived);
+  EXPECT_EQ(snap.sum("akadns_enqueued_total"), kGoldenEnqueued);
+  EXPECT_EQ(snap.sum("akadns_processed_total"), kGoldenProcessed);
+  EXPECT_EQ(snap.sum("akadns_responses_sent_total"), kGoldenResponses);
   EXPECT_EQ(ns.pending(), kGoldenPending);
-  EXPECT_EQ(s.dropped_io(), kGoldenIoDrops);
-  EXPECT_EQ(s.discarded_by_score(), kGoldenScoreDiscards);
-  EXPECT_EQ(s.dropped_queue_full(), kGoldenQueueFull);
-  EXPECT_EQ(s.malformed(), 0u);
-  EXPECT_EQ(s.dropped_firewall(), 0u);
+  EXPECT_EQ(drops("akadns_drops_total", "io-overload"), kGoldenIoDrops);
+  EXPECT_EQ(drops("akadns_drops_total", "score-discard"), kGoldenScoreDiscards);
+  EXPECT_EQ(drops("akadns_drops_total", "queue-full"), kGoldenQueueFull);
+  EXPECT_EQ(drops("akadns_drops_total", "malformed"), 0u);
+  EXPECT_EQ(drops("akadns_drops_total", "firewall"), 0u);
   EXPECT_EQ(response_bytes, kGoldenByteSum);
 
   ASSERT_EQ(ns.lane_count(), 8u);
@@ -139,18 +147,10 @@ void run_scenario(std::size_t threads) {
     EXPECT_EQ(ns.lane_pending(lane), kGoldenLanes[lane].pending);
   }
 
-  // The engine's own defense accounting must agree with the nameserver's
-  // packet-level view of the same run. The merged view is a registry
-  // snapshot sum over the per-lane series, like every fleet report now.
-  obs::MetricRegistry reg;
-  ns.defense().register_metrics(reg, {});
-  const auto defense = reg.snapshot();
-  EXPECT_EQ(defense.sum("akadns_defense_enqueued_total"), kGoldenEnqueued);
-  EXPECT_EQ(defense.sum("akadns_defense_released_total"), kGoldenProcessed);
-  EXPECT_EQ(defense.sum("akadns_defense_drops_total", obs::labels({{"reason", "score-discard"}})),
-            kGoldenScoreDiscards);
-  EXPECT_EQ(defense.sum("akadns_defense_drops_total", obs::labels({{"reason", "queue-full"}})),
-            kGoldenQueueFull);
+  EXPECT_EQ(snap.sum("akadns_defense_enqueued_total"), kGoldenEnqueued);
+  EXPECT_EQ(snap.sum("akadns_defense_released_total"), kGoldenProcessed);
+  EXPECT_EQ(drops("akadns_defense_drops_total", "score-discard"), kGoldenScoreDiscards);
+  EXPECT_EQ(drops("akadns_defense_drops_total", "queue-full"), kGoldenQueueFull);
 }
 
 TEST(SimDifferential, GoldenCountersAtOneThread) { run_scenario(1); }

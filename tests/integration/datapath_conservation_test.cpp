@@ -114,11 +114,10 @@ TEST(DatapathConservation, MixedLegitAndAttackRunAccountsEveryPacket) {
   // Per-stage telemetry aggregated across the fleet saw every packet the
   // applications admitted.
   EXPECT_EQ(report.stage_latency(server::Stage::Receive).count(),
-            a.nameserver().stats().packets_received + b.nameserver().stats().packets_received);
+            report.snapshot.sum("akadns_packets_total"));
   EXPECT_EQ(report.stage_latency(server::Stage::Resolve).count() +
                 report.drops[DropReason::QueryOfDeath],
-            a.nameserver().stats().queries_processed +
-                b.nameserver().stats().queries_processed);
+            report.snapshot.sum("akadns_processed_total"));
   EXPECT_FALSE(report.render().empty());
 }
 

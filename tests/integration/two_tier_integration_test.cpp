@@ -194,7 +194,7 @@ TEST(TwoTierIntegration, ToplevelFailoverIsTransparentToTheResolver) {
   EXPECT_EQ(result.rcode, Rcode::NoError);
   std::uint64_t pop1_responses = 0;
   for (auto* machine : stack.platform.pop_at(1).machines()) {
-    pop1_responses += machine->nameserver().stats().responses_sent;
+    pop1_responses += machine->nameserver().lane_stats(0).responses_sent;
   }
   EXPECT_GT(pop1_responses, 0u);
 }

@@ -1,8 +1,14 @@
 #include "obs/stats_http.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "obs/exposition.hpp"
 
@@ -86,6 +92,42 @@ TEST(StatsServer, StopIsIdempotentAndRestartable) {
                            "/healthz",
                        &resp, &err))
       << err;
+  EXPECT_EQ(resp.status, 200);
+}
+
+TEST(StatsServer, TricklingPeerDoesNotBlockHealthz) {
+  Fixture fx;
+  std::string err;
+  ASSERT_TRUE(fx.server.start(0, &err)) << err;
+
+  // One connection trickles a byte every 200 ms for up to 4 s: every
+  // single read sees data quickly, so only a deadline on the whole
+  // request frees the serial listener for the next client.
+  const int slow = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(slow, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(fx.server.port());
+  ASSERT_EQ(::connect(slow, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  std::atomic<bool> done{false};
+  std::thread trickle([&] {
+    const auto end = std::chrono::steady_clock::now() + std::chrono::seconds(4);
+    while (!done.load() && std::chrono::steady_clock::now() < end) {
+      ::send(slow, "G", 1, MSG_NOSIGNAL);
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  HttpResponse resp;
+  const bool fetched =
+      http_get("http://127.0.0.1:" + std::to_string(fx.server.port()) + "/healthz", &resp,
+               &err, 2000);
+  done.store(true);
+  trickle.join();
+  ::close(slow);
+  ASSERT_TRUE(fetched) << err;
   EXPECT_EQ(resp.status, 200);
 }
 

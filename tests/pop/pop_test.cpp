@@ -161,7 +161,7 @@ TEST(Pop, DeliverDroppedWhenNoMachineAdvertises) {
   const Endpoint src{*IpAddr::parse("198.51.100.1"), 5353};
   pop.deliver(7, f.query_wire("www.example.com"), src, 57, f.sched.now());
   pop.pump(f.sched.now());
-  EXPECT_EQ(m.nameserver().stats().packets_received, 0u);
+  EXPECT_EQ(m.nameserver().lane_stats(0).packets_received, 0u);
 }
 
 TEST(Machine, NicFailureDropsPackets) {
@@ -170,10 +170,10 @@ TEST(Machine, NicFailureDropsPackets) {
   machine.inject_failure(FailureType::Nic);
   const Endpoint src{*IpAddr::parse("198.51.100.1"), 5353};
   machine.deliver(f.query_wire("www.example.com"), src, 57, f.sched.now());
-  EXPECT_EQ(machine.nameserver().stats().packets_received, 0u);
+  EXPECT_EQ(machine.nameserver().lane_stats(0).packets_received, 0u);
   machine.clear_failure();
   machine.deliver(f.query_wire("www.example.com"), src, 57, f.sched.now());
-  EXPECT_EQ(machine.nameserver().stats().packets_received, 1u);
+  EXPECT_EQ(machine.nameserver().lane_stats(0).packets_received, 1u);
 }
 
 TEST(Machine, SoftwareBugHangsProcessing) {

@@ -41,7 +41,7 @@ struct Fixture {
   }
 
   static std::uint64_t conservation_gap(const Nameserver& ns) {
-    const auto& s = ns.stats();
+    const auto& s = ns.lane_stats(0);
     return s.packets_received - (s.responses_sent + s.drops.total() + ns.pending());
   }
 };
@@ -58,7 +58,7 @@ TEST(Datapath, TruncatedHeaderDropsAsMalformed) {
   Fixture f;
   auto ns = f.make();
   ns.receive(std::vector<std::uint8_t>{1, 2, 3}, f.client, 57, SimTime::origin());
-  EXPECT_EQ(ns.stats().drops[DropReason::Malformed], 1u);
+  EXPECT_EQ(ns.lane_stats(0).drops[DropReason::Malformed], 1u);
   EXPECT_EQ(ns.pending(), 0u);
   ns.process(SimTime::origin());
   EXPECT_TRUE(f.responses.empty());
@@ -70,7 +70,7 @@ TEST(Datapath, TruncatedQuestionDropsAsMalformed) {
   auto ns = f.make();
   // Name starts with a 5-byte label but the wire ends after 3 bytes.
   ns.receive(header_plus({5, 'w', 'w'}), f.client, 57, SimTime::origin());
-  EXPECT_EQ(ns.stats().drops[DropReason::Malformed], 1u);
+  EXPECT_EQ(ns.lane_stats(0).drops[DropReason::Malformed], 1u);
   EXPECT_EQ(ns.pending(), 0u);
   EXPECT_EQ(Fixture::conservation_gap(ns), 0u);
 }
@@ -84,7 +84,7 @@ TEST(Datapath, CompressionPointerLoopsDropAsMalformed) {
   // Two-pointer cycle: offset 12 -> 14 -> 12.
   ns.receive(header_plus({0xC0, 0x0E, 0xC0, 0x0C, 0x00, 0x01, 0x00, 0x01}), f.client, 57,
              SimTime::origin());
-  EXPECT_EQ(ns.stats().drops[DropReason::Malformed], 2u);
+  EXPECT_EQ(ns.lane_stats(0).drops[DropReason::Malformed], 2u);
   EXPECT_EQ(ns.pending(), 0u);
   ns.process(SimTime::origin());
   EXPECT_TRUE(f.responses.empty());
@@ -147,12 +147,12 @@ TEST(Datapath, RestartFlushAccountsQueuedQueries) {
   ns.receive(f.query_wire("www.example.com", 3), f.client, 57, t);
   ns.process(t);  // first query kills the instance
   EXPECT_EQ(ns.state(), ServerState::Crashed);
-  EXPECT_EQ(ns.stats().drops[DropReason::QueryOfDeath], 1u);
+  EXPECT_EQ(ns.lane_stats(0).drops[DropReason::QueryOfDeath], 1u);
   EXPECT_EQ(ns.pending(), 2u);
   EXPECT_EQ(Fixture::conservation_gap(ns), 0u);
 
   ns.restart(t + Duration::seconds(1));
-  EXPECT_EQ(ns.stats().drops[DropReason::RestartFlush], 2u);
+  EXPECT_EQ(ns.lane_stats(0).drops[DropReason::RestartFlush], 2u);
   EXPECT_EQ(ns.pending(), 0u);
   EXPECT_EQ(Fixture::conservation_gap(ns), 0u);
 }
@@ -194,7 +194,7 @@ TEST(Datapath, EveryReceiveSideDropKeepsConservation) {
   ns.receive(f.query_wire("www.example.com", 6), f.client, 57, t);      // not running
   ns.resume();
 
-  const auto& s = ns.stats();
+  const auto& s = ns.lane_stats(0);
   EXPECT_EQ(s.drops[DropReason::Firewall], 1u);
   EXPECT_EQ(s.drops[DropReason::ScoreDiscard], 1u);
   EXPECT_EQ(s.drops[DropReason::QueueFull], 1u);

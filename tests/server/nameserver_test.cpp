@@ -53,7 +53,7 @@ TEST(Nameserver, AnswersQueryEndToEnd) {
   ASSERT_EQ(f.responses.size(), 1u);
   EXPECT_EQ(f.responses[0].first, f.client);
   EXPECT_EQ(f.last_rcode(), Rcode::NoError);
-  EXPECT_EQ(ns.stats().responses_sent, 1u);
+  EXPECT_EQ(ns.lane_stats(0).responses_sent, 1u);
 }
 
 TEST(Nameserver, MalformedPacketStillCounted) {
@@ -61,7 +61,7 @@ TEST(Nameserver, MalformedPacketStillCounted) {
   auto ns = f.make();
   const std::vector<std::uint8_t> garbage{1, 2, 3};
   ns.receive(garbage, f.client, 57, SimTime::origin());
-  EXPECT_EQ(ns.stats().malformed(), 1u);
+  EXPECT_EQ(ns.lane_stats(0).malformed(), 1u);
   // Dropped at receive(): never enqueued, never answered.
   EXPECT_EQ(ns.pending(), 0u);
   ns.process(SimTime::origin());
@@ -99,7 +99,7 @@ TEST(Nameserver, IoCapacityDropsBelowApplication) {
   for (int i = 0; i < 1000; ++i) {
     ns.receive(f.query_wire("www.example.com", static_cast<std::uint16_t>(i)), f.client, 57, t);
   }
-  EXPECT_GT(ns.stats().dropped_io(), 0u);
+  EXPECT_GT(ns.lane_stats(0).dropped_io(), 0u);
   EXPECT_LT(ns.pending(), 1000u);
 }
 
@@ -115,7 +115,7 @@ TEST(Nameserver, QodCrashesAndTrapInstallsFirewallRule) {
   ns.receive(f.query_wire("death.example.com"), f.client, 57, t);
   ns.process(t);
   EXPECT_EQ(ns.state(), ServerState::Crashed);
-  EXPECT_EQ(ns.stats().crashes, 1u);
+  EXPECT_EQ(ns.lane_stats(0).crashes, 1u);
   ASSERT_TRUE(ns.last_qod());
   EXPECT_EQ(ns.last_qod()->name.to_string(), "death.example.com.");
   EXPECT_EQ(ns.firewall().rule_count(t), 1u);
@@ -125,7 +125,7 @@ TEST(Nameserver, QodCrashesAndTrapInstallsFirewallRule) {
   ns.restart(t);
   EXPECT_TRUE(ns.running());
   ns.receive(f.query_wire("death.example.com"), f.client, 57, t);
-  EXPECT_EQ(ns.stats().dropped_firewall(), 1u);
+  EXPECT_EQ(ns.lane_stats(0).dropped_firewall(), 1u);
   EXPECT_EQ(ns.process(t), 0u);
   EXPECT_TRUE(ns.running());  // survived
 
@@ -150,7 +150,7 @@ TEST(Nameserver, QodWithoutTrapCrashesRepeatedly) {
     EXPECT_EQ(ns.state(), ServerState::Crashed);
     ns.restart(t);
   }
-  EXPECT_EQ(ns.stats().crashes, 3u);
+  EXPECT_EQ(ns.lane_stats(0).crashes, 3u);
   EXPECT_EQ(ns.firewall().rule_count(t), 0u);
 }
 
@@ -187,7 +187,7 @@ TEST(Nameserver, SelfSuspendStopsServing) {
   ns.self_suspend();
   EXPECT_EQ(ns.state(), ServerState::SelfSuspended);
   ns.receive(f.query_wire("www.example.com"), f.client, 57, t);
-  EXPECT_EQ(ns.stats().dropped_not_running(), 1u);
+  EXPECT_EQ(ns.lane_stats(0).dropped_not_running(), 1u);
   EXPECT_EQ(ns.process(t), 0u);
   ns.resume();
   EXPECT_TRUE(ns.running());
@@ -251,8 +251,8 @@ TEST(Nameserver, ScoringDiscardsDefinitivelyMalicious) {
   const auto t = SimTime::origin();
   ns.receive(f.query_wire("bad.example.com"), f.client, 57, t);
   ns.receive(f.query_wire("www.example.com"), f.client, 57, t);
-  EXPECT_EQ(ns.stats().discarded_by_score(), 1u);
-  EXPECT_EQ(ns.stats().queries_enqueued, 1u);
+  EXPECT_EQ(ns.lane_stats(0).discarded_by_score(), 1u);
+  EXPECT_EQ(ns.lane_stats(0).queries_enqueued, 1u);
   ns.process(t);
   EXPECT_EQ(f.responses.size(), 1u);
 }
