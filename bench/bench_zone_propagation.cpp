@@ -1,15 +1,23 @@
 // Zone propagation bench: what a zone update costs end to end.
 //
-// Three sections. (1) Full vs incremental recompile across zone size ×
+// Four sections. (1) Full vs incremental recompile across zone size ×
 // delta size — the case for compile_incremental is that a 1-record
 // change in a 100k-record zone should cost the delta, not the zone.
 // (2) The publisher pipeline: diff + journal + incremental compile per
 // publish, sustained over a long serial chain. (3) Publish-to-visible
 // latency at a subscriber, for both the in-process adoption path and
-// the wire-style delta-replay path.
+// the wire-style delta-replay path. (4) An apex-count sweep over the
+// zone store (10^3..10^5 small zones): building it one publish at a
+// time, seeding a replica, republishing one apex, lookup cost and RSS
+// per apex. Loading n zones must cost O(n) and one republish must not
+// grow with n. The sweep also checks that every apex's www name resolves
+// to that apex and exits nonzero on a mismatch; it gates no timing.
 //
 // With AKADNS_BENCH_JSON=<path> every row is also written as JSON (the
 // CI artifact).
+
+#include <malloc.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -18,6 +26,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/rng.hpp"
 #include "propagation/zone_publisher.hpp"
 #include "propagation/zone_subscriber.hpp"
 #include "zone/compiled_zone.hpp"
@@ -161,6 +170,107 @@ void visibility_section() {
   }
 }
 
+std::size_t rss_bytes() {
+  std::size_t pages = 0;
+  std::size_t resident = 0;
+  if (std::FILE* f = std::fopen("/proc/self/statm", "r")) {
+    if (std::fscanf(f, "%zu %zu", &pages, &resident) != 2) resident = 0;
+    std::fclose(f);
+  }
+  return resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+// A 5-record zone: SOA, NS and three A records.
+zone::ZonePtr small_zone(const std::string& apex, std::uint32_t serial) {
+  return std::make_shared<const Zone>(ZoneBuilder(apex, serial)
+                                          .ns("@", "ns1." + apex)
+                                          .a("ns1", "10.0.0.1")
+                                          .a("www", "10.0.1." + std::to_string(serial % 250 + 1))
+                                          .a("mail", "10.0.2.1")
+                                          .build());
+}
+
+// Returns false when a lookup resolves to the wrong apex.
+bool apex_sweep_section() {
+  bench::subheading("apex-count sweep: build, seed a replica, republish one apex");
+  std::printf("  %-8s %10s %11s %15s %12s %13s\n", "apexes", "build (s)", "adopt (ms)",
+              "republish (us)", "lookup (ns)", "RSS/apex (B)");
+  constexpr std::size_t kRepublishes = 64;
+  constexpr std::size_t kLookups = 200'000;
+
+  for (const std::size_t n : {1'000ULL, 10'000ULL, 100'000ULL}) {
+    malloc_trim(0);  // earlier rows' freed memory must not hide this row's growth
+    const std::size_t rss_before = rss_bytes();
+    std::vector<zone::ZonePtr> zones;
+    zones.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      zones.push_back(small_zone("a" + std::to_string(i) + ".example", 1));
+    }
+
+    zone::ZoneStore store;
+    auto t0 = std::chrono::steady_clock::now();
+    for (const zone::ZonePtr& z : zones) store.publish(z);
+    const double build_s = elapsed_us(t0) / 1e6;
+    const std::size_t rss_after = rss_bytes();
+    const double rss_per_apex =
+        rss_after > rss_before ? static_cast<double>(rss_after - rss_before) / n : 0.0;
+
+    zone::ZoneStore replica;
+    t0 = std::chrono::steady_clock::now();
+    replica.adopt(store);
+    const double adopt_ms = elapsed_us(t0) / 1e3;
+
+    std::vector<zone::ZonePtr> next;
+    for (std::size_t k = 0; k < kRepublishes; ++k) {
+      next.push_back(small_zone(zones[k * n / kRepublishes]->apex().to_string(), 2));
+    }
+    t0 = std::chrono::steady_clock::now();
+    for (const zone::ZonePtr& z : next) store.publish(z);
+    const double republish_us = elapsed_us(t0) / kRepublishes;
+
+    std::size_t mismatches = 0;
+    for (const zone::ZonePtr& z : zones) {
+      const dns::DnsName www = *dns::DnsName::from("www").concat(z->apex());
+      for (const zone::ZoneStore* s : {&store, &replica}) {
+        const zone::CompiledZonePtr best = s->find_best_compiled(www);
+        if (!best || best->apex() != z->apex()) ++mismatches;
+      }
+    }
+
+    // Cold names over the whole store; one in five lies outside every zone.
+    Rng rng(n);
+    std::vector<dns::DnsName> queries;
+    std::size_t inside = 0;
+    queries.reserve(kLookups);
+    for (std::size_t q = 0; q < kLookups; ++q) {
+      const std::string apex = "a" + std::to_string(rng.next_below(n));
+      const bool outside = rng.next_bool(0.2);
+      inside += outside ? 0 : 1;
+      queries.push_back(dns::DnsName::from("www." + apex + (outside ? ".invalid" : ".example")));
+    }
+    std::size_t hits = 0;
+    t0 = std::chrono::steady_clock::now();
+    for (const dns::DnsName& q : queries) hits += store.find_best_compiled(q) != nullptr;
+    const double lookup_ns = elapsed_us(t0) * 1e3 / kLookups;
+    if (hits != inside) ++mismatches;  // the timed pass must hit exactly the inside names
+
+    std::printf("  %-8zu %10.3f %11.2f %15.1f %12.1f %13.0f\n", n, build_s, adopt_ms,
+                republish_us, lookup_ns, rss_per_apex);
+    const std::string label = std::to_string(n) + " apexes: ";
+    bench::print_row((label + "build, one publish each").c_str(), build_s, "s");
+    bench::print_row((label + "seed a replica (adopt)").c_str(), adopt_ms, "ms");
+    bench::print_row((label + "republish one apex").c_str(), republish_us, "us");
+    bench::print_row((label + "find_best_compiled").c_str(), lookup_ns, "ns");
+    bench::print_row((label + "RSS per apex").c_str(), rss_per_apex, "B");
+    bench::print_count_row((label + "lookup mismatches").c_str(), mismatches);
+    if (mismatches != 0) {
+      std::printf("  !! %zu lookups resolved to the wrong apex at %zu apexes\n", mismatches, n);
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 }  // namespace akadns
 
@@ -170,6 +280,7 @@ int main() {
   akadns::compile_section();
   akadns::publisher_section();
   akadns::visibility_section();
+  const bool sweep_ok = akadns::apex_sweep_section();
   std::printf("\n");
-  return 0;
+  return sweep_ok ? 0 : 1;
 }

@@ -14,9 +14,11 @@ void ZoneStore::note_compile(const CompiledZone& compiled) {
 
 void ZoneStore::install(CompiledZonePtr compiled) {
   const DnsName& apex = compiled->apex();
-  zones_[apex] = std::move(compiled);
+  const std::size_t depth = apex.label_count();
+  if (zones_.insert_or_assign(ApexKey{apex, apex.suffix_hash()}, std::move(compiled)).second) {
+    ++apexes_at_depth_[depth];
+  }
   ++generation_;
-  rebuild_index();
 }
 
 void ZoneStore::store(ZonePtr zone) {
@@ -31,7 +33,7 @@ bool ZoneStore::publish(Zone zone) {
 }
 
 bool ZoneStore::publish(ZonePtr zone) {
-  auto it = zones_.find(zone->apex());
+  auto it = zones_.find(exact(zone->apex()));
   if (it != zones_.end() && it->second->serial() >= zone->serial()) {
     return false;
   }
@@ -47,7 +49,7 @@ void ZoneStore::force_publish(ZonePtr zone) { store(std::move(zone)); }
 
 Result<CompiledZonePtr> ZoneStore::apply_delta(const ZoneDiff& diff) {
   auto fail = [](std::string what) { return Result<CompiledZonePtr>::failure(std::move(what)); };
-  auto it = zones_.find(diff.apex);
+  auto it = zones_.find(exact(diff.apex));
   if (it == zones_.end()) {
     return fail("no zone at " + diff.apex.to_string() + " (fall back to AXFR)");
   }
@@ -67,7 +69,7 @@ Result<CompiledZonePtr> ZoneStore::apply_delta(const ZoneDiff& diff) {
 }
 
 bool ZoneStore::publish_compiled(CompiledZonePtr compiled, bool force) {
-  auto it = zones_.find(compiled->apex());
+  auto it = zones_.find(exact(compiled->apex()));
   if (!force && it != zones_.end() && it->second->serial() >= compiled->serial()) {
     return false;
   }
@@ -77,36 +79,21 @@ bool ZoneStore::publish_compiled(CompiledZonePtr compiled, bool force) {
 }
 
 void ZoneStore::adopt(const ZoneStore& other) {
-  for (const DnsName& apex : other.zone_apexes()) {
-    publish_compiled(other.find_compiled(apex), /*force=*/true);
-  }
+  zones_.reserve(zones_.size() + other.zones_.size());
+  for (const auto& [apex, compiled] : other.zones_) publish_compiled(compiled, /*force=*/true);
 }
 
 bool ZoneStore::remove(const DnsName& apex) {
-  if (zones_.erase(apex) == 0) return false;
+  auto it = zones_.find(exact(apex));
+  if (it == zones_.end()) return false;
+  zones_.erase(it);
+  --apexes_at_depth_[apex.label_count()];
   ++generation_;
-  rebuild_index();
   return true;
 }
 
-void ZoneStore::rebuild_index() {
-  apex_index_.clear();
-  apex_index_.reserve(zones_.size());
-  apex_depths_.reset();
-  for (const auto& entry : zones_) {
-    ApexIndexEntry e;
-    e.hash = entry.first.suffix_hash();
-    e.depth = static_cast<std::uint16_t>(entry.first.label_count());
-    e.entry = &entry;
-    apex_index_.push_back(e);
-    apex_depths_.set(e.depth);
-  }
-  std::sort(apex_index_.begin(), apex_index_.end(),
-            [](const ApexIndexEntry& a, const ApexIndexEntry& b) { return a.hash < b.hash; });
-}
-
 CompiledZonePtr ZoneStore::find_best_compiled(const DnsName& qname) const noexcept {
-  if (apex_index_.empty()) return nullptr;
+  if (zones_.empty()) return nullptr;
   const std::size_t qn = qname.label_count();  // <= 127 by DnsName limits
   std::uint64_t hashes[128];
   std::uint64_t h = DnsName::kSuffixHashSeed;
@@ -117,15 +104,9 @@ CompiledZonePtr ZoneStore::find_best_compiled(const DnsName& qname) const noexce
   }
   // Longest-suffix match, deepest first; skip depths with no apex at all.
   for (std::size_t depth = qn + 1; depth-- > 0;) {
-    if (!apex_depths_.test(depth)) continue;
-    auto it = std::lower_bound(
-        apex_index_.begin(), apex_index_.end(), hashes[depth],
-        [](const ApexIndexEntry& e, std::uint64_t target) { return e.hash < target; });
-    for (; it != apex_index_.end() && it->hash == hashes[depth]; ++it) {
-      if (it->depth == depth && it->entry->first.equals_tail_of(qname, depth)) {
-        return it->entry->second;
-      }
-    }
+    if (apexes_at_depth_[depth] == 0) continue;
+    auto it = zones_.find(ApexProbe{qname, depth, hashes[depth]});
+    if (it != zones_.end()) return it->second;
   }
   return nullptr;
 }
@@ -136,12 +117,12 @@ ZonePtr ZoneStore::find_best_zone(const DnsName& qname) const {
 }
 
 ZonePtr ZoneStore::find_zone(const DnsName& apex) const {
-  auto it = zones_.find(apex);
+  auto it = zones_.find(exact(apex));
   return it == zones_.end() ? nullptr : it->second->source();
 }
 
 CompiledZonePtr ZoneStore::find_compiled(const DnsName& apex) const {
-  auto it = zones_.find(apex);
+  auto it = zones_.find(exact(apex));
   return it == zones_.end() ? nullptr : it->second;
 }
 
@@ -154,7 +135,8 @@ std::size_t ZoneStore::total_records() const noexcept {
 std::vector<DnsName> ZoneStore::zone_apexes() const {
   std::vector<DnsName> out;
   out.reserve(zones_.size());
-  for (const auto& [apex, zone] : zones_) out.push_back(apex);
+  for (const auto& [apex, zone] : zones_) out.push_back(apex.name);
+  std::sort(out.begin(), out.end());
   return out;
 }
 

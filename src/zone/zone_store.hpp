@@ -11,17 +11,18 @@
 // exist, cheapest first: publish_compiled() installs an already-compiled
 // snapshot shared with another store (replica seeding), apply_delta()
 // incrementally recompiles only the nodes a ZoneDiff touches, and
-// publish() compiles from scratch. The query-time entry point,
-// find_best_compiled(), does longest-suffix matching with one incremental
-// hash pass over the query name — zero heap allocations even on the miss
-// path, which is what a REFUSED flood exercises.
+// publish() compiles from scratch. All snapshots sit in one hash map
+// keyed by apex and hashed by its suffix hash, so the map is itself the
+// longest-suffix index: an install is one insert-or-assign, O(1) in the
+// zone count. find_best_compiled() hashes every suffix of the query name
+// in one pass and probes the map at each depth that holds an apex — zero
+// heap allocations even on the miss path, which a REFUSED flood exercises.
 #pragma once
 
-#include <bitset>
+#include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.hpp"
@@ -102,8 +103,8 @@ class ZoneStore {
   bool remove(const DnsName& apex);
 
   /// The compiled zone whose apex is the longest suffix of `qname`, or
-  /// nullptr. Allocation-free: probes a hashed apex index at each
-  /// populated depth instead of materializing suffix names.
+  /// nullptr. Allocation-free: probes the apex map at each populated
+  /// depth instead of materializing suffix names.
   CompiledZonePtr find_best_compiled(const DnsName& qname) const noexcept;
 
   /// The zone whose apex is the longest suffix of `qname`, or nullptr.
@@ -115,7 +116,7 @@ class ZoneStore {
   /// Exact-apex fetch of the compiled snapshot.
   CompiledZonePtr find_compiled(const DnsName& apex) const;
 
-  bool has_zone(const DnsName& apex) const { return zones_.contains(apex); }
+  bool has_zone(const DnsName& apex) const { return zones_.contains(exact(apex)); }
 
   std::size_t zone_count() const noexcept { return zones_.size(); }
   std::size_t total_records() const noexcept;
@@ -131,26 +132,41 @@ class ZoneStore {
   const CompileStats& compile_stats() const noexcept { return compile_stats_; }
 
  private:
-  /// One apex in the hash index. `entry` points at the map node (stable
-  /// across rebuilds of the vector; map nodes never move).
-  struct ApexIndexEntry {
-    std::uint64_t hash = 0;
-    std::uint16_t depth = 0;
-    const std::pair<const DnsName, CompiledZonePtr>* entry = nullptr;
+  /// An apex and its suffix hash, computed once at insert so walking a
+  /// bucket never rehashes a name.
+  struct ApexKey {
+    DnsName name;
+    std::uint64_t hash;
+  };
+  /// The trailing `depth` labels of `qname`: a key that builds no DnsName.
+  struct ApexProbe {
+    const DnsName& qname;
+    std::size_t depth;
+    std::uint64_t hash;
+  };
+  struct ApexHash {
+    using is_transparent = void;
+    std::size_t operator()(const auto& key) const noexcept { return key.hash; }
+  };
+  struct ApexEq {
+    using is_transparent = void;
+    bool operator()(const ApexKey& a, const ApexKey& b) const noexcept { return a.name == b.name; }
+    bool operator()(const ApexProbe& p, const ApexKey& k) const noexcept {
+      return p.hash == k.hash && k.name.equals_tail_of(p.qname, p.depth);
+    }
+    bool operator()(const ApexKey& k, const ApexProbe& p) const noexcept { return (*this)(p, k); }
   };
 
+  static ApexProbe exact(const DnsName& apex) noexcept {
+    return {apex, apex.label_count(), apex.suffix_hash()};
+  }
   void store(ZonePtr zone);
   void install(CompiledZonePtr compiled);
   void note_compile(const CompiledZone& compiled);
-  void rebuild_index();
 
-  std::map<DnsName, CompiledZonePtr> zones_;
-  /// Sorted by hash; rebuilt on publish/remove (rare) so lookups (hot)
-  /// are a binary search.
-  std::vector<ApexIndexEntry> apex_index_;
-  /// Which apex depths exist at all — lets the miss path skip depths
-  /// without touching the index.
-  std::bitset<128> apex_depths_;
+  std::unordered_map<ApexKey, CompiledZonePtr, ApexHash, ApexEq> zones_;
+  /// Apexes per label count (at most 127): lookups skip empty depths.
+  std::array<std::uint32_t, 128> apexes_at_depth_{};
   std::uint64_t generation_ = 0;
   CompileStats compile_stats_;
 };

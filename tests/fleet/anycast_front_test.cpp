@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -87,6 +88,24 @@ struct Client {
   }
 };
 
+/// Polls `done` for at most 5 s. Control ops run on the front's epoll
+/// thread after the call that queued them returns; each applied op then
+/// appends one reconvergence sample, and a moved flow's first relayed
+/// answer stamps its sample just after the answer is sent.
+bool eventually(const std::function<bool()>& done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// True once the front has applied `count` control ops in total.
+bool ops_applied(const AnycastFront& front, std::size_t count) {
+  return eventually([&] { return front.samples().size() >= count; });
+}
+
 struct FrontFixture {
   EchoMember a{0xa};
   EchoMember b{0xb};
@@ -139,9 +158,9 @@ TEST(AnycastFront, WithdrawalMovesOnlyTheWithdrawnMembersFlows) {
     ASSERT_GE(before.back(), 0);
   }
 
+  const std::size_t ops = fx.front.samples().size();
   fx.front.set_member_active("a", false);
-  // Control ops run on the epoll thread; give the queue a beat.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(ops_applied(fx.front, ops + 1));
 
   std::size_t moved = 0, stayed = 0;
   for (std::size_t i = 0; i < clients.size(); ++i) {
@@ -160,6 +179,7 @@ TEST(AnycastFront, WithdrawalMovesOnlyTheWithdrawnMembersFlows) {
 
   // The withdrawal produced a reconvergence sample counting the moves,
   // and traffic since then resolved its first-answer latency.
+  if (moved > 0) eventually([&] { return fx.front.samples().back().first_answer_us >= 0; });
   const auto samples = fx.front.samples();
   ASSERT_FALSE(samples.empty());
   const auto& sample = samples.back();
@@ -183,10 +203,11 @@ TEST(AnycastFront, ReactivationPullsBackItsFlows) {
     ASSERT_GE(original.back(), 0);
   }
 
+  const std::size_t ops = fx.front.samples().size();
   fx.front.set_member_active("b", false);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(ops_applied(fx.front, ops + 1));
   fx.front.set_member_active("b", true);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(ops_applied(fx.front, ops + 2));
 
   // Rendezvous hashing is deterministic per (flow, member) pair: with
   // the full member set restored, every flow is back on its original
@@ -211,8 +232,9 @@ TEST(AnycastFront, RepointedMemberKeepsItsFlowsOnFreshEndpoint) {
   // "Restart" member a on a brand-new socket. The distinct tag proves
   // its flows really reconnected to the fresh endpoint.
   EchoMember a2(0xd);
+  const std::size_t ops = fx.front.samples().size();
   fx.front.upsert_member("a", a2.endpoint());
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(ops_applied(fx.front, ops + 1));
 
   for (std::size_t i = 0; i < clients.size(); ++i) {
     const int after = clients[i].ask();
@@ -244,13 +266,15 @@ TEST(AnycastFront, WithdrawalSampleSurvivesQuickReactivation) {
   ASSERT_GT(on_a, 0u) << "hash split left member a empty; cannot exercise the drill";
 
   // Withdraw and reactivate back-to-back, no traffic in between.
+  const std::size_t ops = fx.front.samples().size();
   fx.front.set_member_active("a", false);
   fx.front.set_member_active("a", true);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(ops_applied(fx.front, ops + 2));
 
   // Traffic resumes only now — after BOTH re-pins.
   for (auto& client : clients) ASSERT_GE(client.ask(), 0);
 
+  eventually([&] { return fx.front.samples()[ops].first_answer_us >= 0; });
   const auto samples = fx.front.samples();
   ASSERT_GE(samples.size(), 2u);
   const auto& withdrawal = samples[samples.size() - 2];
@@ -310,10 +334,11 @@ TEST(AnycastFront, FlowTableBoundEvictsWithoutDisruptingService) {
 
 TEST(AnycastFront, NoActiveMembersDropsInsteadOfCrashing) {
   FrontFixture fx;
+  const std::size_t ops = fx.front.samples().size();
   fx.front.set_member_active("a", false);
   fx.front.set_member_active("b", false);
   fx.front.set_member_active("c", false);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(ops_applied(fx.front, ops + 3));
 
   Client client(fx.front.udp_port());
   EXPECT_EQ(client.ask(500), -1);
