@@ -127,7 +127,7 @@ Outcome run_policy(Scenario& scenario, Policy policy) {
   // kind per transaction id: 0 clean, 1 misclassified, 2 attack
   std::vector<std::uint8_t> kind(65536, 2);
   std::uint64_t sent[3] = {}, answered[3] = {};
-  nameserver.set_response_sink([&](const Endpoint&, std::vector<std::uint8_t> wire) {
+  nameserver.set_response_span_sink([&](const Endpoint&, std::span<const std::uint8_t> wire) {
     if (wire.size() >= 2) {
       ++answered[kind[static_cast<std::uint16_t>((wire[0] << 8) | wire[1])]];
     }

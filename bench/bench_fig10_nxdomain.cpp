@@ -67,7 +67,7 @@ double measure(Scenario& scenario, bool with_filter, double attack_qps, double s
   std::uint64_t legit_sent = 0, legit_answered = 0;
   std::uint16_t id = 1;
   std::vector<bool> is_legit(65536, false);
-  nameserver.set_response_sink([&](const Endpoint&, std::vector<std::uint8_t> wire) {
+  nameserver.set_response_span_sink([&](const Endpoint&, std::span<const std::uint8_t> wire) {
     if (wire.size() >= 2 &&
         is_legit[static_cast<std::uint16_t>((wire[0] << 8) | wire[1])]) {
       ++legit_answered;

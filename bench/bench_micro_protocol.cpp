@@ -259,8 +259,8 @@ void BM_FullDatapathReceiveProcess(benchmark::State& state) {
   server::Nameserver nameserver({.compute_capacity_qps = 1e12, .io_capacity_qps = 1e12},
                                 store());
   std::uint64_t responses = 0;
-  nameserver.set_response_sink(
-      [&](const Endpoint&, std::vector<std::uint8_t>) { ++responses; });
+  nameserver.set_response_span_sink(
+      [&](const Endpoint&, std::span<const std::uint8_t>) { ++responses; });
   const auto wire = dns::encode(
       dns::make_query(7, dns::DnsName::from("host7.bench.example"), dns::RecordType::A));
   const Endpoint src{*IpAddr::parse("198.51.100.1"), 5353};

@@ -187,8 +187,10 @@ void scenario_c_input_delayed() {
   // Answer check through the delayed machine.
   if (!eligible.empty()) {
     std::vector<std::uint8_t> response;
-    eligible[0]->nameserver().set_response_sink(
-        [&](const Endpoint&, std::vector<std::uint8_t> wire) { response = std::move(wire); });
+    eligible[0]->nameserver().set_response_span_sink(
+        [&](const Endpoint&, std::span<const std::uint8_t> wire) {
+          response.assign(wire.begin(), wire.end());
+        });
     const Endpoint src{*IpAddr::parse("198.51.100.2"), 5353};
     eligible[0]->deliver(dns::encode(dns::make_query(
                              2, dns::DnsName::from("www.ex.com"), dns::RecordType::A)),
@@ -214,8 +216,8 @@ void scenario_d_query_of_death() {
   int crashes = 0;
   std::uint64_t answered_other = 0;
   SimTime clock = SimTime::origin();
-  nameserver.set_response_sink(
-      [&](const Endpoint&, std::vector<std::uint8_t>) { ++answered_other; });
+  nameserver.set_response_span_sink(
+      [&](const Endpoint&, std::span<const std::uint8_t>) { ++answered_other; });
   // The QoD arrives every 30 seconds for one hour; normal queries continue.
   for (int tick = 0; tick < 120; ++tick) {
     clock += Duration::seconds(30);
@@ -236,7 +238,9 @@ void scenario_d_query_of_death() {
   bench::print_row("QoD arrivals over the hour", 120, "");
   bench::print_row("crashes (T_QoD = 10 min => <= ~6)", crashes, "");
   bench::print_row("dropped by firewall rule",
-                   static_cast<double>(nameserver.lane_stats(0).dropped_firewall()), "");
+                   static_cast<double>(
+                       nameserver.defense().lane_stats(0).drops[DropReason::Firewall]),
+                   "");
   bench::print_row("dissimilar queries answered", static_cast<double>(answered_other), "");
 }
 

@@ -37,7 +37,7 @@ double run_phase(Scenario& scenario, server::Nameserver& nameserver, double legi
 
   // Track which transaction ids belong to legitimate queries.
   std::vector<bool> is_legit(65536, false);
-  nameserver.set_response_sink([&](const Endpoint&, std::vector<std::uint8_t> wire) {
+  nameserver.set_response_span_sink([&](const Endpoint&, std::span<const std::uint8_t> wire) {
     if (wire.size() >= 2) {
       const std::uint16_t rid = static_cast<std::uint16_t>((wire[0] << 8) | wire[1]);
       if (is_legit[rid]) ++legit_answered;

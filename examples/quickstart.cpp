@@ -60,7 +60,7 @@ int main() {
   // 3. A nameserver instance answering wire-format queries.
   server::Nameserver nameserver({.id = "quickstart-ns"}, store);
   std::vector<dns::Message> responses;
-  nameserver.set_response_sink([&](const Endpoint&, std::vector<std::uint8_t> wire) {
+  nameserver.set_response_span_sink([&](const Endpoint&, std::span<const std::uint8_t> wire) {
     responses.push_back(dns::decode(wire).take());
   });
 

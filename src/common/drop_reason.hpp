@@ -34,8 +34,9 @@ inline constexpr std::size_t kDropReasonCount = static_cast<std::size_t>(DropRea
 
 std::string_view to_string(DropReason reason) noexcept;
 
-/// Per-reason drop counters; one instance per datapath owner (nameserver,
-/// machine, worker lane). Each slot is a registry instrument
+/// Per-reason drop counters; one instance per datapath owner (nameserver
+/// lane, defense-engine lane, machine), each counting only the reasons it
+/// decides. Each slot is a registry instrument
 /// (obs::Counter, single-writer atomic), so an owner registers its
 /// counters once and a live scrape reads them without copying — merged
 /// fleet views come from MetricsSnapshot, not from struct merging.

@@ -132,7 +132,11 @@ DatapathReport render_datapath(obs::MetricsSnapshot snapshot) {
   report.packets_received = snapshot.sum("akadns_packets_total") + nic_losses;
   report.responses_sent = snapshot.sum("akadns_responses_sent_total");
   report.pending = snapshot.sum("akadns_pending");
+  // Each drop is counted once, by the layer that decided it: the
+  // nameserver and machine in akadns_drops_total, the defense engine in
+  // akadns_defense_drops_total. The taxonomy is the sum of both.
   fill_drops(report.drops, snapshot, "akadns_drops_total", {});
+  fill_drops(report.drops, snapshot, "akadns_defense_drops_total", {});
 
   // Per-lane conservation: lane i summed across every machine (the series
   // carry both machine and lane labels; filtering on lane alone folds the
@@ -145,11 +149,9 @@ DatapathReport render_datapath(obs::MetricsSnapshot snapshot) {
     lane.responses_sent = snapshot.sum("akadns_responses_sent_total", lane_filter);
     lane.pending = snapshot.sum("akadns_pending", lane_filter);
     fill_drops(lane.drops, snapshot, "akadns_drops_total", lane_filter);
+    fill_drops(lane.drops, snapshot, "akadns_defense_drops_total", lane_filter);
   }
 
-  // Defense accounting lives in its own families: the engine's shed
-  // counters mirror the lane drop taxonomy, so they are kept out of
-  // akadns_drops_total to keep the canonical sum single-counted.
   report.defense.scored = snapshot.sum("akadns_defense_scored_total");
   report.defense.enqueued = snapshot.sum("akadns_defense_enqueued_total");
   report.defense.released = snapshot.sum("akadns_defense_released_total");

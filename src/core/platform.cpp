@@ -97,8 +97,8 @@ void Platform::subscribe_machine(pop::Machine& machine, bool input_delayed,
 
 void Platform::wire_machine(pop::Pop& pop, pop::Machine& machine) {
   // Response path: unicast the framed response back to the client node.
-  machine.nameserver().set_response_sink(
-      [this, router = pop.router_node()](const Endpoint& dst, std::vector<std::uint8_t> wire) {
+  machine.nameserver().set_response_span_sink(
+      [this, router = pop.router_node()](const Endpoint& dst, std::span<const std::uint8_t> wire) {
         const auto it = client_nodes_.find(dst.addr);
         if (it == client_nodes_.end()) return;
         network_.send_to_node(router, it->second, frame(dst, 0, wire));

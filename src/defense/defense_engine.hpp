@@ -57,11 +57,12 @@ struct DefenseConfig {
   filters::PenaltyQueueConfig queue_config{};
 };
 
-/// Per-lane defense accounting. Engine-owned telemetry: the transports
-/// keep their own packet-level stats, this is the defense view (what the
-/// pipeline admitted, shed, and why). There is no struct-level merge any
-/// more — aggregation across lanes/workers/machines happens at scrape
-/// time through the metrics registry (register_metrics / snapshot).
+/// Per-lane defense accounting: the one count of what the engine decides
+/// (what the pipeline admitted, released, shed, and why). Transports
+/// count only the fates they decide themselves, so a packet's fate is
+/// never counted twice. There is no struct-level merge — aggregation
+/// across lanes/workers/machines happens at scrape time through the
+/// metrics registry (register_metrics / snapshot).
 struct DefenseLaneStats {
   obs::Counter scored;    // queries run through the filter chain
   obs::Counter enqueued;  // admitted into a penalty queue
@@ -75,9 +76,9 @@ struct DefenseLaneStats {
                 "queries admitted into a penalty queue");
     reg.counter("akadns_defense_released_total", base, released,
                 "queries dequeued for processing");
-    // The engine's shed accounting mirrors drops the transport also
-    // counts in the canonical taxonomy; its own family keeps
-    // akadns_drops_total sums single-counted.
+    // The engine's sheds have their own family; a transport's drop
+    // family holds only the reasons it decides, so conservation sums
+    // both families.
     obs::register_drop_counters(reg, drops, base, "akadns_defense_drops_total");
   }
 

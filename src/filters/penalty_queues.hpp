@@ -47,18 +47,13 @@ class PenaltyQueueSet {
     queues_.resize(config_.max_scores.size());
   }
 
+  /// Places `item` by score. The set keeps no outcome tallies: the
+  /// caller (the defense engine) counts each returned outcome once.
   EnqueueOutcome enqueue(Item item, double score) {
-    if (score >= config_.discard_score) {
-      ++discarded_;
-      return EnqueueOutcome::DiscardedByScore;
-    }
+    if (score >= config_.discard_score) return EnqueueOutcome::DiscardedByScore;
     const std::size_t idx = queue_index(score);
-    if (queues_[idx].size() >= config_.queue_capacity) {
-      ++dropped_full_;
-      return EnqueueOutcome::DroppedQueueFull;
-    }
+    if (queues_[idx].size() >= config_.queue_capacity) return EnqueueOutcome::DroppedQueueFull;
     queues_[idx].push_back(std::move(item));
-    ++enqueued_;
     ++size_;
     if (idx < first_nonempty_) first_nonempty_ = idx;
     return EnqueueOutcome::Enqueued;
@@ -78,7 +73,6 @@ class PenaltyQueueSet {
     auto& q = queues_[first_nonempty_];
     Item item = std::move(q.front());
     q.pop_front();
-    ++dequeued_;
     --size_;
     return item;
   }
@@ -100,11 +94,6 @@ class PenaltyQueueSet {
   std::size_t queue_depth(std::size_t i) const { return queues_.at(i).size(); }
   std::size_t queue_count() const noexcept { return queues_.size(); }
 
-  std::uint64_t total_enqueued() const noexcept { return enqueued_; }
-  std::uint64_t total_dequeued() const noexcept { return dequeued_; }
-  std::uint64_t total_discarded_by_score() const noexcept { return discarded_; }
-  std::uint64_t total_dropped_queue_full() const noexcept { return dropped_full_; }
-
   const PenaltyQueueConfig& config() const noexcept { return config_; }
 
  private:
@@ -113,10 +102,6 @@ class PenaltyQueueSet {
   /// Lowest index that may hold items; dequeue() resumes its scan here.
   std::size_t first_nonempty_ = 0;
   std::size_t size_ = 0;
-  std::uint64_t enqueued_ = 0;
-  std::uint64_t dequeued_ = 0;
-  std::uint64_t discarded_ = 0;
-  std::uint64_t dropped_full_ = 0;
 };
 
 }  // namespace akadns::filters

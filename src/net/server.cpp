@@ -1,6 +1,5 @@
 #include "net/server.hpp"
 
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
@@ -9,26 +8,19 @@
 #include <array>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <unordered_map>
 
-#include "common/buffer_pool.hpp"
 #include "defense/filter_chain.hpp"
 #include "dns/wire.hpp"
 #include "net/tcp_framing.hpp"
 #include "net/udp_batch.hpp"
-#include "server/query_context.hpp"
+#include "server/lane_core.hpp"
 
 namespace akadns::net {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Cheap rcode extraction from encoded response header bytes.
-dns::Rcode rcode_of(const std::vector<std::uint8_t>& wire) {
-  return wire.size() >= 4 ? static_cast<dns::Rcode>(wire[3] & 0xF) : dns::Rcode::ServFail;
-}
 
 /// One established TCP connection (truncation-fallback path).
 struct Conn {
@@ -46,83 +38,6 @@ struct Conn {
   /// reaper's clock — a peer merely holding the socket open never
   /// advances it).
   Clock::time_point last_active{};
-};
-
-/// Deferred-response transmit batch for the defense path. A penalty-
-/// queued query outlives the receive batch it arrived in, so its response
-/// cannot reuse UdpBatch's per-slot reply buffers; this batch owns its
-/// own arena (one byte vector + offsets, capacity retained — zero
-/// steady-state allocation) and flushes via sendmmsg in batch-sized
-/// chunks.
-class TxBatch {
- public:
-  explicit TxBatch(std::size_t batch) : cap_(std::max<std::size_t>(1, batch)) {
-    addrs_.resize(cap_);
-    hdrs_.resize(cap_);
-    iovecs_.resize(cap_);
-  }
-
-  void append(int fd, const Endpoint& dst, std::span<const std::uint8_t> wire,
-              FrontendStats& stats) {
-    if (entries_.size() == cap_) flush(fd, stats);
-    Entry e;
-    e.offset = bytes_.size();
-    e.len = wire.size();
-    e.addrlen = sockaddr_from_endpoint(dst, addrs_[entries_.size()]);
-    entries_.push_back(e);
-    bytes_.insert(bytes_.end(), wire.begin(), wire.end());
-  }
-
-  void flush(int fd, FrontendStats& stats) {
-    if (entries_.empty()) return;
-    if (fd < 0) {  // socket already closed (late drain): nothing to send
-      entries_.clear();
-      bytes_.clear();
-      return;
-    }
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      iovecs_[i].iov_base = bytes_.data() + entries_[i].offset;
-      iovecs_[i].iov_len = entries_[i].len;
-      std::memset(&hdrs_[i], 0, sizeof(mmsghdr));
-      hdrs_[i].msg_hdr.msg_iov = &iovecs_[i];
-      hdrs_[i].msg_hdr.msg_iovlen = 1;
-      hdrs_[i].msg_hdr.msg_name = &addrs_[i];
-      hdrs_[i].msg_hdr.msg_namelen = entries_[i].addrlen;
-    }
-    std::size_t sent = 0;
-    while (sent < entries_.size()) {
-      const int n = ::sendmmsg(fd, hdrs_.data() + sent,
-                               static_cast<unsigned>(entries_.size() - sent), 0);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          pollfd pfd{fd, POLLOUT, 0};
-          ::poll(&pfd, 1, 10);
-          continue;
-        }
-        break;  // hard error: drop the rest of the batch
-      }
-      sent += static_cast<std::size_t>(n);
-    }
-    stats.udp_responses += sent;
-    stats.udp_send_failures += entries_.size() - sent;
-    entries_.clear();
-    bytes_.clear();
-  }
-
- private:
-  struct Entry {
-    std::size_t offset = 0;
-    std::size_t len = 0;
-    socklen_t addrlen = 0;
-  };
-
-  std::size_t cap_;
-  std::vector<std::uint8_t> bytes_;
-  std::vector<Entry> entries_;
-  std::vector<sockaddr_storage> addrs_;
-  std::vector<mmsghdr> hdrs_;
-  std::vector<iovec> iovecs_;
 };
 
 /// REFUSED answer for a query whose zone aged past SOA expire: the
@@ -156,7 +71,7 @@ struct Server::Worker {
   Worker(const ServeConfig& cfg, propagation::ZonePublisher& pub, Clock::time_point epoch_tp)
       : config(cfg),
         publisher(pub),
-        responder(replica, cfg.responder),
+        core(replica, cfg.responder),
         batch(cfg.udp_batch),
         sync(replica),
         xfr(replica,
@@ -164,14 +79,10 @@ struct Server::Worker {
               return p->chain(apex, from, to);
             },
             cfg.transfer),
-        epoch(epoch_tp),
         clock(epoch_tp),
-        pool(std::make_unique<BufferPool>()),
         engine(worker_engine_config(cfg), clock),
-        tx(cfg.udp_batch),
-        defense_on(cfg.defense.enabled),
         queue_path(cfg.defense.enabled || cfg.defense.compute_qps > 0.0) {
-    if (defense_on) {
+    if (cfg.defense.enabled) {
       // Content-based chain: the NXDOMAIN filter discriminates by what
       // is asked, so it works even when all traffic shares a few source
       // ports; hopcount rides along for spoofed-source coverage.
@@ -197,7 +108,10 @@ struct Server::Worker {
   /// is just a shared_ptr swap between two of its queries. Declared
   /// before every member holding a reference to it.
   zone::ZoneStore replica;
-  server::Responder responder;
+  /// Responder, buffer pool and deferred-response batch, with the
+  /// admission and release code the sim nameserver's lanes run too.
+  /// Declared before `engine`, whose queued buffers release into its pool.
+  server::LaneCore core;
   UdpBatch batch;
   UdpSocket udp;
   TcpListener listener;
@@ -208,19 +122,13 @@ struct Server::Worker {
   propagation::ZoneSubscriber sync;
   propagation::TransferService xfr;
   FrontendStats stats;
-  Clock::time_point epoch;
 
   // ---- defense path (§4.3.3 on CLOCK_MONOTONIC) ----
+  /// The server's shared epoch; also the SimTime axis answer-cache TTLs
+  /// expire against.
   MonotonicClock clock;
-  /// Backing storage for queued packets; must outlive `engine` (queued
-  /// PooledBuffers release into it), hence declared first.
-  std::unique_ptr<BufferPool> pool;
-  defense::DefenseEngine<server::QueryContext> engine;
-  TxBatch tx;
-  std::vector<std::uint8_t> backlog_scratch;
-  /// Filters installed and scoring active.
-  const bool defense_on;
-  /// Queries go through the penalty queues (scoring on, or compute
+  server::LaneCore::Engine engine;
+  /// Queries go through the penalty queues (filters on, or compute
   /// metering requested without filters). Off: the inline fast path
   /// answers straight out of the receive batch.
   const bool queue_path;
@@ -228,13 +136,6 @@ struct Server::Worker {
   FdHandle epoll;
   std::unordered_map<int, std::unique_ptr<Conn>> conns;
   std::vector<std::uint8_t> tcp_read_buf = std::vector<std::uint8_t>(64 * 1024);
-
-  /// Wall time mapped onto the repo's SimTime axis (answer-cache TTL
-  /// expiry is the only consumer; the origin is the server's start).
-  SimTime now() const noexcept {
-    return SimTime::from_nanos(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - epoch).count());
-  }
 
   /// Absorbs every queued zone update into the replica (worker thread
   /// only). `now` on the publisher's clock axis keeps the propagation
@@ -255,9 +156,10 @@ struct Server::Worker {
 
   void run();
   bool drain_udp(bool draining);
-  void answer_queued(server::QueryContext& item);
   void process_backlog();
   void drain_backlog();
+  void answer_released();
+  void send_responses();
   void accept_loop();
   void handle_conn(int fd, std::uint32_t events);
   void process_frames(Conn& conn);
@@ -353,25 +255,16 @@ bool Server::Worker::drain_udp(bool draining) {
       }
       const Endpoint client = endpoint_from_sockaddr(batch.source(static_cast<std::size_t>(i)));
       if (!queue_path) {
-        responder.respond_view_into(wire, view.value(), client, now(),
-                                    batch.response(static_cast<std::size_t>(i)));
+        core.responder().respond_view_into(wire, view.value(), client, clock.now(),
+                                           batch.response(static_cast<std::size_t>(i)));
         ++want;
         continue;
       }
-      // Defense path: score against the filter chain, then into the
-      // penalty queues (or shed — ScoreDiscard / QueueFull). The packet
-      // bytes move to a pooled buffer because the queued query outlives
-      // this receive batch.
-      server::QueryContext ctx;
-      ctx.view = std::move(view).value();
-      ctx.parsed = true;
-      ctx.source = client;
-      ctx.ip_ttl = 64;  // not surfaced by recvmmsg on this path
-      ctx.arrival = engine.clock().now();
-      if (defense_on) ctx.score = engine.score(0, ctx.filter_view(ctx.arrival));
-      ctx.wire = pool->copy_of(wire);
-      const double score = ctx.score;  // read before the move below
-      engine.enqueue(0, std::move(ctx), score);
+      // Defense path: the lane core scores the query and copies it into
+      // the penalty queues (the engine counts a ScoreDiscard / QueueFull
+      // shed). recvmmsg does not surface the IP TTL here, so every
+      // query carries the common initial TTL of 64.
+      core.admit(engine, 0, wire, std::move(view).value(), client, 64, clock.now(), nullptr);
     }
     if (want > 0) {
       const std::size_t sent = batch.send(fd);
@@ -393,23 +286,12 @@ bool Server::Worker::drain_udp(bool draining) {
   return saw_data;
 }
 
-void Server::Worker::answer_queued(server::QueryContext& item) {
-  responder.respond_view_into(item.bytes(), item.view, item.source, now(), backlog_scratch);
-  // Fan the outcome back to the filters (NXDOMAIN counting etc.).
-  engine.observe_response(0, item.filter_view(engine.clock().now()),
-                          rcode_of(backlog_scratch));
-  tx.append(udp.fd(), item.source, backlog_scratch, stats);
-}
-
 void Server::Worker::process_backlog() {
   // begin_phase meters the worker's compute slice into a budget (the
   // whole backlog when unmetered); the work-conserving scheduler then
   // releases queued queries in increasing-penalty order.
-  if (!engine.has_pending()) return;
-  if (!engine.begin_phase()) return;
-  while (auto item = engine.next(0)) answer_queued(*item);
-  engine.end_phase();
-  tx.flush(udp.fd(), stats);
+  if (!engine.has_pending() || !engine.begin_phase()) return;
+  answer_released();
 }
 
 void Server::Worker::drain_backlog() {
@@ -418,9 +300,25 @@ void Server::Worker::drain_backlog() {
   // (the shed queries were already accounted at enqueue time).
   if (!engine.has_pending()) return;
   engine.begin_phase_unmetered(engine.pending());
-  while (auto item = engine.next(0)) answer_queued(*item);
+  answer_released();
+}
+
+void Server::Worker::answer_released() {
+  while (auto item = engine.next(0)) {
+    core.answer(engine, 0, *item, clock.now(), nullptr);
+    if (core.responses().entries.size() == batch.capacity()) send_responses();
+  }
   engine.end_phase();
-  tx.flush(udp.fd(), stats);
+  send_responses();
+}
+
+void Server::Worker::send_responses() {
+  server::ResponseBatch& out = core.responses();
+  if (out.entries.empty()) return;
+  const std::size_t sent = batch.send(udp.fd(), out);
+  stats.udp_responses += sent;
+  stats.udp_send_failures += out.entries.size() - sent;
+  out.clear();
 }
 
 void Server::Worker::accept_loop() {
@@ -488,8 +386,8 @@ void Server::Worker::process_frames(Conn& conn) {
     } else {
       // TCP responses are never truncated and never touch the UDP-keyed
       // answer cache: the full message limit is the transport ceiling.
-      responder.respond_view_into(*frame, view.value(), conn.peer, now(), conn.scratch,
-                                  dns::kMaxMessageSize);
+      core.responder().respond_view_into(*frame, view.value(), conn.peer, clock.now(),
+                                         conn.scratch, dns::kMaxMessageSize);
     }
     const auto prefix = frame_prefix(conn.scratch.size());
     conn.out.insert(conn.out.end(), prefix.begin(), prefix.end());
@@ -749,8 +647,8 @@ Result<bool> Server::start() {
     const Worker& w = *workers_[i];
     const obs::LabelSet base = obs::with({}, "worker", i);
     w.stats.register_into(registry_, base);
-    w.responder.stats().register_into(registry_, base);
-    w.responder.answer_cache().stats().register_into(registry_, base);
+    w.core.responder().stats().register_into(registry_, base);
+    w.core.responder().answer_cache().stats().register_into(registry_, base);
     w.engine.register_metrics(registry_, base);
     w.sync.stats().register_into(registry_, base);
     w.xfr.stats().register_into(registry_, base);

@@ -4,11 +4,13 @@
 // same port — the kernel's receive-side flow hash shards resolvers
 // across workers exactly as the simulator's lane-pinning hash shards
 // them across lanes (§5b of DESIGN.md), so "worker" here is the physical
-// realization of a lane: each owns its own Responder (answer cache,
-// scratch buffers), its own batch storage, and its own statistics, and
-// no query ever crosses a worker boundary. The datapath is the sim's,
-// unchanged: decode_query_view once, respond_view_into with pooled
-// response buffers — zero per-query heap allocation on the UDP hot path.
+// realization of a lane: each owns a server::LaneCore (responder with
+// its answer cache, buffer pool, response batch), its own receive batch
+// and its own statistics, and no query ever crosses a worker boundary.
+// The datapath is the sim's: decode_query_view once, then either
+// respond_view_into straight into the receive batch's reply slots (zero
+// per-query heap allocation on the UDP hot path) or, on the defense
+// path, the lane core's admit and answer that the sim's lanes run too.
 //
 // UDP moves through recvmmsg/sendmmsg in batches; TCP (the truncation
 // fallback — clients retry over TCP when a response comes back TC) is a
@@ -67,7 +69,9 @@ struct DefenseOptions {
   double nxdomain_penalty = 150.0;
   std::uint64_t nxdomain_threshold = 200;
   /// Also install the hop-count filter (spoofed-source detection via IP
-  /// TTL divergence; inert on loopback where every packet hops zero).
+  /// TTL divergence). Inert over sockets today: recvmmsg does not surface
+  /// the received TTL, so every query is scored with a fixed TTL of 64
+  /// (loopback itself delivers whatever TTL the sender set).
   bool hopcount = true;
   /// Query-of-death firewall rules installed at startup (each drops the
   /// qname and everything below it, any qtype, no practical expiry).

@@ -27,6 +27,11 @@ Result<std::uint16_t> bind_and_resolve_port(int fd, Ipv4Addr addr, std::uint16_t
   return static_cast<std::uint16_t>(ntohs(sin.sin_port));
 }
 
+bool set_reuseport(int fd) noexcept {
+  const int one = 1;
+  return ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) == 0;
+}
+
 }  // namespace
 
 FdHandle& FdHandle::operator=(FdHandle&& other) noexcept {
@@ -85,8 +90,11 @@ socklen_t sockaddr_from_endpoint(const Endpoint& ep, sockaddr_storage& ss) noexc
 Result<UdpSocket> UdpSocket::open(Ipv4Addr addr, std::uint16_t port, int rcvbuf, int sndbuf) {
   FdHandle fd(::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
   if (!fd.valid()) return Error{errno_message("socket(udp)")};
-  const int one = 1;
-  if (::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
+  // Linux may give a port-0 bind of an SO_REUSEPORT socket a port another
+  // such socket of the same user holds, and the two then take each
+  // other's datagrams. So a port-0 bind joins SO_REUSEPORT only after it
+  // has a port of its own (later sockets can still join that port).
+  if (port != 0 && !set_reuseport(fd.get())) {
     return Error{errno_message("setsockopt(SO_REUSEPORT)")};
   }
   // Buffer sizing is advisory: the kernel clamps to rmem_max/wmem_max.
@@ -96,6 +104,9 @@ Result<UdpSocket> UdpSocket::open(Ipv4Addr addr, std::uint16_t port, int rcvbuf,
   if (sndbuf > 0) ::setsockopt(fd.get(), SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
   auto bound = bind_and_resolve_port(fd.get(), addr, port);
   if (!bound) return Error{bound.error()};
+  if (port == 0 && !set_reuseport(fd.get())) {
+    return Error{errno_message("setsockopt(SO_REUSEPORT)")};
+  }
   UdpSocket socket;
   socket.fd_ = std::move(fd);
   socket.port_ = bound.value();
@@ -105,10 +116,8 @@ Result<UdpSocket> UdpSocket::open(Ipv4Addr addr, std::uint16_t port, int rcvbuf,
 Result<TcpListener> TcpListener::open(Ipv4Addr addr, std::uint16_t port, int backlog) {
   FdHandle fd(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
   if (!fd.valid()) return Error{errno_message("socket(tcp)")};
+  if (!set_reuseport(fd.get())) return Error{errno_message("setsockopt(SO_REUSEPORT)")};
   const int one = 1;
-  if (::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-    return Error{errno_message("setsockopt(SO_REUSEPORT)")};
-  }
   ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   auto bound = bind_and_resolve_port(fd.get(), addr, port);
   if (!bound) return Error{bound.error()};

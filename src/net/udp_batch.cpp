@@ -3,8 +3,12 @@
 #include <netinet/in.h>
 #include <poll.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+
+#include "net/socket.hpp"
+#include "server/lane_core.hpp"
 
 namespace akadns::net {
 
@@ -18,6 +22,7 @@ UdpBatch::UdpBatch(std::size_t batch, std::size_t buffer_size) {
   rx_iovecs_.resize(batch);
   tx_hdrs_.resize(batch);
   tx_iovecs_.resize(batch);
+  tx_addrs_.resize(batch);
   // The receive-side headers are fully static: each slot always reads
   // into the same buffer and address slot.
   for (std::size_t i = 0; i < batch; ++i) {
@@ -61,16 +66,39 @@ std::size_t UdpBatch::send(int fd) noexcept {
   std::size_t count = 0;
   for (std::size_t i = 0; i < received_; ++i) {
     if (responses_[i].empty()) continue;
-    tx_iovecs_[count].iov_base = responses_[i].data();
-    tx_iovecs_[count].iov_len = responses_[i].size();
-    std::memset(&tx_hdrs_[count], 0, sizeof(mmsghdr));
-    tx_hdrs_[count].msg_hdr.msg_iov = &tx_iovecs_[count];
-    tx_hdrs_[count].msg_hdr.msg_iovlen = 1;
-    tx_hdrs_[count].msg_hdr.msg_name = &rx_addrs_[i];
-    tx_hdrs_[count].msg_hdr.msg_namelen =
-        rx_addrs_[i].ss_family == AF_INET6 ? sizeof(sockaddr_in6) : sizeof(sockaddr_in);
-    ++count;
+    fill_tx(count++, responses_[i], rx_addrs_[i],
+            rx_addrs_[i].ss_family == AF_INET6 ? sizeof(sockaddr_in6) : sizeof(sockaddr_in));
   }
+  return send_tx(fd, count);
+}
+
+std::size_t UdpBatch::send(int fd, const server::ResponseBatch& responses) noexcept {
+  const auto& entries = responses.entries;
+  std::size_t sent = 0;
+  for (std::size_t first = 0; first < entries.size(); first += tx_hdrs_.size()) {
+    const std::size_t count = std::min(tx_hdrs_.size(), entries.size() - first);
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto& entry = entries[first + i];
+      fill_tx(i, responses.wire(entry), tx_addrs_[i],
+              sockaddr_from_endpoint(entry.dst, tx_addrs_[i]));
+    }
+    sent += send_tx(fd, count);
+  }
+  return sent;
+}
+
+void UdpBatch::fill_tx(std::size_t i, std::span<const std::uint8_t> wire, sockaddr_storage& addr,
+                       socklen_t addrlen) noexcept {
+  tx_iovecs_[i].iov_base = const_cast<std::uint8_t*>(wire.data());  // sendmmsg only reads it
+  tx_iovecs_[i].iov_len = wire.size();
+  std::memset(&tx_hdrs_[i], 0, sizeof(mmsghdr));
+  tx_hdrs_[i].msg_hdr.msg_iov = &tx_iovecs_[i];
+  tx_hdrs_[i].msg_hdr.msg_iovlen = 1;
+  tx_hdrs_[i].msg_hdr.msg_name = &addr;
+  tx_hdrs_[i].msg_hdr.msg_namelen = addrlen;
+}
+
+std::size_t UdpBatch::send_tx(int fd, std::size_t count) noexcept {
   std::size_t sent = 0;
   while (sent < count) {
     const int n = ::sendmmsg(fd, tx_hdrs_.data() + sent, static_cast<unsigned>(count - sent), 0);

@@ -15,6 +15,10 @@
 #include <span>
 #include <vector>
 
+namespace akadns::server {
+struct ResponseBatch;
+}
+
 namespace akadns::net {
 
 /// A reusable receive+reply batch bound to one worker's UDP socket.
@@ -52,7 +56,16 @@ class UdpBatch {
   /// Returns datagrams actually handed to the kernel.
   std::size_t send(int fd) noexcept;
 
+  /// Like send(fd), for responses to queries whose receive batch is gone
+  /// (the penalty-queue path), each to its recorded destination.
+  std::size_t send(int fd, const server::ResponseBatch& responses) noexcept;
+
  private:
+  void fill_tx(std::size_t i, std::span<const std::uint8_t> wire, sockaddr_storage& addr,
+               socklen_t addrlen) noexcept;
+  /// The one sendmmsg retry loop, over tx slots [0, count).
+  std::size_t send_tx(int fd, std::size_t count) noexcept;
+
   std::vector<std::vector<std::uint8_t>> rx_buffers_;
   std::vector<std::size_t> rx_lengths_;
   std::vector<sockaddr_storage> rx_addrs_;
@@ -62,6 +75,7 @@ class UdpBatch {
   std::vector<iovec> rx_iovecs_;
   std::vector<mmsghdr> tx_hdrs_;
   std::vector<iovec> tx_iovecs_;
+  std::vector<sockaddr_storage> tx_addrs_;  // deferred responses' destinations
   std::size_t received_ = 0;
 };
 

@@ -149,12 +149,11 @@ class MetricRegistry {
 };
 
 /// Registers one `family{reason=...}` series per DropReason of `drops`,
-/// each extending `base` (e.g. worker/machine labels). The default
-/// family, akadns_drops_total, is the canonical conservation taxonomy —
-/// every lost packet increments exactly one series of it; accounting
-/// that *mirrors* those drops (the defense engine's shed counters)
-/// registers under its own family so the canonical sum never double
-/// counts. The conservation check reads these back via
+/// each extending `base` (e.g. worker/machine labels). Every lost packet
+/// increments exactly one series, in the family of the layer that
+/// decided its fate: akadns_drops_total (the default) for the sim
+/// nameserver's and the machine's reasons, akadns_defense_drops_total for
+/// the defense engine's. The conservation check sums both families via
 /// MetricsSnapshot::sum.
 void register_drop_counters(MetricRegistry& reg, const DropCounters& drops,
                             LabelSet base = {},

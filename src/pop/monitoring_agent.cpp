@@ -48,7 +48,7 @@ MonitoringAgent::Window MonitoringAgent::sample_window() const {
   const auto snap = registry_.snapshot();
   Window w;
   w.packets = snap.sum("akadns_packets_total");
-  w.drops = snap.sum("akadns_drops_total");
+  w.drops = snap.sum("akadns_drops_total") + snap.sum("akadns_defense_drops_total");
   w.responses = snap.sum("akadns_responses_total");
   w.nxdomain =
       snap.sum("akadns_responses_by_rcode_total", obs::labels({{"rcode", "nxdomain"}}));

@@ -1,18 +1,8 @@
 #include "server/nameserver.hpp"
 
-#include <algorithm>
-
 #include "dns/wire.hpp"
 
 namespace akadns::server {
-namespace {
-
-/// Cheap rcode extraction from encoded response header bytes.
-dns::Rcode rcode_of(const std::vector<std::uint8_t>& wire) {
-  return wire.size() >= 4 ? static_cast<dns::Rcode>(wire[3] & 0xF) : dns::Rcode::ServFail;
-}
-
-}  // namespace
 
 std::string to_string(ServerState s) {
   switch (s) {
@@ -29,7 +19,7 @@ Nameserver::Nameserver(NameserverConfig config, const zone::ZoneStore& store)
       engine_(config_.defense_config(), *clock_) {
   const std::size_t lanes = engine_.lane_count();
   lanes_.reserve(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) lanes_.emplace_back(config_, store);
+  for (std::size_t i = 0; i < lanes; ++i) lanes_.emplace_back(store);
 }
 
 void Nameserver::receive(std::span<const std::uint8_t> wire, const Endpoint& source,
@@ -46,49 +36,24 @@ void Nameserver::receive(std::span<const std::uint8_t> wire, const Endpoint& sou
   // NIC / kernel stack limit: when arrivals exceed the I/O capacity,
   // packets are lost before the application sees them (Figure 10, A>A2).
   // The engine's bucket is machine-wide (one NIC) and receive() is serial.
-  if (!engine_.io_admit(li)) {
-    lane.stats.drops.add(DropReason::IoOverload);
-    return;
-  }
+  // The engine counts this drop, as it does the firewall's below.
+  if (!engine_.io_admit(li)) return;
   // The once-only decode: header + question parsed here, shared by the
   // firewall, the filters, and (completed in place) the responder.
-  QueryContext ctx;
+  dns::QueryView view;
   {
     StageTimer parse_timer(lane.telemetry.stage(Stage::Parse));
-    auto view = dns::decode_query_view(wire);
-    if (!view) {
+    auto decoded = dns::decode_query_view(wire);
+    if (!decoded) {
       // Unanswerable: no parseable header/question means no FORMERR
       // either, so the packet dies here instead of wasting queue space.
       lane.stats.drops.add(DropReason::Malformed);
       return;
     }
-    ctx.view = std::move(view).value();
-    ctx.parsed = true;
+    view = std::move(decoded).value();
   }
-  if (engine_.firewall_drops(li, ctx.view.question)) {
-    lane.stats.drops.add(DropReason::Firewall);
-    return;
-  }
-  ctx.source = source;
-  ctx.ip_ttl = ip_ttl;
-  ctx.arrival = now;
-  {
-    StageTimer score_timer(lane.telemetry.stage(Stage::Score));
-    ctx.score = engine_.score(li, ctx.filter_view(now));
-  }
-  ctx.wire = lane.pool->copy_of(wire);
-  const double score = ctx.score;  // read before the move below
-  switch (engine_.enqueue(li, std::move(ctx), score)) {
-    case filters::EnqueueOutcome::Enqueued:
-      ++lane.stats.queries_enqueued;
-      break;
-    case filters::EnqueueOutcome::DiscardedByScore:
-      lane.stats.drops.add(DropReason::ScoreDiscard);
-      break;
-    case filters::EnqueueOutcome::DroppedQueueFull:
-      lane.stats.drops.add(DropReason::QueueFull);
-      break;
-  }
+  if (engine_.firewall_drops(li, view.question)) return;
+  lane.core.admit(engine_, li, wire, std::move(view), source, ip_ttl, now, &lane.telemetry);
 }
 
 bool Nameserver::begin_phase(SimTime now) {
@@ -103,7 +68,6 @@ bool Nameserver::begin_phase(SimTime now) {
 void Nameserver::run_lane(std::size_t lane_index, SimTime now) {
   Lane& lane = lanes_[lane_index];
   while (auto item = engine_.next(lane_index)) {
-    ++lane.stats.queries_processed;
     lane.telemetry.queue_wait().add((now - item->arrival).to_micros());
 
     // Query-of-death check: an unrecoverable fault in query processing.
@@ -116,15 +80,8 @@ void Nameserver::run_lane(std::size_t lane_index, SimTime now) {
       break;
     }
 
-    {
-      StageTimer resolve_timer(lane.telemetry.stage(Stage::Resolve));
-      lane.responder.respond_view_into(item->bytes(), item->view, item->source, now,
-                                       lane.response_scratch);
-    }
-    // Fan the outcome back to this lane's filters (NXDOMAIN counting etc.).
-    engine_.observe_response(lane_index, item->filter_view(now), rcode_of(lane.response_scratch));
+    lane.core.answer(engine_, lane_index, *item, now, &lane.telemetry);
     ++lane.stats.responses_sent;
-    lane.batch.append(item->source, lane.response_scratch);
   }
 }
 
@@ -133,16 +90,11 @@ std::size_t Nameserver::end_phase(SimTime now) {
   // Flush buffered responses in lane order — the sink call sequence is a
   // pure function of lane contents, identical for 1 or N worker threads.
   for (auto& lane : lanes_) {
-    for (const auto& entry : lane.batch.entries) {
-      const std::span<const std::uint8_t> wire(lane.batch.bytes.data() + entry.offset,
-                                               entry.len);
-      if (span_sink_) {
-        span_sink_(entry.dst, wire);
-      } else if (sink_) {
-        sink_(entry.dst, std::vector<std::uint8_t>(wire.begin(), wire.end()));
-      }
+    ResponseBatch& out = lane.core.responses();
+    if (span_sink_) {
+      for (const auto& entry : out.entries) span_sink_(entry.dst, out.wire(entry));
     }
-    lane.batch.clear();
+    out.clear();
   }
   // Settle budgets (unspent metered compute is refunded inside the
   // engine) and apply crash effects, in lane order.
@@ -194,10 +146,10 @@ void Nameserver::restart(SimTime now) {
   // A restart loses in-flight queries (resolvers retry) and resets the
   // capacity buckets; learned filter state survives in this model because
   // production filters persist their learned tables out of process.
+  // The engine counts the flushed queries as RestartFlush drops.
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    const std::size_t flushed = engine_.flush_lane(i);
-    lanes_[i].stats.drops.add(DropReason::RestartFlush, flushed);
-    lanes_[i].batch.clear();
+    engine_.flush_lane(i);
+    lanes_[i].core.responses().clear();
     lanes_[i].crashed = false;
     lanes_[i].qod.reset();
   }

@@ -19,30 +19,34 @@
 // in-class implementation). net::Server runs the same engine per worker on
 // CLOCK_MONOTONIC.
 //
-// Datapath per packet (one QueryContext, created at receive() and moved
+// Datapath per packet (one QueryContext, created at admission and moved
 // through every stage — no copies, no re-parsing):
-//   receive(): lane selection -> one-pass QueryView decode (header +
-//   question) -> firewall check (QoD rules) -> I/O capacity check (drops
+//   receive(): lane selection -> liveness -> I/O capacity check (drops
 //   below the application when the NIC/stack is saturated, the A > A2
-//   region of Figure 10) -> lane-local filter scoring over the decoded
-//   question -> lane-local penalty queue placement with the packet bytes
-//   in a pooled buffer.
+//   region of Figure 10) -> one-pass QueryView decode (header +
+//   question) -> firewall check (QoD rules) -> LaneCore::admit (shared
+//   with net::Server workers): filter scoring, then penalty-queue
+//   placement with the packet bytes in a pooled buffer.
 //   process(): a barriered three-step phase —
 //     begin_phase(): serial; meters the compute token bucket into
 //       per-lane budgets, round-robin one token at a time in lane order;
 //     run_lane(i): parallel-safe; work-conserving drain of lane i's
-//       penalty queues up to its budget, responses buffered lane-locally;
+//       penalty queues up to its budget, LaneCore::answer buffering the
+//       responses lane-locally;
 //     end_phase(): serial; flushes buffered responses in lane order,
 //       applies crash effects in lane order, and refunds unspent budget
 //       to the bucket.
 //   process() runs the three steps inline; Pop::pump may interleave many
 //   machines' run_lane calls across a WorkerPool between the serial ends.
-// Every drop is accounted against the unified DropReason taxonomy so
-//   packets_received == responses_sent + drops.total() + pending
+// Every packet's fate is counted once, by the layer that decided it:
+// NameserverStats counts NotRunning, Malformed and QueryOfDeath, the
+// engine the rest, so
+//   packets_received == responses_sent + Σ akadns_drops_total
+//                       + Σ akadns_defense_drops_total + pending
 // holds exactly per lane; each stage records its latency into the owning
-// lane's DatapathTelemetry. Every counter is written once, by its lane:
-// the machine view is the registry sum over the lane label
-// (register_metrics + snapshot().sum), never a second struct.
+// lane's DatapathTelemetry. The machine view is the registry sum over
+// the lane label (register_metrics + snapshot().sum), never a second
+// struct.
 //
 // Failure model:
 //   - a crash predicate marks queries-of-death (§4.2.4); processing one
@@ -66,6 +70,7 @@
 #include "defense/firewall.hpp"
 #include "filters/filter.hpp"
 #include "filters/penalty_queues.hpp"
+#include "server/lane_core.hpp"
 #include "server/query_context.hpp"
 #include "server/responder.hpp"
 #include "server/telemetry.hpp"
@@ -119,45 +124,30 @@ struct NameserverConfig {
 
 struct NameserverStats {
   obs::Counter packets_received;
-  obs::Counter queries_enqueued;
-  obs::Counter queries_processed;
   obs::Counter responses_sent;
   obs::Counter crashes;
-  /// Every dropped packet, bucketed by the stage that killed it.
+  /// Drops this layer decides: NotRunning, Malformed, QueryOfDeath. The
+  /// engine's sheds live in its DefenseLaneStats.
   DropCounters drops;
 
   /// Registers the packet-conservation counters under `base` (typically
   /// lane labels): akadns_packets_total, akadns_responses_sent_total,
-  /// akadns_drops_total{reason}, plus enqueue/process/crash counts.
+  /// akadns_drops_total{reason}, plus the crash count.
   void register_into(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
     reg.counter("akadns_packets_total", base, packets_received,
                 "packets handed to the datapath");
-    reg.counter("akadns_enqueued_total", base, queries_enqueued,
-                "queries admitted to a penalty queue");
-    reg.counter("akadns_processed_total", base, queries_processed,
-                "queries drained and answered/accounted");
     reg.counter("akadns_responses_sent_total", base, responses_sent,
                 "responses flushed to the transport");
     reg.counter("akadns_crashes_total", base, crashes, "query-of-death crashes");
     obs::register_drop_counters(reg, drops, base);
   }
-
-  // Named views over the taxonomy (the seed kept these as disjoint
-  // fields; they are now projections of the same counters).
-  std::uint64_t dropped_firewall() const noexcept { return drops[DropReason::Firewall]; }
-  std::uint64_t dropped_io() const noexcept { return drops[DropReason::IoOverload]; }
-  std::uint64_t dropped_not_running() const noexcept { return drops[DropReason::NotRunning]; }
-  std::uint64_t discarded_by_score() const noexcept { return drops[DropReason::ScoreDiscard]; }
-  std::uint64_t dropped_queue_full() const noexcept { return drops[DropReason::QueueFull]; }
-  std::uint64_t malformed() const noexcept { return drops[DropReason::Malformed]; }
 };
 
 class Nameserver {
  public:
-  using ResponseSink = std::function<void(const Endpoint& dst, std::vector<std::uint8_t> wire)>;
   /// Zero-copy sink: the span aliases the lane's response batch and is
-  /// only valid for the duration of the call. When set it takes
-  /// precedence over the owning ResponseSink.
+  /// only valid for the duration of the call; a caller that keeps the
+  /// bytes copies them.
   using ResponseSpanSink =
       std::function<void(const Endpoint& dst, std::span<const std::uint8_t> wire)>;
   /// Must be pure/thread-safe: lanes evaluate it concurrently under a
@@ -229,7 +219,6 @@ class Nameserver {
   bool has_pending() const noexcept { return engine_.has_pending(); }
   std::size_t pending() const noexcept { return engine_.pending(); }
 
-  void set_response_sink(ResponseSink sink) { sink_ = std::move(sink); }
   void set_response_span_sink(ResponseSpanSink sink) { span_sink_ = std::move(sink); }
   void set_crash_predicate(CrashPredicate predicate) { crash_predicate_ = std::move(predicate); }
 
@@ -237,13 +226,13 @@ class Nameserver {
   // from run_lane and must therefore be thread-safe (the mapping hook is
   // pure by construction; observers synchronize internally).
   void set_mapping_hook(MappingHook hook) {
-    for (auto& lane : lanes_) lane.responder.set_mapping_hook(hook);
+    for (auto& lane : lanes_) lane.core.responder().set_mapping_hook(hook);
   }
   void set_referral_push_hook(ReferralPushHook hook) {
-    for (auto& lane : lanes_) lane.responder.set_referral_push_hook(hook);
+    for (auto& lane : lanes_) lane.core.responder().set_referral_push_hook(hook);
   }
   void set_response_observer(Responder::ResponseObserver observer) {
-    for (auto& lane : lanes_) lane.responder.set_response_observer(observer);
+    for (auto& lane : lanes_) lane.core.responder().set_response_observer(observer);
   }
 
   /// Installs one filter instance per lane via the factory (each lane
@@ -296,9 +285,9 @@ class Nameserver {
 
   filters::ScoringEngine& scoring() noexcept { return engine_.scoring(0); }
   filters::ScoringEngine& scoring(std::size_t lane) noexcept { return engine_.scoring(lane); }
-  Responder& responder() noexcept { return lanes_[0].responder; }
-  const Responder& responder() const noexcept { return lanes_[0].responder; }
-  Responder& responder(std::size_t lane) noexcept { return lanes_[lane].responder; }
+  Responder& responder() noexcept { return lanes_[0].core.responder(); }
+  const Responder& responder() const noexcept { return lanes_[0].core.responder(); }
+  Responder& responder(std::size_t lane) noexcept { return lanes_[lane].core.responder(); }
   defense::Firewall& firewall() noexcept { return engine_.firewall(); }
 
   const NameserverStats& lane_stats(std::size_t lane) const noexcept {
@@ -314,15 +303,16 @@ class Nameserver {
   const filters::PenaltyQueueSet<QueryContext>& queues(std::size_t lane) const noexcept {
     return engine_.queues(lane);
   }
-  const BufferPool& pool() const noexcept { return *lanes_[0].pool; }
-  const BufferPool& pool(std::size_t lane) const noexcept { return *lanes_[lane].pool; }
+  const BufferPool& pool() const noexcept { return lanes_[0].core.pool(); }
+  const BufferPool& pool(std::size_t lane) const noexcept { return lanes_[lane].core.pool(); }
 
   /// Registers this instance's full metric surface — per-lane packet
   /// counters, drop taxonomy, stage telemetry, responder/cache counters,
   /// live pending gauges, and the defense engine's lanes — under `base`
   /// (typically machine labels). The machine view is the registry sum
   /// over the lane label; a scrape at a quiescent point satisfies
-  /// packets == responses + Σdrops + pending exactly, per lane and
+  /// packets == responses + Σ akadns_drops_total +
+  /// Σ akadns_defense_drops_total + pending exactly, per lane and
   /// overall. Instruments are referenced in place: the nameserver must
   /// outlive the registry.
   void register_metrics(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
@@ -330,8 +320,8 @@ class Nameserver {
       const obs::LabelSet lane_labels = obs::with(base, "lane", i);
       lanes_[i].stats.register_into(reg, lane_labels);
       lanes_[i].telemetry.register_into(reg, lane_labels);
-      lanes_[i].responder.stats().register_into(reg, lane_labels);
-      lanes_[i].responder.answer_cache().stats().register_into(reg, lane_labels);
+      lanes_[i].core.responder().stats().register_into(reg, lane_labels);
+      lanes_[i].core.responder().answer_cache().stats().register_into(reg, lane_labels);
       reg.gauge_fn(
           "akadns_pending", lane_labels,
           [this, i] { return static_cast<double>(engine_.lane_pending(i)); },
@@ -341,49 +331,16 @@ class Nameserver {
   }
 
  private:
-  /// Responses a lane produced this phase, buffered so end_phase can
-  /// flush them in deterministic lane order. One byte arena + offsets:
-  /// reused capacity, so steady state allocates nothing per query.
-  struct ResponseBatch {
-    struct Entry {
-      Endpoint dst;
-      std::size_t offset = 0;
-      std::size_t len = 0;
-    };
-    std::vector<std::uint8_t> bytes;
-    std::vector<Entry> entries;
-
-    void append(const Endpoint& dst, std::span<const std::uint8_t> wire) {
-      entries.push_back({dst, bytes.size(), wire.size()});
-      bytes.insert(bytes.end(), wire.begin(), wire.end());
-    }
-    void clear() noexcept {
-      bytes.clear();
-      entries.clear();
-    }
-  };
-
-  /// The transport-side half of a datapath shard: responder, buffers, and
-  /// telemetry. The defense-side half (filter chain, penalty queues,
-  /// budgets, defense drops) lives in the engine's lane of the same
-  /// index; run_lane mutates nothing outside this pair.
+  /// The transport-side half of a datapath shard: the lane core plus the
+  /// sim's stats, telemetry and crash state. The defense-side half lives
+  /// in the engine's lane of the same index; run_lane mutates nothing
+  /// outside this pair.
   struct Lane {
-    Lane(const NameserverConfig& config, const zone::ZoneStore& store)
-        : responder(store), pool(std::make_unique<BufferPool>()) {
-      (void)config;
-    }
+    explicit Lane(const zone::ZoneStore& store) : core(store) {}
 
-    Responder responder;
-    // The pool must outlive the engine's queues (queued PooledBuffers
-    // release into it on destruction). It lives behind a unique_ptr
-    // because lanes are movable and the buffers hold a stable pointer to
-    // the pool.
-    std::unique_ptr<BufferPool> pool;
-    /// Reused across queries; the responder encodes into it in place.
-    std::vector<std::uint8_t> response_scratch;
+    LaneCore core;
     NameserverStats stats;
     DatapathTelemetry telemetry;
-    ResponseBatch batch;
 
     // Crash state, owned by run_lane/end_phase.
     bool crashed = false;
@@ -400,7 +357,6 @@ class Nameserver {
   /// the engine must be destroyed first (reverse declaration order).
   std::vector<Lane> lanes_;
   Defense engine_;
-  ResponseSink sink_;
   ResponseSpanSink span_sink_;
   CrashPredicate crash_predicate_;
   ServerState state_ = ServerState::Running;

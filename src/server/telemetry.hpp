@@ -33,15 +33,19 @@ std::string_view to_string(Stage stage) noexcept;
 
 /// RAII wall-clock timer: records elapsed nanoseconds into a histogram
 /// at scope exit. The datapath stages wrap themselves in one of these.
+/// A null histogram times nothing (a transport without stage telemetry).
 class StageTimer {
  public:
-  explicit StageTimer(obs::Histogram& hist) noexcept
-      : hist_(&hist), start_(std::chrono::steady_clock::now()) {}
+  explicit StageTimer(obs::Histogram* hist) noexcept
+      : hist_(hist), start_(hist ? std::chrono::steady_clock::now()
+                                 : std::chrono::steady_clock::time_point{}) {}
+  explicit StageTimer(obs::Histogram& hist) noexcept : StageTimer(&hist) {}
 
   StageTimer(const StageTimer&) = delete;
   StageTimer& operator=(const StageTimer&) = delete;
 
   ~StageTimer() {
+    if (!hist_) return;
     const auto elapsed = std::chrono::steady_clock::now() - start_;
     hist_->add(static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));

@@ -119,8 +119,7 @@ TEST(AttackIntegration, FiltersProtectLegitTrafficOverTheFullPlatform) {
   EXPECT_GT(goodput, 0.95);
   // The NXDOMAIN filter armed on the victim zone.
   auto& machine = filtered.platform.pop_at(0).machine(0);
-  const auto& stats = machine.nameserver().lane_stats(0);
-  EXPECT_GT(stats.queries_processed, 0u);
+  EXPECT_GT(machine.nameserver().defense().lane_stats(0).released, 0u);
   auto* filter = machine.nameserver().scoring().find("nxdomain");
   ASSERT_NE(filter, nullptr);
   EXPECT_GT(dynamic_cast<filters::NxDomainFilter*>(filter)->total_penalized(), 100u);
@@ -132,8 +131,9 @@ TEST(AttackIntegration, UnfilteredPlatformAnswersEverything) {
   Stack unfiltered(false);
   const double goodput = unfiltered.run_attack(50, 400, 4);
   EXPECT_GT(goodput, 0.95);
-  const auto& stats = unfiltered.platform.pop_at(0).machine(0).nameserver().lane_stats(0);
-  EXPECT_EQ(stats.discarded_by_score(), 0u);
+  const auto& stats =
+      unfiltered.platform.pop_at(0).machine(0).nameserver().defense().lane_stats(0);
+  EXPECT_EQ(stats.drops[DropReason::ScoreDiscard], 0u);
   // The responder emitted a large number of NXDOMAINs.
   EXPECT_GT(unfiltered.platform.pop_at(0).machine(0).nameserver().responder().stats().nxdomain,
             1000u);
@@ -142,10 +142,11 @@ TEST(AttackIntegration, UnfilteredPlatformAnswersEverything) {
 TEST(AttackIntegration, FilteredPlatformDiscardsAttackQueries) {
   Stack filtered(true);
   filtered.run_attack(50, 400, 4);
-  const auto& stats = filtered.platform.pop_at(0).machine(0).nameserver().lane_stats(0);
+  const auto& stats =
+      filtered.platform.pop_at(0).machine(0).nameserver().defense().lane_stats(0);
   // Once armed, attack queries score nxdomain(250) >= S_max (200) and
   // are discarded outright.
-  EXPECT_GT(stats.discarded_by_score(), 300u);
+  EXPECT_GT(stats.drops[DropReason::ScoreDiscard], 300u);
 }
 
 }  // namespace

@@ -36,8 +36,8 @@ TEST(DatapathConservation, MixedLegitAndAttackRunAccountsEveryPacket) {
   config_b.id = "m-b";
   pop::Machine b(config_b, store);
 
-  a.nameserver().set_response_sink([](const Endpoint&, std::vector<std::uint8_t>) {});
-  b.nameserver().set_response_sink([](const Endpoint&, std::vector<std::uint8_t>) {});
+  a.nameserver().set_response_span_sink([](const Endpoint&, std::span<const std::uint8_t>) {});
+  b.nameserver().set_response_span_sink([](const Endpoint&, std::span<const std::uint8_t>) {});
   a.nameserver().set_crash_predicate([](const dns::Question& q) {
     return q.name == DnsName::from("death.example.com");
   });
@@ -117,7 +117,7 @@ TEST(DatapathConservation, MixedLegitAndAttackRunAccountsEveryPacket) {
             report.snapshot.sum("akadns_packets_total"));
   EXPECT_EQ(report.stage_latency(server::Stage::Resolve).count() +
                 report.drops[DropReason::QueryOfDeath],
-            report.snapshot.sum("akadns_processed_total"));
+            report.snapshot.sum("akadns_defense_released_total"));
   EXPECT_FALSE(report.render().empty());
 }
 

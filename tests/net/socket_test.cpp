@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 #include <vector>
 
 #include "net/socket.hpp"
@@ -38,6 +39,22 @@ TEST(UdpSocket, ReuseportAllowsSecondBindOnSamePort) {
   auto second = UdpSocket::open(kLoopback, a.port());
   ASSERT_TRUE(second) << second.error();
   EXPECT_EQ(std::move(second).take().port(), a.port());
+}
+
+TEST(UdpSocket, EphemeralBindsGetDistinctPorts) {
+  // Every socket is held open while the next binds: two port-0 sockets
+  // that shared a port would take each other's datagrams.
+  constexpr std::size_t kSockets = 800;
+  std::vector<UdpSocket> held;
+  std::set<std::uint16_t> ports;
+  held.reserve(kSockets);
+  for (std::size_t i = 0; i < kSockets; ++i) {
+    auto opened = UdpSocket::open(kLoopback, 0);
+    ASSERT_TRUE(opened) << opened.error();
+    held.push_back(std::move(opened).take());
+    ports.insert(held.back().port());
+  }
+  EXPECT_EQ(ports.size(), kSockets);
 }
 
 TEST(SockaddrConversion, V4RoundTrip) {

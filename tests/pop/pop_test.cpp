@@ -141,8 +141,8 @@ TEST(Pop, DeliverAnswersThroughMachine) {
   auto& m = pop.add_machine({.id = "m1"}, f.store);
   m.speaker().advertise(7);
   std::vector<std::vector<std::uint8_t>> responses;
-  m.nameserver().set_response_sink([&](const Endpoint&, std::vector<std::uint8_t> wire) {
-    responses.push_back(std::move(wire));
+  m.nameserver().set_response_span_sink([&](const Endpoint&, std::span<const std::uint8_t> wire) {
+    responses.emplace_back(wire.begin(), wire.end());
   });
   const Endpoint src{*IpAddr::parse("198.51.100.1"), 5353};
   pop.deliver(7, f.query_wire("www.example.com"), src, 57, f.sched.now());

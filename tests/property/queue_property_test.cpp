@@ -125,14 +125,17 @@ TEST_P(QueueProperty, AccountingIdentityHolds) {
   config.discard_score = 120.0;
   config.queue_capacity = 16;
   PenaltyQueueSet<int> queues(config);
+  // The set keeps no tallies; count the outcomes it returns.
+  std::uint64_t enqueued = 0;
+  std::uint64_t dequeued = 0;
   for (int op = 0; op < 3000; ++op) {
     if (rng.next_bool(0.7)) {
-      queues.enqueue(op, rng.next_double(0.0, 150.0));
+      enqueued += queues.enqueue(op, rng.next_double(0.0, 150.0)) == EnqueueOutcome::Enqueued;
     } else {
-      queues.dequeue();
+      dequeued += queues.dequeue().has_value();
     }
     // enqueued == dequeued + still-queued, and drops are never enqueued.
-    ASSERT_EQ(queues.total_enqueued(), queues.total_dequeued() + queues.size());
+    ASSERT_EQ(enqueued, dequeued + queues.size());
   }
 }
 
@@ -148,34 +151,44 @@ TEST(QueueScanResume, EnqueueAfterDrainReachesLowerPenaltyQueuesAgain) {
   config.max_scores = {0.0, 50.0, 150.0};
   config.discard_score = 200.0;
   PenaltyQueueSet<int> queues(config);
+  std::uint64_t enqueued = 0;
+  std::uint64_t dequeued = 0;
+  const auto enqueue = [&](int item, double score) {
+    enqueued += queues.enqueue(item, score) == EnqueueOutcome::Enqueued;
+  };
+  const auto dequeue = [&] {
+    auto item = queues.dequeue();
+    dequeued += item.has_value();
+    return item;
+  };
 
   // Fill only the highest-penalty queue; the scan must advance past the
   // two empty ones.
-  queues.enqueue(30, 140.0);
-  queues.enqueue(31, 140.0);
-  EXPECT_EQ(queues.dequeue(), 30);
+  enqueue(30, 140.0);
+  enqueue(31, 140.0);
+  EXPECT_EQ(dequeue(), 30);
 
   // A lower-penalty arrival after the cursor advanced must be served
   // first again (work-conserving order, not scan-cursor order).
-  queues.enqueue(10, 0.0);
-  queues.enqueue(20, 40.0);
-  EXPECT_EQ(queues.dequeue(), 10);
-  EXPECT_EQ(queues.dequeue(), 20);
-  EXPECT_EQ(queues.dequeue(), 31);
-  EXPECT_EQ(queues.dequeue(), std::nullopt);
+  enqueue(10, 0.0);
+  enqueue(20, 40.0);
+  EXPECT_EQ(dequeue(), 10);
+  EXPECT_EQ(dequeue(), 20);
+  EXPECT_EQ(dequeue(), 31);
+  EXPECT_EQ(dequeue(), std::nullopt);
   EXPECT_TRUE(queues.empty());
   EXPECT_EQ(queues.size(), 0u);
 
   // After a full drain (cursor at the end), the lowest queue works again.
-  queues.enqueue(11, 0.0);
+  enqueue(11, 0.0);
   EXPECT_FALSE(queues.empty());
   EXPECT_EQ(queues.size(), 1u);
-  EXPECT_EQ(queues.dequeue(), 11);
-  EXPECT_EQ(queues.dequeue(), std::nullopt);
+  EXPECT_EQ(dequeue(), 11);
+  EXPECT_EQ(dequeue(), std::nullopt);
 
   // Accounting survived all cursor movement.
-  EXPECT_EQ(queues.total_enqueued(), 5u);
-  EXPECT_EQ(queues.total_dequeued(), 5u);
+  EXPECT_EQ(enqueued, 5u);
+  EXPECT_EQ(dequeued, 5u);
 }
 
 }  // namespace

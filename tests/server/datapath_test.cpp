@@ -2,7 +2,9 @@
 // Malformed drop (never crash, never enqueue), the buffer pool recycles
 // packet storage, per-stage telemetry records every packet, and the
 // drop taxonomy keeps the conservation invariant
-//   packets_received == responses_sent + drops.total() + pending.
+//   packets_received == responses_sent + nameserver drops
+//                       + defense-engine drops + pending,
+// with each drop counted once, by the layer that decided it.
 #include <gtest/gtest.h>
 
 #include "dns/wire.hpp"
@@ -30,8 +32,8 @@ struct Fixture {
 
   Nameserver make(NameserverConfig config = {}) {
     Nameserver ns(std::move(config), store);
-    ns.set_response_sink([this](const Endpoint& dst, std::vector<std::uint8_t> wire) {
-      responses.emplace_back(dst, std::move(wire));
+    ns.set_response_span_sink([this](const Endpoint& dst, std::span<const std::uint8_t> wire) {
+      responses.emplace_back(dst, std::vector<std::uint8_t>(wire.begin(), wire.end()));
     });
     return ns;
   }
@@ -42,7 +44,8 @@ struct Fixture {
 
   static std::uint64_t conservation_gap(const Nameserver& ns) {
     const auto& s = ns.lane_stats(0);
-    return s.packets_received - (s.responses_sent + s.drops.total() + ns.pending());
+    return s.packets_received - (s.responses_sent + s.drops.total() +
+                                 ns.defense().lane_stats(0).drops.total() + ns.pending());
   }
 };
 
@@ -152,7 +155,7 @@ TEST(Datapath, RestartFlushAccountsQueuedQueries) {
   EXPECT_EQ(Fixture::conservation_gap(ns), 0u);
 
   ns.restart(t + Duration::seconds(1));
-  EXPECT_EQ(ns.lane_stats(0).drops[DropReason::RestartFlush], 2u);
+  EXPECT_EQ(ns.defense().lane_stats(0).drops[DropReason::RestartFlush], 2u);
   EXPECT_EQ(ns.pending(), 0u);
   EXPECT_EQ(Fixture::conservation_gap(ns), 0u);
 }
@@ -195,11 +198,12 @@ TEST(Datapath, EveryReceiveSideDropKeepsConservation) {
   ns.resume();
 
   const auto& s = ns.lane_stats(0);
-  EXPECT_EQ(s.drops[DropReason::Firewall], 1u);
-  EXPECT_EQ(s.drops[DropReason::ScoreDiscard], 1u);
-  EXPECT_EQ(s.drops[DropReason::QueueFull], 1u);
+  const auto& d = ns.defense().lane_stats(0);
+  EXPECT_EQ(d.drops[DropReason::Firewall], 1u);
+  EXPECT_EQ(d.drops[DropReason::ScoreDiscard], 1u);
+  EXPECT_EQ(d.drops[DropReason::QueueFull], 1u);
   EXPECT_EQ(s.drops[DropReason::Malformed], 1u);
-  EXPECT_EQ(s.drops[DropReason::IoOverload], 1u);
+  EXPECT_EQ(d.drops[DropReason::IoOverload], 1u);
   EXPECT_EQ(s.drops[DropReason::NotRunning], 1u);
   EXPECT_EQ(s.packets_received, 7u);
   EXPECT_EQ(ns.pending(), 1u);
@@ -209,6 +213,82 @@ TEST(Datapath, EveryReceiveSideDropKeepsConservation) {
   EXPECT_EQ(s.responses_sent, 1u);
   EXPECT_EQ(ns.pending(), 0u);
   EXPECT_EQ(Fixture::conservation_gap(ns), 0u);
+}
+
+TEST(Datapath, EveryDropIsCountedOnce) {
+  // The receive-side traffic above, plus a query-of-death and a restart
+  // flush, over two lanes: every sim drop reason fires exactly once.
+  Fixture f;
+  NameserverConfig config;
+  config.lanes = 2;
+  config.io_capacity_qps = 100.0;
+  config.queue_config.queue_capacity = 1;
+  config.queue_config.discard_score = 50.0;
+  auto ns = f.make(std::move(config));
+  class Hostile : public filters::Filter {
+   public:
+    std::string_view name() const noexcept override { return "hostile"; }
+    double score(const filters::QueryContext& ctx) override {
+      const auto& label = ctx.question.name.labels().front();
+      if (label == "evil") return 100.0;  // >= S_max: discarded
+      if (label == "odd") return 10.0;    // penalty queue 1
+      return 0.0;
+    }
+  };
+  ns.install_filter([](std::size_t, std::size_t) { return std::make_unique<Hostile>(); });
+  ns.set_crash_predicate([](const dns::Question& q) {
+    return q.name == DnsName::from("death.example.com");
+  });
+  Endpoint other = f.client;
+  while (ns.lane_of(other) == ns.lane_of(f.client)) ++other.port;
+
+  const auto t = SimTime::origin();
+  ns.firewall().install(
+      dns::Question{DnsName::from("blocked.example.com"), RecordType::A,
+                    dns::RecordClass::IN},
+      t, Duration::minutes(5));
+  ns.receive(f.query_wire("blocked.example.com"), f.client, 57, t);  // firewall
+  ns.receive(f.query_wire("evil.example.com", 2), f.client, 57, t);  // score discard
+  ns.receive(f.query_wire("www.example.com", 3), f.client, 57, t);   // enqueued
+  ns.receive(f.query_wire("www.example.com", 4), f.client, 57, t);   // queue full
+  ns.receive(std::vector<std::uint8_t>{9}, f.client, 57, t);         // malformed
+  const auto t1 = t + Duration::millis(1);
+  ns.receive(f.query_wire("www.example.com", 5), f.client, 57, t1);  // io overload
+  ns.self_suspend();
+  ns.receive(f.query_wire("www.example.com", 6), f.client, 57, t1);  // not running
+  ns.resume();
+
+  const auto t2 = t + Duration::seconds(1);
+  ns.receive(f.query_wire("www.example.com", 7), other, 57, t2);  // the other lane
+  ns.process(t2);                                                  // answers #3 and #7
+  const auto t3 = t + Duration::seconds(2);
+  ns.receive(f.query_wire("death.example.com", 8), f.client, 57, t3);
+  ns.receive(f.query_wire("odd.example.com", 9), f.client, 57, t3);
+  ns.process(t3);  // the query-of-death crashes the instance; "odd" stays queued
+  ASSERT_EQ(ns.state(), ServerState::Crashed);
+  ns.restart(t3 + Duration::seconds(1));  // restart flush
+  EXPECT_EQ(f.responses.size(), 2u);
+
+  obs::MetricRegistry reg;
+  ns.register_metrics(reg, {});
+  const auto snap = reg.snapshot();
+  for (std::size_t i = 0; i < kDropReasonCount; ++i) {
+    const auto reason = static_cast<DropReason>(i);
+    SCOPED_TRACE(std::string(to_string(reason)));
+    const auto by_reason = obs::labels({{"reason", std::string(to_string(reason))}});
+    const std::uint64_t decided_here = snap.sum("akadns_drops_total", by_reason);
+    const std::uint64_t decided_by_engine = snap.sum("akadns_defense_drops_total", by_reason);
+    EXPECT_FALSE(decided_here > 0 && decided_by_engine > 0);
+    EXPECT_EQ(decided_here + decided_by_engine, reason == DropReason::NicFailure ? 0u : 1u);
+  }
+  for (std::size_t lane = 0; lane < ns.lane_count(); ++lane) {
+    SCOPED_TRACE("lane " + std::to_string(lane));
+    const obs::LabelSet l = obs::with({}, "lane", lane);
+    EXPECT_EQ(snap.sum("akadns_packets_total", l),
+              snap.sum("akadns_responses_sent_total", l) + snap.sum("akadns_drops_total", l) +
+                  snap.sum("akadns_defense_drops_total", l) + snap.sum("akadns_pending", l));
+  }
+  EXPECT_EQ(snap.sum("akadns_packets_total"), 10u);
 }
 
 }  // namespace

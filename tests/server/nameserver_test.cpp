@@ -27,8 +27,8 @@ struct Fixture {
 
   Nameserver make(NameserverConfig config = {}) {
     Nameserver ns(std::move(config), store);
-    ns.set_response_sink([this](const Endpoint& dst, std::vector<std::uint8_t> wire) {
-      responses.emplace_back(dst, std::move(wire));
+    ns.set_response_span_sink([this](const Endpoint& dst, std::span<const std::uint8_t> wire) {
+      responses.emplace_back(dst, std::vector<std::uint8_t>(wire.begin(), wire.end()));
     });
     return ns;
   }
@@ -61,7 +61,7 @@ TEST(Nameserver, MalformedPacketStillCounted) {
   auto ns = f.make();
   const std::vector<std::uint8_t> garbage{1, 2, 3};
   ns.receive(garbage, f.client, 57, SimTime::origin());
-  EXPECT_EQ(ns.lane_stats(0).malformed(), 1u);
+  EXPECT_EQ(ns.lane_stats(0).drops[DropReason::Malformed], 1u);
   // Dropped at receive(): never enqueued, never answered.
   EXPECT_EQ(ns.pending(), 0u);
   ns.process(SimTime::origin());
@@ -99,7 +99,7 @@ TEST(Nameserver, IoCapacityDropsBelowApplication) {
   for (int i = 0; i < 1000; ++i) {
     ns.receive(f.query_wire("www.example.com", static_cast<std::uint16_t>(i)), f.client, 57, t);
   }
-  EXPECT_GT(ns.lane_stats(0).dropped_io(), 0u);
+  EXPECT_GT(ns.defense().lane_stats(0).drops[DropReason::IoOverload], 0u);
   EXPECT_LT(ns.pending(), 1000u);
 }
 
@@ -125,7 +125,7 @@ TEST(Nameserver, QodCrashesAndTrapInstallsFirewallRule) {
   ns.restart(t);
   EXPECT_TRUE(ns.running());
   ns.receive(f.query_wire("death.example.com"), f.client, 57, t);
-  EXPECT_EQ(ns.lane_stats(0).dropped_firewall(), 1u);
+  EXPECT_EQ(ns.defense().lane_stats(0).drops[DropReason::Firewall], 1u);
   EXPECT_EQ(ns.process(t), 0u);
   EXPECT_TRUE(ns.running());  // survived
 
@@ -187,7 +187,7 @@ TEST(Nameserver, SelfSuspendStopsServing) {
   ns.self_suspend();
   EXPECT_EQ(ns.state(), ServerState::SelfSuspended);
   ns.receive(f.query_wire("www.example.com"), f.client, 57, t);
-  EXPECT_EQ(ns.lane_stats(0).dropped_not_running(), 1u);
+  EXPECT_EQ(ns.lane_stats(0).drops[DropReason::NotRunning], 1u);
   EXPECT_EQ(ns.process(t), 0u);
   ns.resume();
   EXPECT_TRUE(ns.running());
@@ -251,8 +251,8 @@ TEST(Nameserver, ScoringDiscardsDefinitivelyMalicious) {
   const auto t = SimTime::origin();
   ns.receive(f.query_wire("bad.example.com"), f.client, 57, t);
   ns.receive(f.query_wire("www.example.com"), f.client, 57, t);
-  EXPECT_EQ(ns.lane_stats(0).discarded_by_score(), 1u);
-  EXPECT_EQ(ns.lane_stats(0).queries_enqueued, 1u);
+  EXPECT_EQ(ns.defense().lane_stats(0).drops[DropReason::ScoreDiscard], 1u);
+  EXPECT_EQ(ns.defense().lane_stats(0).enqueued, 1u);
   ns.process(t);
   EXPECT_EQ(f.responses.size(), 1u);
 }
