@@ -1,7 +1,7 @@
 // §4.2 dataplane: the anycast front's steering cost and reconvergence.
 //
 // Measures, over real loopback sockets: (1) relay throughput through
-// the single-threaded flow-NAT proxy, (2) how rendezvous hashing
+// the single-threaded flow-NAT relay, (2) how rendezvous hashing
 // spreads client flows across PoP machines, and (3) what a member
 // withdrawal costs — the fraction of flows moved (ideal: 1/N), the
 // flow-table remap time, and the time until the first answer flows on
@@ -94,12 +94,12 @@ int main() {
     id += std::to_string(i);
     front.upsert_member(id, Endpoint{IpAddr(kLoopback), members[i]->sock.port()});
   }
-  while (front.members().size() < kMembers) {
+  while (front.samples().size() < kMembers) {  // one sample per applied op
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
   // Client sockets: one flow each, synchronous ping/pong (the bench
-  // measures the proxy's per-datagram cost, not kernel batching).
+  // measures the relay's per-datagram cost, not kernel batching).
   std::vector<int> clients;
   for (std::size_t i = 0; i < kClients; ++i) {
     const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);

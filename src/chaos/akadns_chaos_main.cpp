@@ -1,13 +1,14 @@
-// akadns-chaos: a deterministic impairment proxy on a real UDP/TCP path.
+// akadns-chaos: a deterministic impairment hop on a real UDP/TCP path.
 //
 //   akadns-chaos --upstream 127.0.0.1:5300 --plan drill.plan --listen 5299
 //   akadns-chaos --upstream 127.0.0.1:5300 --fault both.loss=0.05
 //       --fault both.delay_ms=20 --fault both.jitter_ms=20 --seed 7
 //
-// Relays everything that arrives on the front port to the upstream,
-// executing the FaultPlan per direction. All fault decisions derive from
-// (plan, seed, direction, packet ordinal), so a failing chaos run is
-// replayed exactly by rerunning with the same plan file and seed.
+// A one-member fleet::AnycastFront with a FaultPlan: it relays
+// everything that arrives on the front port to the upstream, executing
+// the plan per direction. All fault decisions derive from (plan, seed,
+// direction, packet ordinal), so a failing chaos run is replayed exactly
+// by rerunning with the same plan file and seed.
 //
 // Prints one JSON ready line ({"akadns_chaos_ready":{pid, port,
 // stats_port}}) once the front port is bound, then runs until
@@ -19,12 +20,14 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 
-#include "chaos/impairment_proxy.hpp"
+#include "chaos/fault_plan.hpp"
+#include "common/strings.hpp"
+#include "fleet/anycast_front.hpp"
 #include "obs/stats_http.hpp"
 
 namespace {
@@ -35,19 +38,20 @@ void handle_stop(int) { g_stop_requested = 1; }
 struct CliOptions {
   std::string addr = "127.0.0.1";
   std::uint16_t listen_port = 0;
-  std::string upstream;  // host:port
+  std::optional<akadns::Endpoint> upstream;
   std::string plan_file;
   std::string fault_lines;      // accumulated --fault key=value lines
   bool seed_override = false;
   std::uint64_t seed = 0;
-  int stats_port = -1;
+  std::optional<std::uint16_t> stats_port;
   bool help = false;
 };
 
 void print_usage(const char* argv0) {
   std::printf(
       "usage: %s --upstream H:P [options]\n"
-      "  --upstream H:P    where relayed traffic goes (required)\n"
+      "  --upstream H:P    where relayed traffic goes (required; the front's\n"
+      "                    one member)\n"
       "  --listen P        front port for UDP and TCP, 0 = ephemeral (default 0)\n"
       "  --addr A          bind address (default 127.0.0.1)\n"
       "  --plan FILE       fault plan (key=value lines; see src/chaos/fault_plan.hpp)\n"
@@ -55,8 +59,9 @@ void print_usage(const char* argv0) {
       "  --seed S          override the plan's seed\n"
       "  --stats-port P    serve fault counters over HTTP (/metrics, /healthz;\n"
       "                    0 = ephemeral, echoed on the ready line)\n"
-      "Prints {\"akadns_chaos_ready\":{pid, port, stats_port}} once bound, then\n"
-      "relays until SIGTERM/SIGINT. Every impairment decision is a pure\n"
+      "A one-member anycast front executing the plan. Prints\n"
+      "{\"akadns_chaos_ready\":{pid, port, stats_port}} once bound and steering,\n"
+      "then relays until SIGTERM/SIGINT. Every impairment decision is a pure\n"
       "function of (plan, seed, direction, packet ordinal): rerunning with the\n"
       "same plan and seed reproduces the same fault schedule.\n",
       argv0);
@@ -72,6 +77,16 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       }
       return argv[++i];
     };
+    // The flag's value as a whole, range-checked number.
+    const auto number = [&]<typename T>(
+        T& out, std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
+        std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+      const char* v = need_value();
+      const auto parsed = v ? akadns::parse_number<T>(v, lo, hi) : std::nullopt;
+      if (v && !parsed) std::fprintf(stderr, "bad %s value: %s\n", arg.c_str(), v);
+      if (parsed) out = *parsed;
+      return parsed.has_value();
+    };
     if (arg == "--help" || arg == "-h") {
       opts.help = true;
       return true;
@@ -80,13 +95,15 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       if (!v) return false;
       opts.addr = v;
     } else if (arg == "--listen") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.listen_port = static_cast<std::uint16_t>(std::strtoul(v, nullptr, 10));
+      if (!number(opts.listen_port)) return false;
     } else if (arg == "--upstream") {
       const char* v = need_value();
       if (!v) return false;
-      opts.upstream = v;
+      opts.upstream = akadns::Endpoint::parse(v);
+      if (!opts.upstream) {
+        std::fprintf(stderr, "bad --upstream (want H:P): %s\n", v);
+        return false;
+      }
     } else if (arg == "--plan") {
       const char* v = need_value();
       if (!v) return false;
@@ -97,14 +114,10 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       opts.fault_lines += v;
       opts.fault_lines += '\n';
     } else if (arg == "--seed") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.seed = std::strtoull(v, nullptr, 10);
+      if (!number(opts.seed)) return false;
       opts.seed_override = true;
     } else if (arg == "--stats-port") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.stats_port = static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!number(opts.stats_port.emplace())) return false;
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return false;
@@ -125,7 +138,7 @@ int main(int argc, char** argv) {
     print_usage(argv[0]);
     return 0;
   }
-  if (opts.upstream.empty()) {
+  if (!opts.upstream) {
     std::fprintf(stderr, "--upstream is required\n");
     print_usage(argv[0]);
     return 2;
@@ -139,18 +152,6 @@ int main(int argc, char** argv) {
   const auto addr = akadns::Ipv4Addr::parse(opts.addr);
   if (!addr) {
     std::fprintf(stderr, "bad --addr: %s\n", opts.addr.c_str());
-    return 2;
-  }
-  const auto colon = opts.upstream.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= opts.upstream.size()) {
-    std::fprintf(stderr, "bad --upstream (want H:P): %s\n", opts.upstream.c_str());
-    return 2;
-  }
-  const auto upstream_addr = akadns::Ipv4Addr::parse(opts.upstream.substr(0, colon));
-  const auto upstream_port = static_cast<std::uint16_t>(
-      std::strtoul(opts.upstream.c_str() + colon + 1, nullptr, 10));
-  if (!upstream_addr || upstream_port == 0) {
-    std::fprintf(stderr, "bad --upstream (want H:P): %s\n", opts.upstream.c_str());
     return 2;
   }
 
@@ -176,27 +177,29 @@ int main(int argc, char** argv) {
   }
   if (opts.seed_override) plan.seed = opts.seed;
 
-  akadns::chaos::ProxyConfig config;
-  config.listen_addr = *addr;
-  config.listen_port = opts.listen_port;
-  config.upstream = akadns::Endpoint{akadns::IpAddr(*upstream_addr), upstream_port};
+  akadns::fleet::FrontConfig config;
+  config.bind_addr = *addr;
+  config.port = opts.listen_port;
   config.plan = plan;
 
-  akadns::chaos::ImpairmentProxy proxy(config);
-  auto started = proxy.start();
+  akadns::fleet::AnycastFront front(config);
+  // Queued before start(): the relay thread applies it before it relays
+  // anything, so a datagram sent right after the ready line is served.
+  front.upsert_member("upstream", *opts.upstream);
+  auto started = front.start();
   if (!started) {
     std::fprintf(stderr, "start failed: %s\n", started.error().c_str());
     return 1;
   }
 
   akadns::obs::MetricRegistry registry;
-  proxy.register_metrics(registry, akadns::obs::labels({{"subsystem", "chaos"}}));
+  front.register_metrics(registry, akadns::obs::labels({{"subsystem", "chaos"}}));
   akadns::obs::StatsServer stats_server([&registry] { return registry.snapshot(); },
                                         [] { return true; });
   std::uint16_t stats_port = 0;
-  if (opts.stats_port >= 0) {
+  if (opts.stats_port) {
     std::string err;
-    if (!stats_server.start(static_cast<std::uint16_t>(opts.stats_port), &err)) {
+    if (!stats_server.start(*opts.stats_port, &err)) {
       std::fprintf(stderr, "stats endpoint failed: %s\n", err.c_str());
       return 1;
     }
@@ -204,7 +207,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("{\"akadns_chaos_ready\":{\"pid\":%ld,\"port\":%u,\"stats_port\":%u}}\n",
-              static_cast<long>(::getpid()), proxy.port(), stats_port);
+              static_cast<long>(::getpid()), front.udp_port(), stats_port);
   std::fflush(stdout);
   std::fprintf(stderr, "chaos plan (seed %llu):\n%s",
                static_cast<unsigned long long>(plan.seed), plan.to_string().c_str());
@@ -213,9 +216,9 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   stats_server.stop();
-  proxy.stop();
+  front.stop();
 
-  const auto& s = proxy.stats();
+  const auto s = front.counters();
   std::fprintf(stderr,
                "chaos totals: up=%llu down=%llu dropped=%llu dup=%llu corrupt=%llu "
                "delayed=%llu blackholed=%llu tcp_accepted=%llu resets=%llu stalls=%llu\n",
@@ -226,7 +229,7 @@ int main(int argc, char** argv) {
                (unsigned long long)s.corrupted.value(),
                (unsigned long long)s.delayed.value(),
                (unsigned long long)s.blackholed.value(),
-               (unsigned long long)s.tcp_accepted.value(),
+               (unsigned long long)s.tcp_connections.value(),
                (unsigned long long)s.tcp_resets.value(),
                (unsigned long long)s.tcp_stalls.value());
   return 0;

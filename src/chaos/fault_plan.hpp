@@ -33,10 +33,10 @@
 
 namespace akadns::chaos {
 
-/// One stretch of total darkness on the proxy clock (time since the
-/// proxy started executing the plan). While inside a window every
+/// One stretch of total darkness on the plan clock (time since the
+/// relay started executing the plan). While inside a window every
 /// datagram is swallowed, established TCP relays stop forwarding, and
-/// new TCP connections are refused — the closest a userspace proxy gets
+/// new TCP connections are refused — the closest a userspace relay gets
 /// to yanking the cable.
 struct BlackholeWindow {
   Duration start;
@@ -47,8 +47,8 @@ struct BlackholeWindow {
 };
 
 /// Impairments applied to one direction of traffic. Probabilities are
-/// per-datagram (UDP) or per-connection / per-chunk (TCP, see the proxy
-/// header for which knobs apply there).
+/// per-datagram (UDP) or per-connection / per-chunk (TCP, see
+/// fleet/anycast_front.hpp for which knobs apply there).
 struct FaultSpec {
   double loss = 0.0;     ///< P(drop) per UDP datagram.
   double dup = 0.0;      ///< P(deliver the datagram twice).

@@ -1,10 +1,10 @@
 // FaultHooks implementations: the in-process face of a FaultPlan.
 //
 // PlanInjector drives propagation's fault seam from the same FaultPlan
-// the impairment proxy executes — sends draw from the `up` spec, reads
+// the relay executes on sockets — sends draw from the `up` spec, reads
 // from `down`, and every operation class gets its own ordinal space, so
 // a unit test reproduces "the third transfer read fails" as
-// deterministically as the proxy reproduces "the third datagram drops".
+// deterministically as the relay reproduces "the third datagram drops".
 //
 // ScriptedInjector is the directed-test face: enqueue exact fates per
 // operation ("fail the second StreamMessage") and the default (no

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "common/strings.hpp"
+
 namespace akadns {
 namespace {
 
@@ -159,6 +161,15 @@ std::optional<IpAddr> IpAddr::parse(std::string_view text) {
   }
   if (auto v4 = Ipv4Addr::parse(text)) return IpAddr(*v4);
   return std::nullopt;
+}
+
+std::optional<Endpoint> Endpoint::parse(std::string_view text) {
+  const auto colon = text.rfind(':');
+  if (colon == std::string_view::npos) return std::nullopt;
+  const auto addr = Ipv4Addr::parse(text.substr(0, colon));
+  const auto port = parse_number<std::uint16_t>(text.substr(colon + 1), 1);
+  if (!addr || !port) return std::nullopt;
+  return Endpoint{IpAddr(*addr), *port};
 }
 
 std::uint64_t IpAddr::hash() const noexcept {

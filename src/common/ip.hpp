@@ -118,6 +118,10 @@ struct Endpoint {
   IpAddr addr;
   std::uint16_t port = 0;
 
+  /// "A.B.C.D:P" with P in [1, 65535], the whole string; nullopt
+  /// otherwise.
+  static std::optional<Endpoint> parse(std::string_view text);
+
   auto operator<=>(const Endpoint&) const noexcept = default;
   std::string to_string() const { return addr.to_string() + ":" + std::to_string(port); }
 };

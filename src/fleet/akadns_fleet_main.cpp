@@ -27,10 +27,11 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "chaos/fault_plan.hpp"
-#include "chaos/impairment_proxy.hpp"
+#include "common/strings.hpp"
 #include "control/fleet_report.hpp"
 #include "fleet/anycast_front.hpp"
 #include "fleet/probe_suite.hpp"
@@ -73,8 +74,8 @@ struct CliOptions {
   double quota_fraction = 0.34;
   std::size_t min_serving = 1;
   std::string report_path;
-  // Chaos: thread an impairment proxy between the front and every
-  // machine, executing the given FaultPlan on each hop.
+  // Chaos: put an impairment hop between the front and every machine,
+  // executing the given FaultPlan on each hop.
   std::string chaos_plan_path;
   std::uint64_t chaos_seed = 0;
   bool chaos_seed_set = false;
@@ -111,9 +112,10 @@ void print_usage(const char* argv0) {
       "  --min-serving N       never suspend below this many serving machines\n"
       "                        (default 1: the PoP cannot go dark)\n"
       "  --report PATH         write the fleet drill report JSON at exit\n"
-      "  --chaos-plan FILE     thread an impairment proxy (src/chaos/) between\n"
-      "                        the front and every machine, executing FILE's\n"
-      "                        FaultPlan on each hop (machine i uses seed+i)\n"
+      "  --chaos-plan FILE     put an impairment hop between the front and every\n"
+      "                        machine: one more one-member front per machine,\n"
+      "                        executing FILE's FaultPlan (machine i uses seed+i;\n"
+      "                        counters as akadns_chaos_total{machine,event})\n"
       "  --chaos-seed N        override the plan file's seed (with --chaos-plan)\n"
       "  --upstream-timeout-ms N  front flows stalled past N ms report an\n"
       "                        advisory upstream timeout to the probe suite\n"
@@ -134,22 +136,28 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       }
       return argv[++i];
     };
+    // The flag's value as a whole, range-checked number.
+    const auto number = [&]<typename T>(
+        T& out, std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
+        std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+      const char* v = need_value();
+      const auto parsed = v ? akadns::parse_number<T>(v, lo, hi) : std::nullopt;
+      if (v && !parsed) std::fprintf(stderr, "bad %s value: %s\n", arg.c_str(), v);
+      if (parsed) out = *parsed;
+      return parsed.has_value();
+    };
     const char* v = nullptr;
     if (arg == "--help" || arg == "-h") {
       opts.help = true;
       return true;
     } else if (arg == "--machines") {
-      if (!(v = need_value())) return false;
-      opts.machines = std::strtoull(v, nullptr, 10);
+      if (!number(opts.machines, 1, 64)) return false;
     } else if (arg == "--synthetic") {
-      if (!(v = need_value())) return false;
-      opts.synthetic_zones = std::strtoull(v, nullptr, 10);
+      if (!number(opts.synthetic_zones)) return false;
     } else if (arg == "--seed") {
-      if (!(v = need_value())) return false;
-      opts.seed = std::strtoull(v, nullptr, 10);
+      if (!number(opts.seed)) return false;
     } else if (arg == "--workers") {
-      if (!(v = need_value())) return false;
-      opts.workers = std::strtoull(v, nullptr, 10);
+      if (!number(opts.workers, 1, 1024)) return false;
     } else if (arg == "--defense") {
       if (!(v = need_value())) return false;
       opts.defense = v;
@@ -158,50 +166,36 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
         return false;
       }
     } else if (arg == "--port") {
-      if (!(v = need_value())) return false;
-      opts.port = static_cast<std::uint16_t>(std::strtoul(v, nullptr, 10));
+      if (!number(opts.port)) return false;
     } else if (arg == "--machine-port-base") {
-      if (!(v = need_value())) return false;
-      opts.machine_port_base = static_cast<std::uint16_t>(std::strtoul(v, nullptr, 10));
+      if (!number(opts.machine_port_base)) return false;
     } else if (arg == "--stats-port") {
-      if (!(v = need_value())) return false;
-      opts.stats_port = static_cast<std::uint16_t>(std::strtoul(v, nullptr, 10));
+      if (!number(opts.stats_port)) return false;
     } else if (arg == "--serve-bin") {
       if (!(v = need_value())) return false;
       opts.serve_binary = v;
     } else if (arg == "--run-ms") {
-      if (!(v = need_value())) return false;
-      opts.run_ms = std::strtoll(v, nullptr, 10);
+      if (!number(opts.run_ms, 0)) return false;
     } else if (arg == "--kill-after-ms") {
-      if (!(v = need_value())) return false;
-      opts.kill_after_ms = std::strtoll(v, nullptr, 10);
+      if (!number(opts.kill_after_ms)) return false;
     } else if (arg == "--kill-machine") {
-      if (!(v = need_value())) return false;
-      opts.kill_machine = std::strtoull(v, nullptr, 10);
+      if (!number(opts.kill_machine)) return false;
     } else if (arg == "--suspend-after-ms") {
-      if (!(v = need_value())) return false;
-      opts.suspend_after_ms = std::strtoll(v, nullptr, 10);
+      if (!number(opts.suspend_after_ms)) return false;
     } else if (arg == "--suspend-machine") {
-      if (!(v = need_value())) return false;
-      opts.suspend_machine = std::strtoull(v, nullptr, 10);
+      if (!number(opts.suspend_machine)) return false;
     } else if (arg == "--restore-after-ms") {
-      if (!(v = need_value())) return false;
-      opts.restore_after_ms = std::strtoll(v, nullptr, 10);
+      if (!number(opts.restore_after_ms)) return false;
     } else if (arg == "--probe-interval-ms") {
-      if (!(v = need_value())) return false;
-      opts.probe_interval_ms = static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!number(opts.probe_interval_ms, 1)) return false;
     } else if (arg == "--probe-timeout-ms") {
-      if (!(v = need_value())) return false;
-      opts.probe_timeout_ms = static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!number(opts.probe_timeout_ms, 1)) return false;
     } else if (arg == "--fail-threshold") {
-      if (!(v = need_value())) return false;
-      opts.fail_threshold = std::strtoull(v, nullptr, 10);
+      if (!number(opts.fail_threshold, 1)) return false;
     } else if (arg == "--quota-fraction") {
-      if (!(v = need_value())) return false;
-      opts.quota_fraction = std::strtod(v, nullptr);
+      if (!number(opts.quota_fraction, 0.0, 1.0)) return false;
     } else if (arg == "--min-serving") {
-      if (!(v = need_value())) return false;
-      opts.min_serving = std::strtoull(v, nullptr, 10);
+      if (!number(opts.min_serving)) return false;
     } else if (arg == "--report") {
       if (!(v = need_value())) return false;
       opts.report_path = v;
@@ -209,12 +203,10 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       if (!(v = need_value())) return false;
       opts.chaos_plan_path = v;
     } else if (arg == "--chaos-seed") {
-      if (!(v = need_value())) return false;
-      opts.chaos_seed = std::strtoull(v, nullptr, 10);
+      if (!number(opts.chaos_seed)) return false;
       opts.chaos_seed_set = true;
     } else if (arg == "--upstream-timeout-ms") {
-      if (!(v = need_value())) return false;
-      opts.upstream_timeout_ms = std::strtoll(v, nullptr, 10);
+      if (!number(opts.upstream_timeout_ms, 0)) return false;
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return false;
@@ -256,10 +248,6 @@ int main(int argc, char** argv) {
     print_usage(argv[0]);
     return 0;
   }
-  if (opts.machines == 0) {
-    std::fprintf(stderr, "--machines must be >= 1\n");
-    return 2;
-  }
   if (opts.serve_binary.empty()) {
     opts.serve_binary = find_serve_binary(argv[0]);
   }
@@ -284,12 +272,13 @@ int main(int argc, char** argv) {
   workload::HostedZones zones(zc, opts.seed);
 
   // --- Chaos plan (optional) ---
-  // One impairment proxy per machine sits between the front and that
-  // machine's UDP/TCP port, each executing the same FaultPlan but with
-  // seed+i — per-hop schedules are decorrelated yet the whole fleet run
-  // replays from (plan, --chaos-seed). Proxies start before the
-  // supervisor (their ports must exist when machines come up); each Up
-  // event re-points its proxy at the machine's fresh port.
+  // One impairment hop per machine sits between the front and that
+  // machine's UDP/TCP port: the same relay class as the front, with one
+  // member (the machine) and the FaultPlan at seed+i — per-hop schedules
+  // are decorrelated yet the whole fleet run replays from (plan,
+  // --chaos-seed). Hops start before the supervisor (their ports must
+  // exist when machines come up); each Up event re-points its hop at the
+  // machine's fresh port, live flows included.
   chaos::FaultPlan chaos_plan;
   const bool chaos_on = !opts.chaos_plan_path.empty();
   if (chaos_on) {
@@ -301,29 +290,25 @@ int main(int argc, char** argv) {
     chaos_plan = loaded.value();
     if (opts.chaos_seed_set) chaos_plan.seed = opts.chaos_seed;
   }
-  std::vector<std::unique_ptr<chaos::ImpairmentProxy>> chaos_proxies;
+  std::vector<std::unique_ptr<fleet::AnycastFront>> chaos_hops;
   if (chaos_on) {
     for (std::size_t i = 0; i < opts.machines; ++i) {
-      chaos::ProxyConfig pc;
-      pc.plan = chaos_plan;
-      pc.plan.seed = chaos_plan.seed + i;
-      // Placeholder upstream until the machine's handshake reports its
-      // real port; set_upstream() re-points future flows.
-      pc.upstream = Endpoint{IpAddr(Ipv4Addr(127, 0, 0, 1)), 9};
-      auto proxy = std::make_unique<chaos::ImpairmentProxy>(pc);
-      if (auto started = proxy->start(); !started) {
-        std::fprintf(stderr, "chaos proxy m%zu failed: %s\n", i,
-                     started.error().c_str());
+      fleet::FrontConfig hop_config;
+      hop_config.plan = chaos_plan;
+      hop_config.plan.seed = chaos_plan.seed + i;
+      auto hop = std::make_unique<fleet::AnycastFront>(hop_config);
+      if (auto started = hop->start(); !started) {
+        std::fprintf(stderr, "chaos hop m%zu failed: %s\n", i, started.error().c_str());
         return 1;
       }
-      chaos_proxies.push_back(std::move(proxy));
+      chaos_hops.push_back(std::move(hop));
     }
   }
 
   // --- Front ---
   fleet::FrontConfig front_config;
   front_config.port = opts.port;
-  front_config.upstream_timeout_ms = opts.upstream_timeout_ms;
+  front_config.upstream_timeout = Duration::millis(opts.upstream_timeout_ms);
   fleet::AnycastFront front(front_config);
   // The probe suite is constructed later (it needs the supervisor); the
   // front's epoll thread may observe a stall before that, so the feed
@@ -373,12 +358,12 @@ int main(int argc, char** argv) {
         if (event.kind == fleet::Supervisor::EventKind::Up) {
           // Machines join (or rejoin, on fresh ports) the catchment the
           // moment their handshake lands. Under chaos the member the
-          // front steers to is the machine's proxy, re-pointed here at
+          // front steers to is the machine's hop, re-pointed here at
           // the (possibly fresh) machine port.
           Endpoint member{IpAddr(Ipv4Addr(127, 0, 0, 1)), event.ready.udp_port};
-          if (event.index < chaos_proxies.size()) {
-            chaos_proxies[event.index]->set_upstream(member);
-            member.port = chaos_proxies[event.index]->port();
+          if (event.index < chaos_hops.size()) {
+            chaos_hops[event.index]->upsert_member(event.id, member);
+            member.port = chaos_hops[event.index]->udp_port();
           }
           front.upsert_member(event.id, member);
           log_event("machine " + event.id + " up (udp " +
@@ -464,9 +449,9 @@ int main(int argc, char** argv) {
                     },
                     obs::GaugeAgg::Sum,
                     "advisory dataplane stalls reported by the front");
-  for (std::size_t i = 0; i < chaos_proxies.size(); ++i) {
-    chaos_proxies[i]->register_metrics(
-        registry, obs::labels({{"machine", "m" + std::to_string(i)}}));
+  for (std::size_t i = 0; i < chaos_hops.size(); ++i) {
+    chaos_hops[i]->register_metrics(registry,
+                                    obs::labels({{"machine", "m" + std::to_string(i)}}));
   }
   obs::StatsServer stats([&] { return registry.snapshot(); },
                          [&] { return supervisor.up_count() > 0; });
@@ -578,7 +563,7 @@ int main(int argc, char** argv) {
 
   supervisor.stop();
   front.stop();
-  for (auto& proxy : chaos_proxies) proxy->stop();
+  for (auto& hop : chaos_hops) hop->stop();
 
   const std::string rendered = control::render_fleet_report(report);
   if (!opts.report_path.empty()) {

@@ -1,9 +1,10 @@
-// The anycast front: one address, many machines (§4.2).
+// The anycast front: one address, many machines (§4.2), over an
+// optionally impaired path.
 //
 // In production a PoP announces one anycast prefix and the routers'
 // ECMP flow hash pins each resolver to one machine; when a machine
 // withdraws (BGP) the hash recomputes and only its flows move. This is
-// the loopback realization of that dataplane: a UDP/TCP proxy bound to
+// the loopback realization of that dataplane: a UDP/TCP relay bound to
 // a single front endpoint that pins each client flow to a machine via
 // rendezvous (highest-random-weight) hashing over the *active* member
 // set — so member churn moves only the flows whose winner changed,
@@ -13,26 +14,50 @@
 // both become set_member_active(false)/upsert_member: affected flows
 // re-pin immediately and a ReconvergeSample records how many moved and
 // how long until the first answer flowed on a re-pinned flow — the
-// time-to-reconverge a failover drill reads out.
+// time-to-reconverge a failover drill reads out. A re-pinned flow's old
+// upstream socket keeps receiving for one to two idle sweeps (1-2 s), so
+// answers a withdrawn but live member still owes reach the client, as
+// real ECMP return traffic never crosses the hash.
+//
+// The same relay is the chaos layer's impairment hop: FrontConfig::plan
+// is executed on every datagram and TCP chunk it carries, with fates
+// drawn from chaos::FaultStream — a pure function of (seed, direction,
+// ordinal), so the same plan and seed reproduce the same schedule:
+//   UDP datagrams: loss, duplication, delay+jitter, delay-based
+//     reordering, single-byte corruption.
+//   TCP connections: reset (RST on accept) and stall (accept, read,
+//     never answer) per connection; delay+jitter and byte corruption
+//     per relayed chunk (loss/dup/reorder are meaningless on a stream).
+//   Blackhole windows: UDP is swallowed, new TCP connections are
+//     accepted and closed, and bytes on established relays are held
+//     until the window ends.
+// akadns-chaos is a one-member front with a plan; `akadns-fleet
+// --chaos-plan` puts one such hop in front of every machine.
 //
 // One epoll thread owns every socket; control ops (member churn) are
 // queued and executed on that thread, so the flow table needs no locks.
+// TCP relays are half-close aware (a client's EOF reaches the member
+// after its bytes do, and the answer still flows back), capped at
+// max_flows, and closed after conn_idle of silence.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "chaos/fault_plan.hpp"
+#include "chaos/fault_stream.hpp"
 #include "common/ip.hpp"
 #include "common/result.hpp"
+#include "common/sim_time.hpp"
 #include "net/socket.hpp"
+#include "obs/registry.hpp"
 
 namespace akadns::fleet {
 
@@ -40,17 +65,25 @@ struct FrontConfig {
   Ipv4Addr bind_addr = Ipv4Addr(127, 0, 0, 1);
   /// Front UDP+TCP port (0 = ephemeral; read back via udp_port()).
   std::uint16_t port = 0;
-  /// Flow-table bound; beyond it the oldest-idle flows are evicted.
+  /// Bound on UDP flows and, separately, on TCP relays. A new flow
+  /// beyond it evicts the oldest-idle flow; a connection beyond it is
+  /// closed on accept.
   std::size_t max_flows = 8192;
-  /// Idle flows older than this are swept (ms).
-  std::int64_t flow_idle_ms = 30'000;
+  /// Idle UDP flows older than this are swept.
+  Duration flow_idle = Duration::seconds(30);
+  /// TCP relays silent this long are closed (the relay must not become
+  /// the slowloris it can simulate).
+  Duration conn_idle = Duration::seconds(120);
   /// A flow that forwarded a client query upstream and saw no answer
   /// within this budget reports an upstream timeout (counter + the
-  /// on_upstream_timeout callback, once per stall). 0 disables. This is
-  /// an *advisory* signal: it feeds the probe suite's anomaly counters
-  /// and may prompt an immediate probe round, but only end-to-end
-  /// probes can suspend a machine.
-  std::int64_t upstream_timeout_ms = 0;
+  /// on_upstream_timeout callback, once per stall). Zero disables. This
+  /// is an *advisory* signal: it feeds the probe suite's anomaly
+  /// counters and may prompt an immediate probe round, but only
+  /// end-to-end probes can suspend a machine.
+  Duration upstream_timeout;
+  /// Impairment executed on everything relayed; clean by default. The
+  /// plan clock (blackhole windows) starts at start().
+  chaos::FaultPlan plan;
 };
 
 /// One catchment change, measured end to end.
@@ -59,8 +92,9 @@ struct ReconvergeSample {
   bool withdrawal = true;         // false: member (re)activated
   std::uint64_t flows_moved = 0;  // flows whose winner changed
   std::int64_t remap_us = 0;      // trigger -> flow table fully re-pinned
-  /// trigger -> first upstream answer relayed on a re-pinned flow; -1
-  /// until traffic proves the new catchment works. A flow moved again
+  /// trigger -> first upstream answer relayed on a re-pinned flow from
+  /// its new member; -1 until traffic proves the new catchment works.
+  /// Answers the old member still owes do not count. A flow moved again
   /// before answering keeps measuring against its OLDEST unanswered
   /// re-pin: the client-visible recovery clock starts at the first
   /// disruption, not the latest remap.
@@ -69,38 +103,34 @@ struct ReconvergeSample {
   std::int64_t trigger_ns = 0;
 };
 
-/// Live counters (single-writer on the epoll thread, torn reads fine).
-struct FrontCounters {
-  std::atomic<std::uint64_t> udp_client_datagrams{0};
-  std::atomic<std::uint64_t> udp_upstream_answers{0};
-  std::atomic<std::uint64_t> udp_no_member_drops{0};
-  std::atomic<std::uint64_t> udp_upstream_errors{0};
-  std::atomic<std::uint64_t> udp_upstream_timeouts{0};
-  std::atomic<std::uint64_t> flows_created{0};
-  std::atomic<std::uint64_t> flows_moved{0};
-  std::atomic<std::uint64_t> flows_expired{0};
-  std::atomic<std::uint64_t> tcp_connections{0};
-  std::atomic<std::uint64_t> tcp_relay_errors{0};
-};
+/// Live counters: one writer (the epoll thread); counters() copies them.
+struct FrontStats {
+  obs::Counter udp_client_datagrams;  // datagrams in on the front port
+  obs::Counter udp_upstream_answers;  // datagrams in from members
+  obs::Counter udp_no_member_drops;
+  obs::Counter udp_upstream_errors;
+  obs::Counter udp_upstream_timeouts;
+  obs::Counter flows_created;
+  obs::Counter flows_moved;
+  obs::Counter flows_expired;  // idle-swept or evicted by a full table
+  obs::Counter live_flows;     // a level, not a running total
+  obs::Counter tcp_connections;  // accepted
+  obs::Counter tcp_relay_errors;
+  // The plan's fates as executed.
+  obs::Counter forwarded_up;    // datagrams/chunks relayed client -> member
+  obs::Counter forwarded_down;  // relayed member -> client
+  obs::Counter dropped;         // UDP loss fates
+  obs::Counter duplicated;
+  obs::Counter reordered;
+  obs::Counter corrupted;
+  obs::Counter delayed;     // sends that took the delay-heap path
+  obs::Counter blackholed;  // datagrams swallowed or chunks held by a window
+  obs::Counter tcp_resets;  // reset fates executed
+  obs::Counter tcp_stalls;  // stall fates in effect
+  obs::Counter tcp_refused;  // accepts closed because of a blackhole
 
-struct FrontCountersView {
-  std::uint64_t udp_client_datagrams = 0;
-  std::uint64_t udp_upstream_answers = 0;
-  std::uint64_t udp_no_member_drops = 0;
-  std::uint64_t udp_upstream_errors = 0;
-  std::uint64_t udp_upstream_timeouts = 0;
-  std::uint64_t flows_created = 0;
-  std::uint64_t flows_moved = 0;
-  std::uint64_t flows_expired = 0;
-  std::uint64_t tcp_connections = 0;
-  std::uint64_t tcp_relay_errors = 0;
-  std::uint64_t live_flows = 0;
-};
-
-struct FrontMemberView {
-  std::string id;
-  Endpoint endpoint;
-  bool active = false;
+  /// One akadns_chaos_total{event=...} series per relay event.
+  void register_into(obs::MetricRegistry& reg, const obs::LabelSet& base) const;
 };
 
 class AnycastFront {
@@ -111,55 +141,84 @@ class AnycastFront {
   AnycastFront(const AnycastFront&) = delete;
   AnycastFront& operator=(const AnycastFront&) = delete;
 
+  /// Binds the front port pair and launches the relay thread.
   Result<bool> start();
+  /// Stops and joins; closes every flow and relay. Idempotent.
   void stop();
 
   /// Installs the upstream-timeout observer (see
-  /// FrontConfig::upstream_timeout_ms). Must be called before start();
-  /// the callback runs on the epoll thread and must be fast and
+  /// FrontConfig::upstream_timeout). Must be called before start(); the
+  /// callback runs on the epoll thread and must be fast and
   /// thread-safe. It names the member whose flow stalled.
   using UpstreamTimeoutFn = std::function<void(const std::string& member_id)>;
   void set_on_upstream_timeout(UpstreamTimeoutFn fn) {
     on_upstream_timeout_ = std::move(fn);
   }
 
-  std::uint16_t udp_port() const noexcept { return udp_port_; }
-  std::uint16_t tcp_port() const noexcept { return tcp_port_; }
+  /// The bound front port, shared by UDP and TCP (valid after start()).
+  std::uint16_t udp_port() const noexcept { return port_; }
 
   /// Adds a member, or re-points an existing one (machine restarted on
-  /// fresh ephemeral ports). Re-pointing re-pins that member's flows.
+  /// fresh ephemeral ports); either way it becomes active. Re-pointing
+  /// moves that member's live flows to the new endpoint. Ops queued
+  /// before a datagram arrives are applied before it is relayed; each
+  /// applied op appends one sample.
   void upsert_member(const std::string& id, Endpoint endpoint);
   /// Withdraw (false) or restore (true) a member from steering. New and
   /// re-pinned flows avoid inactive members; an inactive member's
-  /// existing flows are moved off it immediately.
+  /// existing flows are moved off it immediately. Established TCP
+  /// relays stay where they are.
   void set_member_active(const std::string& id, bool active);
-  void remove_member(const std::string& id);
 
-  std::vector<FrontMemberView> members() const;
   std::vector<ReconvergeSample> samples() const;
-  FrontCountersView counters() const;
+  FrontStats counters() const { return stats_; }
+  void register_metrics(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
+    stats_.register_into(reg, base);
+  }
 
  private:
-  struct UdpFlow;
-  struct TcpConn;
-  struct PollRef;
+  struct Flow;
+  struct Conn;
+  struct Delayed;
 
   void loop();
+  void push_op(std::function<void()> op);
   void process_ops();
-  void handle_front_udp();
-  void handle_flow(UdpFlow* flow);
-  void handle_accept();
-  void handle_tcp(TcpConn* conn, std::uint32_t events);
-  void close_tcp(TcpConn* conn);
-  void sweep_idle(std::int64_t now_ns);
-  void check_upstream_timeouts(std::int64_t now_ns);
+  std::size_t find_member(const std::string& id) const;
   /// Rendezvous winner among active members, or npos.
   std::size_t pick_member(const Endpoint& client) const;
   void repin_member_flows(const std::string& id, bool withdrawal);
-  bool attach_flow_upstream(UdpFlow& flow, std::size_t member_index);
-  std::int64_t now_ns() const;
+
+  // UDP.
+  void handle_front_udp(std::int64_t now);
+  void handle_flow(std::uint32_t id, bool retired, std::int64_t now);
+  std::uint32_t open_flow(const Endpoint& client, const sockaddr_storage& sa, socklen_t sa_len,
+                          std::int64_t now);
+  bool attach_flow_upstream(std::uint32_t id, std::size_t member, std::int64_t now);
+  void close_flow(std::uint32_t id);
+  bool survives(const chaos::PacketFate& fate, std::int64_t now);
+  void relay_udp(const chaos::PacketFate& fate, bool up, std::uint32_t id,
+                 std::uint8_t* data, std::size_t len, std::int64_t now);
+  void send_udp(bool up, std::uint32_t id, const std::uint8_t* data, std::size_t len);
+
+  // TCP.
+  void handle_accept(std::int64_t now);
+  void handle_conn(std::uint32_t id, bool from_client, std::uint32_t events,
+                   std::int64_t now);
+  void relay_chunk(std::uint32_t id, bool up, std::size_t len, std::int64_t now);
+  bool flush_conn(std::uint32_t id);
+  void close_conn(std::uint32_t id);
+
+  // Timers.
+  void park(Delayed item);
+  void flush_due(std::int64_t now);
+  void sweep(std::int64_t now);
+  void check_upstream_timeouts(std::int64_t now);
+  /// End of the blackhole window holding `now`, or `now` outside them.
+  std::int64_t dark_until(std::int64_t now) const;
 
   FrontConfig config_;
+  const chaos::FaultStream udp_up_, udp_down_, tcp_up_, tcp_down_;
 
   struct Member {
     std::string id;
@@ -167,32 +226,36 @@ class AnycastFront {
     bool active = true;
     std::uint64_t salt = 0;  // hash(id), precomputed
   };
-  std::vector<Member> members_;  // epoll-thread owned
+  std::vector<Member> members_;  // epoll-thread owned; never shrinks
 
+  // Dataplane state, epoll-thread owned. Slots are reserved up front
+  // (max_flows each) so a reference survives opening another slot.
   net::UdpSocket front_udp_;
   net::TcpListener front_tcp_;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;
-  std::uint16_t udp_port_ = 0;
-  std::uint16_t tcp_port_ = 0;
+  net::FdHandle epoll_fd_;
+  net::FdHandle wake_fd_;
+  std::uint16_t port_ = 0;
+  std::int64_t epoch_ns_ = 0;  // plan clock origin
+  std::vector<Flow> flows_;
+  std::vector<std::uint32_t> free_flows_;
+  std::unordered_map<Endpoint, std::uint32_t> flow_by_client_;
+  std::vector<Conn> conns_;
+  std::vector<std::uint32_t> free_conns_;
+  std::vector<Delayed> heap_;  // min-heap on (due, seq)
+  std::uint64_t heap_seq_ = 0;
+  std::uint64_t udp_up_idx_ = 0, udp_down_idx_ = 0;
+  std::uint64_t tcp_up_idx_ = 0, tcp_down_idx_ = 0, conn_idx_ = 0;
+  std::vector<std::uint8_t> buf_;
 
-  std::unordered_map<Endpoint, std::unique_ptr<UdpFlow>> flows_;
-  /// Flows evicted mid-epoll-batch, kept alive (dead=true) until the
-  /// batch ends so stale events can't dereference freed memory.
-  std::vector<std::unique_ptr<UdpFlow>> dying_flows_;
-  std::vector<std::unique_ptr<TcpConn>> tcp_conns_;
-
-  mutable std::mutex control_mu_;
+  mutable std::mutex control_mu_;  // guards ops_ and samples_
   std::deque<std::function<void()>> ops_;
   std::vector<ReconvergeSample> samples_;
-  std::vector<FrontMemberView> member_view_;
 
-  FrontCounters counters_;
+  FrontStats stats_;
   UpstreamTimeoutFn on_upstream_timeout_;
-  std::atomic<std::uint64_t> live_flows_{0};
-  std::thread thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
+  std::thread thread_;  // last: it uses every member above
 };
 
 }  // namespace akadns::fleet

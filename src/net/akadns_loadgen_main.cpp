@@ -16,7 +16,9 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <type_traits>
 
+#include "common/strings.hpp"
 #include "net/loadgen.hpp"
 #include "obs/exposition.hpp"
 #include "obs/stats_http.hpp"
@@ -138,6 +140,16 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       }
       return argv[++i];
     };
+    // The flag's value as a whole, range-checked number.
+    const auto number = [&]<typename T>(
+        T& out, std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
+        std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+      const char* v = need_value();
+      const auto parsed = v ? akadns::parse_number<T>(v, lo, hi) : std::nullopt;
+      if (v && !parsed) std::fprintf(stderr, "bad %s value: %s\n", arg.c_str(), v);
+      if (parsed) out = *parsed;
+      return parsed.has_value();
+    };
     const char* v = nullptr;
     if (arg == "--help" || arg == "-h") {
       opts.help = true;
@@ -147,46 +159,36 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       opts.target = v;
       opts.targets.emplace_back(v);
     } else if (arg == "--synthetic") {
-      if (!(v = need_value())) return false;
-      opts.synthetic_zones = std::strtoull(v, nullptr, 10);
+      if (!number(opts.synthetic_zones)) return false;
     } else if (arg == "--seed") {
-      if (!(v = need_value())) return false;
-      opts.seed = std::strtoull(v, nullptr, 10);
+      if (!number(opts.seed)) return false;
     } else if (arg == "--queries") {
-      if (!(v = need_value())) return false;
-      opts.queries = std::strtoull(v, nullptr, 10);
+      if (!number(opts.queries)) return false;
     } else if (arg == "--sockets") {
-      if (!(v = need_value())) return false;
-      opts.sockets = std::strtoull(v, nullptr, 10);
+      if (!number(opts.sockets, 1, 1024)) return false;
     } else if (arg == "--batch") {
-      if (!(v = need_value())) return false;
-      opts.batch = std::strtoull(v, nullptr, 10);
+      if (!number(opts.batch, 1, 1024)) return false;
     } else if (arg == "--window") {
-      if (!(v = need_value())) return false;
-      opts.window = std::strtoull(v, nullptr, 10);
+      if (!number(opts.window, 1)) return false;
     } else if (arg == "--rate") {
-      if (!(v = need_value())) return false;
-      opts.rate = std::strtod(v, nullptr);
+      if (!number(opts.rate, 0.0)) return false;
     } else if (arg == "--corpus") {
-      if (!(v = need_value())) return false;
-      opts.corpus_size = std::strtoull(v, nullptr, 10);
+      if (!number(opts.corpus_size, 1)) return false;
     } else if (arg == "--attack-fraction" || arg == "--attack-mix") {
-      if (!(v = need_value())) return false;
-      opts.attack_fraction = std::strtod(v, nullptr);
+      if (!number(opts.attack_fraction, 0.0, 1.0)) return false;
     } else if (arg == "--attack-weights") {
       if (!(v = need_value())) return false;
-      char* end = nullptr;
-      opts.w_random_subdomain = std::strtod(v, &end);
-      if (!end || *end != ',') {
-        std::fprintf(stderr, "--attack-weights wants R,D,S\n");
-        return false;
+      const auto parts = akadns::split(v, ',');
+      double* weights[] = {&opts.w_random_subdomain, &opts.w_direct, &opts.w_spoofed};
+      for (std::size_t k = 0; k < 3; ++k) {
+        const auto w = parts.size() == 3 ? akadns::parse_number<double>(parts[k], 0.0)
+                                         : std::nullopt;
+        if (!w) {
+          std::fprintf(stderr, "--attack-weights wants R,D,S\n");
+          return false;
+        }
+        *weights[k] = *w;
       }
-      opts.w_direct = std::strtod(end + 1, &end);
-      if (!end || *end != ',') {
-        std::fprintf(stderr, "--attack-weights wants R,D,S\n");
-        return false;
-      }
-      opts.w_spoofed = std::strtod(end + 1, nullptr);
     } else if (arg == "--defense") {
       if (!(v = need_value())) return false;
       opts.defense = v;
@@ -195,28 +197,21 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
         return false;
       }
     } else if (arg == "--timeout-ms") {
-      if (!(v = need_value())) return false;
-      opts.timeout_ms = std::strtoull(v, nullptr, 10);
+      if (!number(opts.timeout_ms, 1)) return false;
     } else if (arg == "--retries") {
-      if (!(v = need_value())) return false;
-      opts.retries = std::strtoull(v, nullptr, 10);
+      if (!number(opts.retries)) return false;
     } else if (arg == "--goodput-min") {
-      if (!(v = need_value())) return false;
-      opts.goodput_min = std::strtod(v, nullptr);
+      if (!number(opts.goodput_min, 0.0, 1.0)) return false;
     } else if (arg == "--max-outage-ms") {
-      if (!(v = need_value())) return false;
-      opts.max_outage_ms = std::strtoll(v, nullptr, 10);
+      if (!number(opts.max_outage_ms)) return false;
     } else if (arg == "--outage-gap-ms") {
-      if (!(v = need_value())) return false;
-      opts.outage_gap_ms = std::strtoull(v, nullptr, 10);
+      if (!number(opts.outage_gap_ms)) return false;
     } else if (arg == "--verify") {
       opts.verify = true;
     } else if (arg == "--flip-count") {
-      if (!(v = need_value())) return false;
-      opts.flip_count = std::strtoull(v, nullptr, 10);
+      if (!number(opts.flip_count)) return false;
     } else if (arg == "--flip-generations") {
-      if (!(v = need_value())) return false;
-      opts.flip_generations = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!number(opts.flip_generations)) return false;
     } else if (arg == "--stats-url") {
       if (!(v = need_value())) return false;
       opts.stats_url = v;
@@ -391,19 +386,12 @@ int main(int argc, char** argv) {
   if (opts.targets.empty()) opts.targets.push_back(opts.target);
   std::vector<akadns::Endpoint> targets;
   for (const auto& text : opts.targets) {
-    const auto colon = text.rfind(':');
-    const auto addr = colon == std::string::npos
-                          ? std::optional<akadns::Ipv4Addr>{}
-                          : akadns::Ipv4Addr::parse(text.substr(0, colon));
-    const auto port = colon == std::string::npos
-                          ? 0UL
-                          : std::strtoul(text.c_str() + colon + 1, nullptr, 10);
-    if (!addr || port == 0 || port > 65535) {
+    const auto target = akadns::Endpoint::parse(text);
+    if (!target) {
       std::fprintf(stderr, "bad --target (want IP:PORT): %s\n", text.c_str());
       return 2;
     }
-    targets.push_back(
-        akadns::Endpoint{akadns::IpAddr(*addr), static_cast<std::uint16_t>(port)});
+    targets.push_back(*target);
   }
 
   // Rebuild the server's world from the same (count, seed) — self-play.

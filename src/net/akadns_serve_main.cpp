@@ -32,9 +32,11 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/drop_reason.hpp"
+#include "common/strings.hpp"
 #include "dns/name.hpp"
 #include "dns/wire.hpp"
 #include "net/ready_line.hpp"
@@ -72,21 +74,6 @@ void handle_stop(int) {
 void handle_reload(int) { g_reload_requested = 1; }
 void handle_suspend(int) { g_suspend_requested = 1; }
 void handle_resume(int) { g_suspend_requested = 0; }
-
-struct HostPort {
-  akadns::Ipv4Addr addr;
-  std::uint16_t port = 0;
-};
-
-bool parse_host_port(const std::string& text, HostPort& out) {
-  const auto colon = text.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= text.size()) return false;
-  const auto addr = akadns::Ipv4Addr::parse(text.substr(0, colon));
-  if (!addr) return false;
-  out.addr = *addr;
-  out.port = static_cast<std::uint16_t>(std::strtoul(text.c_str() + colon + 1, nullptr, 10));
-  return out.port != 0;
-}
 
 struct CliOptions {
   std::vector<std::string> zone_files;
@@ -188,6 +175,16 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       }
       return argv[++i];
     };
+    // The flag's value as a whole, range-checked number.
+    const auto number = [&]<typename T>(
+        T& out, std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
+        std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+      const char* v = need_value();
+      const auto parsed = v ? akadns::parse_number<T>(v, lo, hi) : std::nullopt;
+      if (v && !parsed) std::fprintf(stderr, "bad %s value: %s\n", arg.c_str(), v);
+      if (parsed) out = *parsed;
+      return parsed.has_value();
+    };
     if (arg == "--help" || arg == "-h") {
       opts.help = true;
       return true;
@@ -196,33 +193,21 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       if (!v) return false;
       opts.zone_files.emplace_back(v);
     } else if (arg == "--synthetic") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.synthetic_zones = std::strtoull(v, nullptr, 10);
+      if (!number(opts.synthetic_zones)) return false;
     } else if (arg == "--seed") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.seed = std::strtoull(v, nullptr, 10);
+      if (!number(opts.seed)) return false;
     } else if (arg == "--addr") {
       const char* v = need_value();
       if (!v) return false;
       opts.addr = v;
     } else if (arg == "--port") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.port = static_cast<std::uint16_t>(std::strtoul(v, nullptr, 10));
+      if (!number(opts.port)) return false;
     } else if (arg == "--workers") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.workers = std::strtoull(v, nullptr, 10);
+      if (!number(opts.workers, 1, 1024)) return false;
     } else if (arg == "--batch") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.batch = std::strtoull(v, nullptr, 10);
+      if (!number(opts.batch, 1, 1024)) return false;
     } else if (arg == "--edns-max") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.edns_max = std::strtoull(v, nullptr, 10);
+      if (!number(opts.edns_max, 512, 65535)) return false;
     } else if (arg == "--notify") {
       const char* v = need_value();
       if (!v) return false;
@@ -236,25 +221,15 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       if (!v) return false;
       opts.track_apexes.emplace_back(v);
     } else if (arg == "--refresh-ms") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.refresh_ms = std::strtoull(v, nullptr, 10);
+      if (!number(opts.refresh_ms)) return false;
     } else if (arg == "--stale-after-ms") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.stale_after_ms = std::strtoull(v, nullptr, 10);
+      if (!number(opts.stale_after_ms)) return false;
     } else if (arg == "--expire-after-ms") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.expire_after_ms = std::strtoull(v, nullptr, 10);
+      if (!number(opts.expire_after_ms)) return false;
     } else if (arg == "--flip-after-ms") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.flip_after_ms = std::strtoull(v, nullptr, 10);
+      if (!number(opts.flip_after_ms)) return false;
     } else if (arg == "--flip-count") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.flip_count = std::strtoull(v, nullptr, 10);
+      if (!number(opts.flip_count)) return false;
     } else if (arg == "--defense") {
       const char* v = need_value();
       if (!v) return false;
@@ -267,25 +242,17 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
         return false;
       }
     } else if (arg == "--compute-qps") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.compute_qps = std::strtod(v, nullptr);
+      if (!number(opts.compute_qps, 0.0)) return false;
     } else if (arg == "--qod-drop") {
       const char* v = need_value();
       if (!v) return false;
       opts.qod_drops.emplace_back(v);
     } else if (arg == "--stats-port") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.stats_port = static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!number(opts.stats_port, 0, 65535)) return false;
     } else if (arg == "--nxdomain-threshold") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.nxdomain_threshold = std::strtoull(v, nullptr, 10);
+      if (!number(opts.nxdomain_threshold)) return false;
     } else if (arg == "--nxdomain-penalty") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.nxdomain_penalty = std::strtod(v, nullptr);
+      if (!number(opts.nxdomain_penalty, 0.0)) return false;
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return false;
@@ -329,13 +296,12 @@ std::optional<akadns::dns::DnsName> publish_zone_file(
 
 /// Fire-and-forget NOTIFY datagram (RFC 1996). The secondary's refresh
 /// loop is the reliability mechanism; the NOTIFY only shortens the wait.
-void send_notify(const HostPort& target, const akadns::dns::DnsName& apex,
+void send_notify(const akadns::Endpoint& target, const akadns::dns::DnsName& apex,
                  std::uint32_t serial, std::uint16_t id) {
   const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return;
   sockaddr_storage dst{};
-  const socklen_t len = akadns::net::sockaddr_from_endpoint(
-      akadns::Endpoint{akadns::IpAddr(target.addr), target.port}, dst);
+  const socklen_t len = akadns::net::sockaddr_from_endpoint(target, dst);
   const auto wire =
       akadns::dns::encode(akadns::propagation::TransferService::make_notify(apex, serial, id));
   (void)::sendto(fd, wire.data(), wire.size(), MSG_NOSIGNAL,
@@ -343,7 +309,7 @@ void send_notify(const HostPort& target, const akadns::dns::DnsName& apex,
   ::close(fd);
 }
 
-void notify_all(const std::vector<HostPort>& targets,
+void notify_all(const std::vector<akadns::Endpoint>& targets,
                 akadns::propagation::ZonePublisher& publisher,
                 const akadns::dns::DnsName& apex, std::uint16_t& next_id) {
   if (targets.empty()) return;
@@ -400,14 +366,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bad --addr: %s\n", opts.addr.c_str());
     return 2;
   }
-  std::vector<HostPort> notify_targets;
+  std::vector<akadns::Endpoint> notify_targets;
   for (const auto& text : opts.notify_targets) {
-    HostPort target;
-    if (!parse_host_port(text, target)) {
+    const auto target = akadns::Endpoint::parse(text);
+    if (!target) {
       std::fprintf(stderr, "bad --notify target: %s\n", text.c_str());
       return 2;
     }
-    notify_targets.push_back(target);
+    notify_targets.push_back(*target);
   }
 
   // One pipeline for all zone content. The synthetic corpus is adopted
@@ -432,14 +398,14 @@ int main(int argc, char** argv) {
   // Secondary role: pull zones from a primary into the same publisher.
   std::unique_ptr<akadns::net::SecondarySync> secondary;
   if (!opts.secondary_of.empty()) {
-    HostPort primary;
-    if (!parse_host_port(opts.secondary_of, primary)) {
+    const auto primary = akadns::Endpoint::parse(opts.secondary_of);
+    if (!primary) {
       std::fprintf(stderr, "bad --secondary-of target: %s\n", opts.secondary_of.c_str());
       return 2;
     }
     akadns::net::SecondaryConfig sc;
-    sc.primary_addr = primary.addr;
-    sc.primary_port = primary.port;
+    sc.primary_addr = primary->addr.v4();
+    sc.primary_port = primary->port;
     sc.refresh_interval = akadns::Duration::millis(
         static_cast<std::int64_t>(std::max<std::uint64_t>(1, opts.refresh_ms)));
     // Freshness ladder, shared with the serve workers: the sync confirms

@@ -1,13 +1,14 @@
 // In-process fault injection for the propagation path.
 //
-// The impairment proxy (src/chaos/) exercises the real socket path, but
+// The relay executing a FaultPlan (fleet::AnycastFront, run as
+// akadns-chaos) exercises the real socket path, but
 // unit tests want the same faults without sockets: a probe that times
 // out, a transfer connection that dies mid-stream, a read that stalls
 // past the deadline. FaultHooks is the seam — ZoneSync and
 // TransferService consult it before each operation and honor whatever
 // fate it returns. Production leaves the pointer null (checked once,
 // no overhead); tests install chaos::PlanInjector (plan-driven, same
-// SplitMix64 determinism as the proxy) or a hand-scripted hook.
+// SplitMix64 determinism as the relay) or a hand-scripted hook.
 //
 // This header is dependency-free on purpose: chaos/ links against
 // propagation-level code, so the interface must live below it to keep

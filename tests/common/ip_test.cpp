@@ -23,6 +23,22 @@ TEST(Ipv4Addr, ParseRejectsMalformed) {
   EXPECT_FALSE(Ipv4Addr::parse("1..2.3"));
 }
 
+TEST(Endpoint, ParseTakesAnAddressAndAPortInRange) {
+  const auto ep = Endpoint::parse("127.0.0.1:5300");
+  ASSERT_TRUE(ep);
+  EXPECT_EQ(ep->to_string(), "127.0.0.1:5300");
+  EXPECT_EQ(Endpoint::parse("10.1.2.3:65535")->port, 65535);
+
+  EXPECT_FALSE(Endpoint::parse("127.0.0.1:99999"));
+  EXPECT_FALSE(Endpoint::parse("127.0.0.1:0"));
+  EXPECT_FALSE(Endpoint::parse("127.0.0.1:5x"));
+  EXPECT_FALSE(Endpoint::parse("127.0.0.1:"));
+  EXPECT_FALSE(Endpoint::parse("127.0.0.1"));
+  EXPECT_FALSE(Endpoint::parse(":53"));
+  EXPECT_FALSE(Endpoint::parse("localhost:53"));
+  EXPECT_FALSE(Endpoint::parse("1.2.3.4:53:53"));
+}
+
 TEST(Ipv4Addr, OrderingByValue) {
   EXPECT_LT(Ipv4Addr(1, 0, 0, 0), Ipv4Addr(2, 0, 0, 0));
   EXPECT_EQ(Ipv4Addr(10, 0, 0, 1), *Ipv4Addr::parse("10.0.0.1"));

@@ -61,5 +61,31 @@ TEST(Strings, Fnv1aStableAndDistinct) {
   EXPECT_NE(fnv1a(""), fnv1a(std::string_view("\0", 1)));
 }
 
+TEST(Strings, ParseNumberTakesTheWholeStringInRange) {
+  EXPECT_EQ(parse_number<std::uint16_t>("5300"), 5300);
+  EXPECT_EQ(parse_number<std::uint16_t>("0"), 0);
+  EXPECT_EQ(parse_number<std::uint16_t>("65535"), 65535);
+  EXPECT_EQ(parse_number<std::int64_t>("-1"), -1);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parse_number<double>("0.05"), 0.05);
+  EXPECT_EQ(parse_number<double>("1e3"), 1000.0);
+  EXPECT_EQ(parse_number<std::size_t>("32", 1, 1024), 32u);
+
+  EXPECT_FALSE(parse_number<std::uint16_t>("70000"));  // wraps to 4464 under strtoul
+  EXPECT_FALSE(parse_number<std::uint16_t>("5x"));     // strtoul stops at 'x'
+  EXPECT_FALSE(parse_number<std::size_t>("abc"));      // strtoull reads 0
+  EXPECT_FALSE(parse_number<std::uint16_t>(""));
+  EXPECT_FALSE(parse_number<std::uint16_t>(" 53"));
+  EXPECT_FALSE(parse_number<std::uint16_t>("+53"));
+  EXPECT_FALSE(parse_number<std::uint64_t>("-1"));
+  EXPECT_FALSE(parse_number<std::uint64_t>("18446744073709551616"));
+  EXPECT_FALSE(parse_number<std::size_t>("0", 1, 1024));
+  EXPECT_FALSE(parse_number<std::size_t>("1025", 1, 1024));
+  EXPECT_FALSE(parse_number<double>("nan"));
+  EXPECT_FALSE(parse_number<double>("-0.5", 0.0));
+  EXPECT_FALSE(parse_number<double>("1.5", 0.0, 1.0));
+  EXPECT_FALSE(parse_number<double>("0.5ms"));
+}
+
 }  // namespace
 }  // namespace akadns

@@ -4,16 +4,22 @@
 // layer where the subject is a process, not a class.
 
 #include <signal.h>
+#include <sys/socket.h>
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "fleet/machine_process.hpp"
 #include "fleet/supervisor.hpp"
+#include "net/socket.hpp"
+#include "obs/exposition.hpp"
+#include "obs/stats_http.hpp"
 
 #ifndef AKADNS_SERVE_BIN
 #error "AKADNS_SERVE_BIN must point at the akadns-serve binary"
@@ -21,6 +27,65 @@
 
 namespace akadns::fleet {
 namespace {
+
+net::FdHandle connect_tcp(std::uint16_t port, int rcvbuf = 0) {
+  net::FdHandle fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  if (rcvbuf > 0) ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_storage dst{};
+  const socklen_t len =
+      net::sockaddr_from_endpoint(Endpoint{IpAddr(Ipv4Addr(127, 0, 0, 1)), port}, dst);
+  if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&dst), len) != 0) fd.reset();
+  return fd;
+}
+
+bool accepts_connections(std::uint16_t port) { return connect_tcp(port).valid(); }
+
+/// A TCP client that pipelines queries (www.ent0.example A) and never
+/// reads the answers. The daemon reads them all; once the answers fill
+/// the kernel's send buffer (it grows to tcp_wmem's max) the rest stay
+/// owed in the daemon's own output buffer. Returns after the daemon has
+/// counted every answer, so the debt exists before anything else runs.
+net::FdHandle pipeline_unread_queries(const net::ReadyLine& ready) {
+  static constexpr std::uint8_t kFramedQuery[] = {
+      0x00, 0x22,                                      // frame length 34
+      0x12, 0x34, 0x01, 0x00, 0x00, 0x01, 0x00, 0x00,  // id, RD, qdcount 1
+      0x00, 0x00, 0x00, 0x00,                          // an/ns/ar 0
+      3, 'w', 'w', 'w', 4, 'e', 'n', 't', '0', 7, 'e', 'x', 'a', 'm', 'p', 'l', 'e', 0,
+      0x00, 0x01, 0x00, 0x01};  // A, IN
+  std::size_t wmem_min = 0, wmem_default = 0, wmem_max = 4 << 20;
+  std::ifstream("/proc/sys/net/ipv4/tcp_wmem") >> wmem_min >> wmem_default >> wmem_max;
+  // Each framed answer is 52 bytes: the question plus one A record.
+  const std::size_t queries = (wmem_max + (2 << 20)) / 52;
+  std::vector<std::uint8_t> burst;
+  for (std::size_t i = 0; i < queries; ++i) {
+    burst.insert(burst.end(), std::begin(kFramedQuery), std::end(kFramedQuery));
+  }
+  net::FdHandle fd = connect_tcp(ready.tcp_port, /*rcvbuf=*/4096);
+  EXPECT_TRUE(fd.valid());
+  for (std::size_t off = 0; off < burst.size();) {
+    const ssize_t n = ::send(fd.get(), burst.data() + off, burst.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) {
+      ADD_FAILURE() << "send: " << std::strerror(errno);
+      break;
+    }
+    off += static_cast<std::size_t>(n);
+  }
+  const std::string url = "http://127.0.0.1:" + std::to_string(ready.stats_port) + "/metrics";
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (double answered = 0; answered < static_cast<double>(queries);) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      ADD_FAILURE() << "daemon answered " << answered << " of " << queries << " queries";
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    obs::HttpResponse response;
+    std::string error;
+    if (!obs::http_get(url, &response, &error)) continue;
+    answered = obs::Exposition::parse(response.body)
+                   .sum("akadns_frontend_total", obs::labels({{"event", "tcp_responses"}}));
+  }
+  return fd;
+}
 
 SpawnSpec tiny_serve(const std::string& id) {
   SpawnSpec spec;
@@ -58,17 +123,40 @@ TEST(MachineProcess, SecondSigtermForcesImmediateExitCode3) {
   auto spawned = machine.spawn();
   ASSERT_TRUE(spawned) << spawned.error();
   ASSERT_TRUE(machine.wait_ready(15000));
+  const net::ReadyLine ready = *machine.ready();
 
   // Idempotent-but-escalating: the first SIGTERM begins the drain, an
   // impatient second one must not be swallowed — it forces _exit(3).
-  // The gap ensures the first is actually delivered (undelivered
-  // standard signals coalesce); the daemon's stop flag is only polled
-  // every 50ms, so the second lands well before the drain starts.
+  // A client that never reads its answers holds the drain open (for the
+  // daemon's 5 s drain deadline), and the second signal waits until the
+  // first is visibly acted on: the drain's first step closes the stats
+  // port. Neither signal can then land outside the drain.
+  const net::FdHandle hog = pipeline_unread_queries(ready);
   EXPECT_TRUE(machine.send_signal(SIGTERM));
-  std::this_thread::sleep_for(std::chrono::milliseconds(15));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (accepts_connections(ready.stats_port)) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "first SIGTERM never acted on";
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
   EXPECT_TRUE(machine.send_signal(SIGTERM));
   ASSERT_TRUE(machine.wait_exit(10000));
   EXPECT_EQ(machine.exit_code(), 3);
+}
+
+TEST(MachineProcess, BadNumericFlagIsAUsageError) {
+  // Strict flags: an out-of-range port or a non-number is exit 2, not a
+  // daemon on the wrapped-around port or a worker with batch 0.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--port", "70000"}, {"--port", "5x"}, {"--batch", "abc"}}) {
+    SpawnSpec spec;
+    spec.id = "m0";
+    spec.binary = AKADNS_SERVE_BIN;
+    spec.args = args;
+    MachineProcess machine(spec);
+    ASSERT_TRUE(machine.spawn());
+    ASSERT_TRUE(machine.wait_exit(10000)) << args[0] << " " << args[1];
+    EXPECT_EQ(machine.exit_code(), 2) << args[0] << " " << args[1];
+  }
 }
 
 TEST(MachineProcess, SigkillIsReportedAsSignalDeath) {
