@@ -36,17 +36,14 @@ std::string render_fleet_report(const FleetReport& report) {
         " \"probe_rounds\": %llu, \"probe_failed_rounds\": %llu,"
         " \"byte_mismatches\": %llu, \"suspensions\": %llu,"
         " \"denied_suspensions\": %llu, \"restores\": %llu,"
-        " \"advisory_scrapes\": %llu, \"advisory_anomalies\": %llu,"
-        " \"upstream_timeouts\": %llu}%s\n",
+        " \"advisory_scrapes\": %llu, \"advisory_anomalies\": %llu}%s\n",
         m.id.c_str(), static_cast<long long>(m.pid), m.up ? "true" : "false",
         m.suspended ? "true" : "false", m.udp_port, m.stats_port,
         (unsigned long long)m.restarts, (unsigned long long)m.probe_rounds,
         (unsigned long long)m.probe_failed_rounds, (unsigned long long)m.byte_mismatches,
         (unsigned long long)m.suspensions, (unsigned long long)m.denied_suspensions,
         (unsigned long long)m.restores, (unsigned long long)m.advisory_scrapes,
-        (unsigned long long)m.advisory_anomalies,
-        (unsigned long long)m.upstream_timeouts,
-        i + 1 < report.machines.size() ? "," : "");
+        (unsigned long long)m.advisory_anomalies, i + 1 < report.machines.size() ? "," : "");
     out += buf;
   }
   out += "  ],\n";

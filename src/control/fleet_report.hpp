@@ -26,7 +26,6 @@ struct FleetMachineReport {
   std::uint64_t restores = 0;
   std::uint64_t advisory_scrapes = 0;
   std::uint64_t advisory_anomalies = 0;
-  std::uint64_t upstream_timeouts = 0;
 };
 
 struct FleetFrontReport {

@@ -79,8 +79,6 @@ struct CliOptions {
   std::string chaos_plan_path;
   std::uint64_t chaos_seed = 0;
   bool chaos_seed_set = false;
-  // Advisory dataplane stall detector on the front (0 = off).
-  std::int64_t upstream_timeout_ms = 0;
   bool help = false;
 };
 
@@ -117,9 +115,6 @@ void print_usage(const char* argv0) {
       "                        executing FILE's FaultPlan (machine i uses seed+i;\n"
       "                        counters as akadns_chaos_total{machine,event})\n"
       "  --chaos-seed N        override the plan file's seed (with --chaos-plan)\n"
-      "  --upstream-timeout-ms N  front flows stalled past N ms report an\n"
-      "                        advisory upstream timeout to the probe suite\n"
-      "                        (kicks a probe round; never suspends; 0 = off)\n"
       "startup prints one line: {\"akadns_fleet_ready\":{...}} with the front port.\n"
       "exit codes: 0 clean shutdown; 1 runtime failure; 2 usage error;\n"
       "3 forced (second SIGTERM/SIGINT).\n",
@@ -205,8 +200,6 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
     } else if (arg == "--chaos-seed") {
       if (!number(opts.chaos_seed)) return false;
       opts.chaos_seed_set = true;
-    } else if (arg == "--upstream-timeout-ms") {
-      if (!number(opts.upstream_timeout_ms, 0)) return false;
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return false;
@@ -308,17 +301,7 @@ int main(int argc, char** argv) {
   // --- Front ---
   fleet::FrontConfig front_config;
   front_config.port = opts.port;
-  front_config.upstream_timeout = Duration::millis(opts.upstream_timeout_ms);
   fleet::AnycastFront front(front_config);
-  // The probe suite is constructed later (it needs the supervisor); the
-  // front's epoll thread may observe a stall before that, so the feed
-  // goes through an atomic pointer.
-  std::atomic<fleet::ProbeSuite*> probes_ptr{nullptr};
-  front.set_on_upstream_timeout([&probes_ptr](const std::string& id) {
-    if (auto* p = probes_ptr.load(std::memory_order_acquire)) {
-      p->note_upstream_timeout(id);
-    }
-  });
   if (auto started = front.start(); !started) {
     std::fprintf(stderr, "anycast front failed: %s\n", started.error().c_str());
     return 1;
@@ -419,7 +402,6 @@ int main(int argc, char** argv) {
         log_event("machine " + id + (suspended ? " suspended (probe verdict, quota granted)"
                                                : " restored (probes healthy)"));
       });
-  probes_ptr.store(&probes, std::memory_order_release);
   probes.start();
 
   // --- Fleet metrics endpoint ---
@@ -434,7 +416,7 @@ int main(int argc, char** argv) {
                     [&] { return static_cast<double>(probes.quota_view().suspended); },
                     obs::GaugeAgg::Sum, "machines holding a suspension grant");
   registry.gauge_fn("akadns_fleet_flows", {},
-                    [&] { return static_cast<double>(front.counters().live_flows); },
+                    [&] { return front.counters().live_flows.value(); },
                     obs::GaugeAgg::Sum, "live steering flows");
   registry.gauge_fn("akadns_fleet_flows_moved_total", {},
                     [&] { return static_cast<double>(front.counters().flows_moved); },
@@ -442,13 +424,6 @@ int main(int argc, char** argv) {
   registry.gauge_fn("akadns_fleet_probe_rounds_total", {},
                     [&] { return static_cast<double>(probes.rounds_completed()); },
                     obs::GaugeAgg::Sum, "probe rounds completed");
-  registry.gauge_fn("akadns_fleet_upstream_timeouts_total", {},
-                    [&] {
-                      return static_cast<double>(
-                          front.counters().udp_upstream_timeouts);
-                    },
-                    obs::GaugeAgg::Sum,
-                    "advisory dataplane stalls reported by the front");
   for (std::size_t i = 0; i < chaos_hops.size(); ++i) {
     chaos_hops[i]->register_metrics(registry,
                                     obs::labels({{"machine", "m" + std::to_string(i)}}));
@@ -533,13 +508,12 @@ int main(int argc, char** argv) {
       m.restores = st->restores;
       m.advisory_scrapes = st->advisory_scrapes;
       m.advisory_anomalies = st->advisory_anomalies;
-      m.upstream_timeouts = st->upstream_timeouts;
     }
     report.machines.push_back(std::move(m));
   }
   const auto counters = front.counters();
   report.front.port = front.udp_port();
-  report.front.live_flows = counters.live_flows;
+  report.front.live_flows = static_cast<std::uint64_t>(counters.live_flows.value());
   report.front.flows_created = counters.flows_created;
   report.front.flows_moved = counters.flows_moved;
   report.front.udp_client_datagrams = counters.udp_client_datagrams;

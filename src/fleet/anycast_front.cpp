@@ -137,13 +137,6 @@ struct AnycastFront::Flow {
   net::FdHandle retired;
   std::int64_t retired_ns = 0;
   std::int64_t last_active_ns = 0;
-  /// Steady-ns of the oldest client query forwarded upstream with no
-  /// answer seen yet (0: nothing awaited). Armed on forward, cleared on
-  /// answer, reset on re-pin (the old upstream's stall must not be
-  /// charged to the new member). When it ages past
-  /// FrontConfig::upstream_timeout the flow reports one upstream
-  /// timeout and disarms until the next client query.
-  std::int64_t awaiting_since_ns = 0;
   /// Index into samples_ of the oldest re-pin this flow has not yet
   /// answered for (kNpos: none pending). A later re-pin does not
   /// overwrite it — the recovery clock runs from the first disruption.
@@ -347,7 +340,6 @@ bool AnycastFront::attach_flow_upstream(std::uint32_t id, std::size_t member,
   }
   flow.upstream = std::move(upstream);
   flow.member = member;
-  flow.awaiting_since_ns = 0;
   watch(epoll_fd_.get(), EPOLL_CTL_ADD, flow.upstream.get(), EPOLLIN,
         poll_data(kFlow, flow.gen, id));
   return true;
@@ -486,7 +478,6 @@ std::uint32_t AnycastFront::open_flow(const Endpoint& client, const sockaddr_sto
   flow.client_sa = sa;
   flow.client_sa_len = sa_len;
   flow.last_active_ns = now;
-  flow.awaiting_since_ns = 0;
   flow.pending_sample = kNpos;
   if (!attach_flow_upstream(id, winner, now)) {
     ++stats_.udp_upstream_errors;
@@ -526,9 +517,7 @@ void AnycastFront::handle_front_udp(std::int64_t now) {
     const std::uint32_t id =
         it != flow_by_client_.end() ? it->second : open_flow(client, src, src_len, now);
     if (id == kNoSlot) continue;
-    Flow& flow = flows_[id];
-    flow.last_active_ns = now;
-    if (flow.awaiting_since_ns == 0) flow.awaiting_since_ns = now;
+    flows_[id].last_active_ns = now;
     relay_udp(fate, /*up=*/true, id, buf_.data(), static_cast<std::size_t>(n), now);
   }
 }
@@ -549,9 +538,6 @@ void AnycastFront::handle_flow(std::uint32_t id, bool retired, std::int64_t now)
     }
     ++stats_.udp_upstream_answers;
     flow.last_active_ns = now;
-    // An answer the old member still owes is relayed, but it neither
-    // answers for the new member nor proves the new catchment works.
-    if (!retired) flow.awaiting_since_ns = 0;
     const chaos::PacketFate fate = draw(udp_down_, udp_down_idx_);
     if (!survives(fate, now)) continue;
     relay_udp(fate, /*up=*/false, id, buf_.data(), static_cast<std::size_t>(n), now);
@@ -774,17 +760,6 @@ void AnycastFront::sweep(std::int64_t now) {
   }
 }
 
-void AnycastFront::check_upstream_timeouts(std::int64_t now) {
-  for (Flow& flow : flows_) {
-    if (!flow.in_use || flow.awaiting_since_ns == 0) continue;
-    if (now - flow.awaiting_since_ns <= config_.upstream_timeout.count_nanos()) continue;
-    // One report per stall; the next client datagram re-arms the clock.
-    flow.awaiting_since_ns = 0;
-    ++stats_.udp_upstream_timeouts;
-    if (on_upstream_timeout_) on_upstream_timeout_(members_[flow.member].id);
-  }
-}
-
 void AnycastFront::process_ops() {
   for (;;) {
     std::function<void()> op;
@@ -801,7 +776,6 @@ void AnycastFront::process_ops() {
 void AnycastFront::loop() {
   epoll_event events[128];
   std::int64_t last_sweep = steady_ns();
-  std::int64_t last_timeout_check = last_sweep;
   while (!stop_.load(std::memory_order_acquire)) {
     int timeout_ms = 100;
     if (!heap_.empty()) {
@@ -846,10 +820,6 @@ void AnycastFront::loop() {
       }
     }
     flush_due(steady_ns());
-    if (config_.upstream_timeout.count_nanos() > 0 && now - last_timeout_check > 50'000'000) {
-      last_timeout_check = now;
-      check_upstream_timeouts(now);
-    }
     if (now - last_sweep >= kSweepNs) {
       last_sweep = now;
       sweep(now);

@@ -74,13 +74,6 @@ struct FrontConfig {
   /// TCP relays silent this long are closed (the relay must not become
   /// the slowloris it can simulate).
   Duration conn_idle = Duration::seconds(120);
-  /// A flow that forwarded a client query upstream and saw no answer
-  /// within this budget reports an upstream timeout (counter + the
-  /// on_upstream_timeout callback, once per stall). Zero disables. This
-  /// is an *advisory* signal: it feeds the probe suite's anomaly
-  /// counters and may prompt an immediate probe round, but only
-  /// end-to-end probes can suspend a machine.
-  Duration upstream_timeout;
   /// Impairment executed on everything relayed; clean by default. The
   /// plan clock (blackhole windows) starts at start().
   chaos::FaultPlan plan;
@@ -109,11 +102,10 @@ struct FrontStats {
   obs::Counter udp_upstream_answers;  // datagrams in from members
   obs::Counter udp_no_member_drops;
   obs::Counter udp_upstream_errors;
-  obs::Counter udp_upstream_timeouts;
   obs::Counter flows_created;
   obs::Counter flows_moved;
   obs::Counter flows_expired;  // idle-swept or evicted by a full table
-  obs::Counter live_flows;     // a level, not a running total
+  obs::Gauge live_flows;
   obs::Counter tcp_connections;  // accepted
   obs::Counter tcp_relay_errors;
   // The plan's fates as executed.
@@ -145,15 +137,6 @@ class AnycastFront {
   Result<bool> start();
   /// Stops and joins; closes every flow and relay. Idempotent.
   void stop();
-
-  /// Installs the upstream-timeout observer (see
-  /// FrontConfig::upstream_timeout). Must be called before start(); the
-  /// callback runs on the epoll thread and must be fast and
-  /// thread-safe. It names the member whose flow stalled.
-  using UpstreamTimeoutFn = std::function<void(const std::string& member_id)>;
-  void set_on_upstream_timeout(UpstreamTimeoutFn fn) {
-    on_upstream_timeout_ = std::move(fn);
-  }
 
   /// The bound front port, shared by UDP and TCP (valid after start()).
   std::uint16_t udp_port() const noexcept { return port_; }
@@ -213,7 +196,6 @@ class AnycastFront {
   void park(Delayed item);
   void flush_due(std::int64_t now);
   void sweep(std::int64_t now);
-  void check_upstream_timeouts(std::int64_t now);
   /// End of the blackhole window holding `now`, or `now` outside them.
   std::int64_t dark_until(std::int64_t now) const;
 
@@ -252,7 +234,6 @@ class AnycastFront {
   std::vector<ReconvergeSample> samples_;
 
   FrontStats stats_;
-  UpstreamTimeoutFn on_upstream_timeout_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
   std::thread thread_;  // last: it uses every member above

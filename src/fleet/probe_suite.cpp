@@ -391,7 +391,6 @@ void ProbeSuite::start() {
       const int sleep_ms = config_.interval_ms;
       for (int waited = 0; waited < sleep_ms && running_.load(std::memory_order_acquire);
            waited += 10) {
-        if (kick_.exchange(false, std::memory_order_acq_rel)) break;
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       }
     }
@@ -406,20 +405,6 @@ void ProbeSuite::stop() {
 void ProbeSuite::inject_failure(const std::string& id, bool failing) {
   std::lock_guard<std::mutex> lock(mu_);
   injected_failures_[id] = failing;
-}
-
-void ProbeSuite::note_upstream_timeout(const std::string& id) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    MachineProbeState& st = states_[id];
-    st.id = id;
-    ++st.upstream_timeouts;
-    ++st.advisory_anomalies;
-  }
-  // A stall is worth investigating NOW — with real queries. The probe
-  // round this kicks holds the suspension authority; this signal holds
-  // none.
-  kick_.store(true, std::memory_order_release);
 }
 
 std::vector<MachineProbeState> ProbeSuite::states() const {

@@ -88,9 +88,6 @@ struct MachineProbeState {
   std::uint64_t restores = 0;
   std::uint64_t advisory_scrapes = 0;
   std::uint64_t advisory_anomalies = 0;
-  /// Dataplane stalls the anycast front reported (advisory, like the
-  /// scrape counters: they inform, they never suspend).
-  std::uint64_t upstream_timeouts = 0;
   std::string last_error;
 };
 
@@ -126,15 +123,6 @@ class ProbeSuite {
   /// Drill hook: force this machine's rounds to fail (--suspend-machine)
   /// until cleared — exercises the genuine quota + recovery path.
   void inject_failure(const std::string& id, bool failing);
-
-  /// Advisory dataplane signal: the anycast front saw a flow to this
-  /// machine stall past its upstream budget. Records the anomaly and
-  /// prompts the next probe round to run immediately — but NEVER
-  /// suspends. Only a failing end-to-end probe may do that; a stall
-  /// observed by a proxy is a hint to go look, not a verdict (the
-  /// paper's monitoring-bug warning applies to dataplane inference
-  /// exactly as it does to scraped counters).
-  void note_upstream_timeout(const std::string& id);
 
   std::vector<MachineProbeState> states() const;
   std::optional<MachineProbeState> state_of(const std::string& id) const;
@@ -177,9 +165,6 @@ class ProbeSuite {
 
   std::thread thread_;
   std::atomic<bool> running_{false};
-  /// Set by note_upstream_timeout: the background loop skips the rest
-  /// of its interval sleep and probes now.
-  std::atomic<bool> kick_{false};
 };
 
 }  // namespace akadns::fleet

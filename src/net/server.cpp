@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <unordered_map>
+#include <utility>
 
 #include "defense/filter_chain.hpp"
 #include "dns/wire.hpp"
@@ -26,14 +27,20 @@ using Clock = std::chrono::steady_clock;
 struct Conn {
   FdHandle fd;
   Endpoint peer;
+  /// Tells this connection from a later one on the same fd: a queued
+  /// answer's route names both, so it never reaches the wrong client.
+  std::uint32_t generation = 0;
   FrameDecoder decoder;
   /// Length-framed responses not yet accepted by the kernel.
   std::vector<std::uint8_t> out;
-  std::size_t out_off = 0;
   /// Response scratch reused across this connection's queries.
   std::vector<std::uint8_t> scratch;
-  bool closing = false;     // flush `out`, then close
-  bool want_write = false;  // EPOLLOUT currently registered
+  /// Queries in the penalty queues whose answers this connection is owed.
+  std::size_t queued = 0;
+  bool closing = false;  // flush `out` and the queued answers, then close
+  /// Not read or decoded until `out` drains (backpressure).
+  bool paused = false;
+  std::uint32_t events = EPOLLIN;  // epoll interest currently registered
   /// Last time bytes actually moved on this connection (the idle
   /// reaper's clock — a peer merely holding the socket open never
   /// advances it).
@@ -81,7 +88,8 @@ struct Server::Worker {
             cfg.transfer),
         clock(epoch_tp),
         engine(worker_engine_config(cfg), clock),
-        queue_path(cfg.defense.enabled || cfg.defense.compute_qps > 0.0) {
+        queue_path(cfg.defense.enabled || cfg.defense.compute_qps > 0.0),
+        output_bound(cfg.tcp_max_frame + 2) {
     if (cfg.defense.enabled) {
       // Content-based chain: the NXDOMAIN filter discriminates by what
       // is asked, so it works even when all traffic shares a few source
@@ -132,9 +140,14 @@ struct Server::Worker {
   /// metering requested without filters). Off: the inline fast path
   /// answers straight out of the receive batch.
   const bool queue_path;
+  /// Unsent TCP output past which a connection is paused: one maximum
+  /// frame, so a client that pipelines without reading pins at most
+  /// about that much of the worker's memory (RFC 7766 §6.2.1.1).
+  const std::size_t output_bound;
 
   FdHandle epoll;
   std::unordered_map<int, std::unique_ptr<Conn>> conns;
+  std::uint32_t conn_generation = 0;
   std::vector<std::uint8_t> tcp_read_buf = std::vector<std::uint8_t>(64 * 1024);
 
   /// Absorbs every queued zone update into the replica (worker thread
@@ -155,6 +168,9 @@ struct Server::Worker {
   void reap_idle_conns(Clock::time_point now_tp);
 
   void run();
+  bool query(std::span<const std::uint8_t> wire, const Endpoint& peer, Conn* conn,
+             std::vector<std::uint8_t>& out);
+  bool malformed(Conn* conn);
   bool drain_udp(bool draining);
   void process_backlog();
   void drain_backlog();
@@ -163,8 +179,9 @@ struct Server::Worker {
   void accept_loop();
   void handle_conn(int fd, std::uint32_t events);
   void process_frames(Conn& conn);
+  void frame_onto(Conn& conn, std::span<const std::uint8_t> answer);
   void flush_conn(Conn& conn);
-  void set_want_write(Conn& conn, bool want);
+  void rearm(Conn& conn);
   void close_conn(int fd);
   bool any_pending_output() const;
 };
@@ -200,6 +217,85 @@ void Server::Worker::reap_idle_conns(Clock::time_point now_tp) {
   }
 }
 
+/// No parseable header/question: nothing to answer, nothing to amplify.
+/// A datagram is dropped; a frame is a protocol error that closes its
+/// connection rather than guess (RFC 7766 §8).
+bool Server::Worker::malformed(Conn* conn) {
+  if (!conn) {
+    ++stats.udp_malformed;
+    return false;
+  }
+  ++stats.tcp_protocol_errors;
+  conn->closing = true;
+  return false;
+}
+
+/// The one query path of both transports (`conn` null: a UDP datagram
+/// from `peer`). True when `out` holds an answer to send now; false when
+/// the query was dropped, queued, or answered as a framed transfer.
+bool Server::Worker::query(std::span<const std::uint8_t> wire, const Endpoint& peer, Conn* conn,
+                           std::vector<std::uint8_t>& out) {
+  auto view = dns::decode_query_view(wire);
+  if (!view) return malformed(conn);
+  if (conn) ++stats.tcp_queries;
+  // NOTIFY (RFC 1996) over UDP: a primary telling us a zone moved. Ack it
+  // and kick the refresh path — never the responder (it is not a query).
+  if (!conn && view.value().header.opcode == dns::Opcode::Notify) {
+    auto notify = dns::decode(wire);
+    if (!notify || !propagation::TransferService::is_notify(notify.value())) {
+      return malformed(conn);
+    }
+    ++stats.udp_notifies;
+    out = dns::encode(propagation::TransferService::make_notify_ack(notify.value()));
+    if (config.on_notify) config.on_notify(notify.value().question().name);
+    return true;
+  }
+  // Zone transfers over TCP (AXFR/IXFR) answer from the replica + the
+  // publisher's journal; they need the full message (IXFR carries the
+  // client's SOA in the authority section), so this path pays for a
+  // complete decode — transfers are rare control-plane traffic.
+  const dns::RecordType qtype = view.value().question.qtype;
+  if (conn && (qtype == dns::RecordType::AXFR || qtype == dns::RecordType::IXFR)) {
+    auto transfer = dns::decode(wire);
+    if (!transfer) return malformed(conn);
+    ++stats.tcp_transfers;
+    for (const auto& response : xfr.serve(transfer.value())) {
+      frame_onto(*conn, dns::encode(response, {.max_size = dns::kMaxMessageSize}));
+    }
+    return false;
+  }
+  // Query-of-death firewall ahead of everything else (§4.2.4): matching
+  // queries are dropped before they reach the responder, on either
+  // transport and either path, and counted as a Firewall drop in the
+  // engine's defense stats. An empty rule table is not consulted.
+  if (!engine.firewall().rules().empty() && engine.firewall_drops(0, view.value().question)) {
+    return false;
+  }
+  // Serve-stale ladder: an expired zone is withdrawn here, at admission —
+  // a penalty-queued query must not be answered from a zone that expired
+  // while it waited.
+  if (fresh_gated() && freshness_refuses(view.value().question.name)) {
+    out = refused_response(view.value());
+    return true;
+  }
+  const server::ReplyRoute route =
+      conn ? server::ReplyRoute{static_cast<std::uint32_t>(conn->fd.get()), conn->generation}
+           : server::ReplyRoute{};
+  if (!queue_path) {
+    core.responder().respond_view_into(wire, view.value(), peer, clock.now(), out,
+                                       route.wire_size_limit());
+    return true;
+  }
+  // Defense path: the lane core scores the query and copies it into the
+  // penalty queues (the engine counts a ScoreDiscard / QueueFull shed).
+  // recvmmsg does not surface the IP TTL here, so every query carries
+  // the common initial TTL of 64.
+  const auto outcome = core.admit(engine, 0, wire, std::move(view).value(), peer, 64,
+                                  clock.now(), nullptr, route);
+  if (conn && outcome == filters::EnqueueOutcome::Enqueued) ++conn->queued;
+  return false;
+}
+
 bool Server::Worker::drain_udp(bool draining) {
   const int fd = udp.fd();
   bool saw_data = false;
@@ -210,61 +306,13 @@ bool Server::Worker::drain_udp(bool draining) {
     ++stats.udp_batches;
     stats.udp_packets += static_cast<std::uint64_t>(n);
     if (draining) stats.drain_flushed += static_cast<std::uint64_t>(n);
-    // Rule-table lookups only cost anything when rules exist; an empty
-    // table is bypassed (nothing could match, so no drop is miscounted).
-    const bool check_firewall = !engine.firewall().rules().empty();
-    const bool gated = fresh_gated();
     std::size_t want = 0;
-    for (int i = 0; i < n; ++i) {
-      const auto wire = batch.packet(static_cast<std::size_t>(i));
-      auto view = dns::decode_query_view(wire);
-      if (!view) {
-        // No parseable header/question: nothing to answer, nothing to
-        // amplify. The empty response slot makes send() skip it.
-        ++stats.udp_malformed;
-        continue;
-      }
-      // NOTIFY (RFC 1996): a primary telling us a zone moved. Ack it and
-      // kick the refresh path — never the responder (it is not a query).
-      if (view.value().header.opcode == dns::Opcode::Notify) {
-        auto notify = dns::decode(wire);
-        if (!notify || !propagation::TransferService::is_notify(notify.value())) {
-          ++stats.udp_malformed;
-          continue;
-        }
-        ++stats.udp_notifies;
-        batch.response(static_cast<std::size_t>(i)) =
-            dns::encode(propagation::TransferService::make_notify_ack(notify.value()));
+    for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
+      // An empty response slot makes send() skip the datagram.
+      if (query(batch.packet(i), endpoint_from_sockaddr(batch.source(i)), nullptr,
+                batch.response(i))) {
         ++want;
-        if (config.on_notify) config.on_notify(notify.value().question().name);
-        continue;
       }
-      // Query-of-death firewall ahead of everything else (§4.2.4):
-      // matching queries are dropped before they reach the responder, on
-      // the fast path and the defense path alike. Counted as a Firewall
-      // drop in the engine's defense stats.
-      if (check_firewall && engine.firewall_drops(0, view.value().question)) continue;
-      // Serve-stale ladder: an expired zone is withdrawn here, at
-      // admission, on the fast path and the defense path alike — a
-      // penalty-queued query must not be answered from a zone that
-      // expired while it waited.
-      if (gated && freshness_refuses(view.value().question.name)) {
-        batch.response(static_cast<std::size_t>(i)) = refused_response(view.value());
-        ++want;
-        continue;
-      }
-      const Endpoint client = endpoint_from_sockaddr(batch.source(static_cast<std::size_t>(i)));
-      if (!queue_path) {
-        core.responder().respond_view_into(wire, view.value(), client, clock.now(),
-                                           batch.response(static_cast<std::size_t>(i)));
-        ++want;
-        continue;
-      }
-      // Defense path: the lane core scores the query and copies it into
-      // the penalty queues (the engine counts a ScoreDiscard / QueueFull
-      // shed). recvmmsg does not surface the IP TTL here, so every
-      // query carries the common initial TTL of 64.
-      core.admit(engine, 0, wire, std::move(view).value(), client, 64, clock.now(), nullptr);
     }
     if (want > 0) {
       const std::size_t sent = batch.send(fd);
@@ -295,9 +343,9 @@ void Server::Worker::process_backlog() {
 }
 
 void Server::Worker::drain_backlog() {
-  // Final unmetered drain before the UDP socket closes: everything still
-  // queued was already admitted, so answer it rather than dropping it
-  // (the shed queries were already accounted at enqueue time).
+  // Unmetered drain while the worker shuts down: everything still queued
+  // was already admitted, so answer it rather than dropping it (the shed
+  // queries were already accounted at enqueue time).
   if (!engine.has_pending()) return;
   engine.begin_phase_unmetered(engine.pending());
   answer_released();
@@ -314,10 +362,27 @@ void Server::Worker::answer_released() {
 
 void Server::Worker::send_responses() {
   server::ResponseBatch& out = core.responses();
-  if (out.entries.empty()) return;
-  const std::size_t sent = batch.send(udp.fd(), out);
-  stats.udp_responses += sent;
-  stats.udp_send_failures += out.entries.size() - sent;
+  std::size_t udp_entries = 0;
+  for (const auto& entry : out.entries) {
+    if (!entry.route.tcp()) {
+      ++udp_entries;
+      continue;
+    }
+    const auto it = conns.find(static_cast<int>(entry.route.conn));
+    if (it == conns.end() || it->second->generation != entry.route.generation) {
+      ++stats.tcp_closed_drops;  // the connection closed while the query waited
+      continue;
+    }
+    Conn& conn = *it->second;
+    --conn.queued;
+    frame_onto(conn, out.wire(entry));
+    rearm(conn);
+  }
+  if (udp_entries > 0) {
+    const std::size_t sent = batch.send(udp.fd(), out);
+    stats.udp_responses += sent;
+    stats.udp_send_failures += udp_entries - sent;
+  }
   out.clear();
 }
 
@@ -332,6 +397,7 @@ void Server::Worker::accept_loop() {
     }
     auto conn = std::make_unique<Conn>();
     conn->peer = endpoint_from_sockaddr(peer_addr);
+    conn->generation = ++conn_generation;
     conn->decoder = FrameDecoder(config.tcp_max_frame);
     conn->last_active = Clock::now();
     const int fd = conn_fd.get();
@@ -345,54 +411,31 @@ void Server::Worker::accept_loop() {
   }
 }
 
+void Server::Worker::frame_onto(Conn& conn, std::span<const std::uint8_t> answer) {
+  const auto prefix = frame_prefix(answer.size());
+  conn.out.insert(conn.out.end(), prefix.begin(), prefix.end());
+  conn.out.insert(conn.out.end(), answer.begin(), answer.end());
+  ++stats.tcp_responses;
+}
+
 void Server::Worker::process_frames(Conn& conn) {
-  while (auto frame = conn.decoder.next()) {
-    ++stats.tcp_queries;
-    auto view = dns::decode_query_view(*frame);
-    if (!view) {
-      // A framed payload that is not even a DNS header is a protocol
-      // error; drop the connection rather than guess (RFC 7766 §8).
-      ++stats.tcp_protocol_errors;
-      conn.closing = true;
-      conn.decoder = FrameDecoder(0);  // stop consuming further frames
-      break;
-    }
-    // Zone transfers (AXFR/IXFR) answer from the replica + the
-    // publisher's journal; they need the full message (IXFR carries the
-    // client's SOA in the authority section), so this path pays for a
-    // complete decode — transfers are rare control-plane traffic.
-    const dns::RecordType qtype = view.value().question.qtype;
-    if (qtype == dns::RecordType::AXFR || qtype == dns::RecordType::IXFR) {
-      auto query = dns::decode(*frame);
-      if (!query) {
-        ++stats.tcp_protocol_errors;
-        conn.closing = true;
-        conn.decoder = FrameDecoder(0);
-        break;
-      }
-      ++stats.tcp_transfers;
-      for (const auto& response : xfr.serve(query.value())) {
-        const auto bytes = dns::encode(response, {.max_size = dns::kMaxMessageSize});
-        const auto prefix = frame_prefix(bytes.size());
-        conn.out.insert(conn.out.end(), prefix.begin(), prefix.end());
-        conn.out.insert(conn.out.end(), bytes.begin(), bytes.end());
-        ++stats.tcp_responses;
+  while (!conn.closing) {
+    // Past the bound, push output to the kernel first. If it takes too
+    // little, the client is not reading: stop reading and decoding it
+    // until its output drains (RFC 7766 §6.2.1.1), so it pins about one
+    // frame of the worker's memory.
+    if (conn.out.size() > output_bound) {
+      flush_conn(conn);
+      if (conn.out.size() > output_bound) {
+        conn.paused = true;
+        ++stats.tcp_read_paused;
+        return;
       }
       continue;
     }
-    // Serve-stale ladder, same verdict as the UDP path.
-    if (fresh_gated() && freshness_refuses(view.value().question.name)) {
-      conn.scratch = refused_response(view.value());
-    } else {
-      // TCP responses are never truncated and never touch the UDP-keyed
-      // answer cache: the full message limit is the transport ceiling.
-      core.responder().respond_view_into(*frame, view.value(), conn.peer, clock.now(),
-                                         conn.scratch, dns::kMaxMessageSize);
-    }
-    const auto prefix = frame_prefix(conn.scratch.size());
-    conn.out.insert(conn.out.end(), prefix.begin(), prefix.end());
-    conn.out.insert(conn.out.end(), conn.scratch.begin(), conn.scratch.end());
-    ++stats.tcp_responses;
+    const auto frame = conn.decoder.next();
+    if (!frame) break;
+    if (query(*frame, conn.peer, &conn, conn.scratch)) frame_onto(conn, conn.scratch);
   }
   if (conn.decoder.poisoned() && !conn.closing) {
     ++stats.tcp_protocol_errors;
@@ -400,36 +443,37 @@ void Server::Worker::process_frames(Conn& conn) {
   }
 }
 
-void Server::Worker::set_want_write(Conn& conn, bool want) {
-  if (conn.want_write == want) return;
-  epoll_event ev{};
-  ev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
-  ev.data.fd = conn.fd.get();
-  ::epoll_ctl(epoll.get(), EPOLL_CTL_MOD, conn.fd.get(), &ev);
-  conn.want_write = want;
-}
-
 void Server::Worker::flush_conn(Conn& conn) {
-  while (conn.out_off < conn.out.size()) {
-    const ssize_t n = ::write(conn.fd.get(), conn.out.data() + conn.out_off,
-                              conn.out.size() - conn.out_off);
+  std::size_t sent = 0;
+  while (sent < conn.out.size()) {
+    const ssize_t n = ::write(conn.fd.get(), conn.out.data() + sent, conn.out.size() - sent);
     if (n > 0) {
       conn.last_active = Clock::now();
-      conn.out_off += static_cast<std::size_t>(n);
+      sent += static_cast<std::size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      set_want_write(conn, true);
-      return;
-    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     // Peer vanished mid-write: nothing left to flush.
     conn.closing = true;
-    break;
+    sent = conn.out.size();
   }
-  conn.out.clear();
-  conn.out_off = 0;
-  set_want_write(conn, false);
+  conn.out.erase(conn.out.begin(), conn.out.begin() + static_cast<std::ptrdiff_t>(sent));
+  if (conn.out.empty()) conn.paused = false;
+}
+
+void Server::Worker::rearm(Conn& conn) {
+  // Readable interest only while the connection is read; writable only
+  // while output waits. A closing connection waiting on queued answers
+  // registers neither (EPOLLHUP/EPOLLERR are reported regardless).
+  const std::uint32_t want = (conn.closing || conn.paused ? 0u : EPOLLIN) |
+                             (conn.out.empty() ? 0u : EPOLLOUT);
+  if (want == conn.events) return;
+  epoll_event ev{};
+  ev.events = want;
+  ev.data.fd = conn.fd.get();
+  ::epoll_ctl(epoll.get(), EPOLL_CTL_MOD, conn.fd.get(), &ev);
+  conn.events = want;
 }
 
 void Server::Worker::close_conn(int fd) {
@@ -444,31 +488,34 @@ void Server::Worker::handle_conn(int fd, std::uint32_t events) {
     close_conn(fd);
     return;
   }
-  if (events & EPOLLIN) {
-    while (true) {
-      const ssize_t n = ::read(fd, tcp_read_buf.data(), tcp_read_buf.size());
-      if (n > 0) {
-        conn.last_active = Clock::now();
-        conn.decoder.feed({tcp_read_buf.data(), static_cast<std::size_t>(n)});
-        process_frames(conn);
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      // EOF or hard error. A clean EOF at a frame boundary just means
-      // the client is done; mid-frame it abandoned a query — either way
-      // flush what we owe and close.
-      conn.closing = true;
-      break;
+  if (events & EPOLLOUT) flush_conn(conn);  // unpauses once drained
+  if (!conn.paused) process_frames(conn);  // frames a pause left buffered
+  while ((events & EPOLLIN) && !conn.closing && !conn.paused) {
+    const ssize_t n = ::read(fd, tcp_read_buf.data(), tcp_read_buf.size());
+    if (n > 0) {
+      conn.last_active = Clock::now();
+      conn.decoder.feed({tcp_read_buf.data(), static_cast<std::size_t>(n)});
+      process_frames(conn);
+      continue;
     }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    // EOF or hard error. A clean EOF at a frame boundary just means
+    // the client is done; mid-frame it abandoned a query — either way
+    // flush what we owe and close.
+    conn.closing = true;
   }
-  if ((events & EPOLLOUT) || !conn.out.empty()) flush_conn(conn);
-  if (conn.closing && conn.out_off >= conn.out.size()) close_conn(fd);
+  flush_conn(conn);
+  if (conn.closing && conn.out.empty() && conn.queued == 0) {
+    close_conn(fd);
+    return;
+  }
+  rearm(conn);
 }
 
 bool Server::Worker::any_pending_output() const {
   for (const auto& [fd, conn] : conns) {
-    if (conn->out_off < conn->out.size()) return true;
+    if (!conn->out.empty()) return true;
   }
   return false;
 }
@@ -545,7 +592,10 @@ void Server::Worker::run() {
         handle_conn(fd, ev);
       }
     }
-    if (!draining && queue_path) process_backlog();
+    // Queued queries are released each wakeup: metered while serving,
+    // all of them while draining (TCP queries still arrive until the
+    // connections' output is flushed).
+    if (queue_path) draining ? drain_backlog() : process_backlog();
     if (!draining && reap_idle && !conns.empty()) {
       const auto now_tp = Clock::now();
       if (now_tp >= next_idle_sweep) {
@@ -689,32 +739,30 @@ void Server::stop() {
   stopped_ = true;
 }
 
-void FrontendStats::register_into(obs::MetricRegistry& reg,
-                                  const obs::LabelSet& base) const {
-  const auto event = [&](const char* name, const obs::Counter& c) {
-    reg.counter("akadns_frontend_total", obs::with(base, "event", name), c,
-                "socket-frontend I/O events");
-  };
-  event("udp_packets", udp_packets);
-  event("udp_responses", udp_responses);
-  event("udp_malformed", udp_malformed);
-  event("udp_send_failures", udp_send_failures);
-  event("udp_batches", udp_batches);
-  event("tcp_accepted", tcp_accepted);
-  event("tcp_rejected", tcp_rejected);
-  event("tcp_queries", tcp_queries);
-  event("tcp_responses", tcp_responses);
-  event("tcp_protocol_errors", tcp_protocol_errors);
-  event("drain_flushed", drain_flushed);
-  event("udp_notifies", udp_notifies);
-  event("tcp_transfers", tcp_transfers);
-  event("zone_update_wakes", zone_update_wakes);
-  event("tcp_idle_reaped", tcp_idle_reaped);
-  event("stale_served", stale_served);
-  event("expired_refused", expired_refused);
-}
-
 namespace {
+
+/// Every FrontendStats counter with its akadns_frontend_total event label.
+constexpr std::pair<const char*, obs::Counter FrontendStats::*> kFrontendEvents[] = {
+    {"udp_packets", &FrontendStats::udp_packets},
+    {"udp_responses", &FrontendStats::udp_responses},
+    {"udp_malformed", &FrontendStats::udp_malformed},
+    {"udp_send_failures", &FrontendStats::udp_send_failures},
+    {"udp_batches", &FrontendStats::udp_batches},
+    {"tcp_accepted", &FrontendStats::tcp_accepted},
+    {"tcp_rejected", &FrontendStats::tcp_rejected},
+    {"tcp_queries", &FrontendStats::tcp_queries},
+    {"tcp_responses", &FrontendStats::tcp_responses},
+    {"tcp_protocol_errors", &FrontendStats::tcp_protocol_errors},
+    {"tcp_closed_drops", &FrontendStats::tcp_closed_drops},
+    {"tcp_read_paused", &FrontendStats::tcp_read_paused},
+    {"drain_flushed", &FrontendStats::drain_flushed},
+    {"udp_notifies", &FrontendStats::udp_notifies},
+    {"tcp_transfers", &FrontendStats::tcp_transfers},
+    {"zone_update_wakes", &FrontendStats::zone_update_wakes},
+    {"tcp_idle_reaped", &FrontendStats::tcp_idle_reaped},
+    {"stale_served", &FrontendStats::stale_served},
+    {"expired_refused", &FrontendStats::expired_refused},
+};
 
 std::uint64_t event_sum(const obs::MetricsSnapshot& snap, const char* family,
                         const char* key, std::string value,
@@ -724,31 +772,21 @@ std::uint64_t event_sum(const obs::MetricsSnapshot& snap, const char* family,
 
 }  // namespace
 
+void FrontendStats::register_into(obs::MetricRegistry& reg,
+                                  const obs::LabelSet& base) const {
+  for (const auto& [name, counter] : kFrontendEvents) {
+    reg.counter("akadns_frontend_total", obs::with(base, "event", name), this->*counter,
+                "socket-frontend I/O events");
+  }
+}
+
 ServerStats render_server_stats(const obs::MetricsSnapshot& snap, std::size_t workers,
                                 bool defense_enabled) {
   ServerStats out;
   out.defense_enabled = defense_enabled;
-  const auto frontend_event = [&](const char* name, const obs::LabelSet& extra = {}) {
-    return event_sum(snap, "akadns_frontend_total", "event", name, extra);
-  };
-  auto& f = out.frontend;
-  f.udp_packets = frontend_event("udp_packets");
-  f.udp_responses = frontend_event("udp_responses");
-  f.udp_malformed = frontend_event("udp_malformed");
-  f.udp_send_failures = frontend_event("udp_send_failures");
-  f.udp_batches = frontend_event("udp_batches");
-  f.tcp_accepted = frontend_event("tcp_accepted");
-  f.tcp_rejected = frontend_event("tcp_rejected");
-  f.tcp_queries = frontend_event("tcp_queries");
-  f.tcp_responses = frontend_event("tcp_responses");
-  f.tcp_protocol_errors = frontend_event("tcp_protocol_errors");
-  f.drain_flushed = frontend_event("drain_flushed");
-  f.udp_notifies = frontend_event("udp_notifies");
-  f.tcp_transfers = frontend_event("tcp_transfers");
-  f.zone_update_wakes = frontend_event("zone_update_wakes");
-  f.tcp_idle_reaped = frontend_event("tcp_idle_reaped");
-  f.stale_served = frontend_event("stale_served");
-  f.expired_refused = frontend_event("expired_refused");
+  for (const auto& [name, counter] : kFrontendEvents) {
+    out.frontend.*counter = event_sum(snap, "akadns_frontend_total", "event", name);
+  }
 
   auto& r = out.responder;
   r.responses = snap.sum("akadns_responses_total");

@@ -7,15 +7,21 @@
 // realization of a lane: each owns a server::LaneCore (responder with
 // its answer cache, buffer pool, response batch), its own receive batch
 // and its own statistics, and no query ever crosses a worker boundary.
-// The datapath is the sim's: decode_query_view once, then either
-// respond_view_into straight into the receive batch's reply slots (zero
-// per-query heap allocation on the UDP hot path) or, on the defense
-// path, the lane core's admit and answer that the sim's lanes run too.
 //
 // UDP moves through recvmmsg/sendmmsg in batches; TCP (the truncation
 // fallback — clients retry over TCP when a response comes back TC) is a
 // per-worker SO_REUSEPORT listener with RFC 1035 two-byte length
-// framing, pipelining supported, responses never truncated.
+// framing, pipelining supported, responses never truncated. Both feed
+// one query path: decode_query_view once, the NOTIFY (UDP) or transfer
+// (TCP) hand-off, the query-of-death firewall, the freshness ladder,
+// then either respond_view_into straight into the reply buffer (on the
+// UDP path the answer allocates nothing per query; the decoded qname
+// still allocates its labels) or, on the defense path, the lane core's
+// admit and answer that the sim's lanes run too.
+// A queued query carries its reply route, so a released answer goes
+// back as a datagram or as a frame onto its still-open connection. A
+// connection whose unsent output passes one maximum frame is not read
+// again until that output drains.
 //
 // Graceful drain: stop() (or the daemon's SIGTERM handler) makes every
 // worker close its TCP listener, take one final sweep of datagrams
@@ -90,6 +96,8 @@ struct ServeConfig {
   int udp_rcvbuf = 1 << 22;
   int udp_sndbuf = 1 << 22;
   /// TCP frames larger than this poison the connection (RFC 7766 §8).
+  /// One such frame with its prefix is also the unsent output past which
+  /// a connection stops being read until that output drains.
   std::size_t tcp_max_frame = 65535;
   /// Established connections a worker will hold; accepts beyond this are
   /// closed immediately (backpressure against connection floods).
@@ -129,9 +137,11 @@ struct FrontendStats {
   obs::Counter udp_batches;     // recvmmsg calls that returned data
   obs::Counter tcp_accepted;
   obs::Counter tcp_rejected;    // over the connection cap
-  obs::Counter tcp_queries;     // complete frames decoded
-  obs::Counter tcp_responses;
+  obs::Counter tcp_queries;     // frames decoded as queries
+  obs::Counter tcp_responses;   // answers framed onto a connection
   obs::Counter tcp_protocol_errors;  // framing violations / bad frames
+  obs::Counter tcp_closed_drops;  // released answers whose connection had closed
+  obs::Counter tcp_read_paused;   // reads paused: unsent output past one frame
   obs::Counter drain_flushed;   // UDP datagrams answered during drain
   obs::Counter udp_notifies;    // NOTIFY messages acknowledged
   obs::Counter tcp_transfers;   // AXFR/IXFR queries answered

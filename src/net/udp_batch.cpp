@@ -3,7 +3,6 @@
 #include <netinet/in.h>
 #include <poll.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -73,18 +72,18 @@ std::size_t UdpBatch::send(int fd) noexcept {
 }
 
 std::size_t UdpBatch::send(int fd, const server::ResponseBatch& responses) noexcept {
-  const auto& entries = responses.entries;
   std::size_t sent = 0;
-  for (std::size_t first = 0; first < entries.size(); first += tx_hdrs_.size()) {
-    const std::size_t count = std::min(tx_hdrs_.size(), entries.size() - first);
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto& entry = entries[first + i];
-      fill_tx(i, responses.wire(entry), tx_addrs_[i],
-              sockaddr_from_endpoint(entry.dst, tx_addrs_[i]));
+  std::size_t count = 0;
+  for (const auto& entry : responses.entries) {
+    if (entry.route.tcp()) continue;  // framed onto its connection instead
+    fill_tx(count, responses.wire(entry), tx_addrs_[count],
+            sockaddr_from_endpoint(entry.dst, tx_addrs_[count]));
+    if (++count == tx_hdrs_.size()) {
+      sent += send_tx(fd, count);
+      count = 0;
     }
-    sent += send_tx(fd, count);
   }
-  return sent;
+  return sent + send_tx(fd, count);
 }
 
 void UdpBatch::fill_tx(std::size_t i, std::span<const std::uint8_t> wire, sockaddr_storage& addr,

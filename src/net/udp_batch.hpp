@@ -57,7 +57,8 @@ class UdpBatch {
   std::size_t send(int fd) noexcept;
 
   /// Like send(fd), for responses to queries whose receive batch is gone
-  /// (the penalty-queue path), each to its recorded destination.
+  /// (the penalty-queue path), each to its recorded destination. Entries
+  /// routed to a TCP connection are skipped.
   std::size_t send(int fd, const server::ResponseBatch& responses) noexcept;
 
  private:

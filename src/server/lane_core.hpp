@@ -6,11 +6,13 @@
 //   admit():  score → pooled copy (a queued query outlives the receive
 //             buffer) → penalty-queue placement;
 //   answer(): respond → fan the rcode back to the filters → buffer the
-//             response until the transport flushes it.
-// The transport gates ahead of admission (liveness, I/O admission,
-// decode, firewall, NOTIFY, freshness) stay with each transport. The
-// core counts nothing: the engine's DefenseLaneStats is the one count of
-// what the engine decides.
+//             response, with its reply route, until the transport
+//             flushes it.
+// The gates ahead of admission stay with each transport: the sim's
+// (liveness, I/O admission, parse, firewall) and the sockets' one list
+// for UDP and TCP alike (decode, NOTIFY/transfer hand-off, firewall,
+// freshness). The core counts nothing: the engine's DefenseLaneStats is
+// the one count of what the engine decides.
 #pragma once
 
 #include <memory>
@@ -30,14 +32,15 @@ namespace akadns::server {
 struct ResponseBatch {
   struct Entry {
     Endpoint dst;
+    ReplyRoute route;
     std::size_t offset = 0;
     std::size_t len = 0;
   };
   std::vector<std::uint8_t> bytes;
   std::vector<Entry> entries;
 
-  void append(const Endpoint& dst, std::span<const std::uint8_t> wire) {
-    entries.push_back({dst, bytes.size(), wire.size()});
+  void append(const Endpoint& dst, ReplyRoute route, std::span<const std::uint8_t> wire) {
+    entries.push_back({dst, route, bytes.size(), wire.size()});
     bytes.insert(bytes.end(), wire.begin(), wire.end());
   }
   std::span<const std::uint8_t> wire(const Entry& e) const noexcept {
@@ -55,14 +58,17 @@ class LaneCore {
 
   explicit LaneCore(const zone::ZoneStore& store, ResponderConfig config = {});
 
-  /// Admits a decoded query into engine lane `lane`. A non-null
-  /// `telemetry` times the scoring as Stage::Score.
-  void admit(Engine& engine, std::size_t lane, std::span<const std::uint8_t> wire,
-             dns::QueryView view, const Endpoint& source, std::uint8_t ip_ttl,
-             Timepoint arrival, DatapathTelemetry* telemetry);
+  /// Admits a decoded query into engine lane `lane`; its answer will
+  /// take `route`. A non-null `telemetry` times the scoring as
+  /// Stage::Score.
+  filters::EnqueueOutcome admit(Engine& engine, std::size_t lane,
+                                std::span<const std::uint8_t> wire, dns::QueryView view,
+                                const Endpoint& source, std::uint8_t ip_ttl, Timepoint arrival,
+                                DatapathTelemetry* telemetry, ReplyRoute route = {});
 
-  /// Answers a query the engine released from `lane` into responses().
-  /// A non-null `telemetry` times the respond as Stage::Resolve.
+  /// Answers a query the engine released from `lane` into responses(),
+  /// shaped for its route's transport. A non-null `telemetry` times the
+  /// respond as Stage::Resolve.
   void answer(Engine& engine, std::size_t lane, QueryContext& item, SimTime now,
               DatapathTelemetry* telemetry);
 

@@ -2,23 +2,102 @@
 // engine on must keep legitimate self-play traffic flowing while a
 // random-subdomain flood sharing the same sockets is classified and
 // shed. This is the real-socket rendition of the sim's §4.3.3 attack
-// integration test — same filters, wall clock, kernel in the loop.
+// integration test — same filters, wall clock, kernel in the loop. TCP
+// takes the same gates: the firewall, the scoring pipeline, and a bound
+// on what a client that never reads can make a worker hold.
 //
 // Assertions are deliberately scale-free (class goodput ORDERING plus
 // nonzero shed counters, not absolute rates) so the test holds under
 // sanitizers and loaded CI machines.
 
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "dns/wire.hpp"
 #include "net/loadgen.hpp"
 #include "net/server.hpp"
+#include "net/tcp_framing.hpp"
 #include "workload/population.hpp"
 #include "workload/replay.hpp"
 #include "workload/zones.hpp"
+#include "zone/zone_builder.hpp"
 
 namespace akadns::net {
 namespace {
+
+using Steady = std::chrono::steady_clock;
+
+/// A TCP client that frames queries and reads framed answers.
+struct TcpClient {
+  FdHandle fd;
+  FrameDecoder decoder;
+
+  explicit TcpClient(std::uint16_t port, int rcvbuf = 0)
+      : fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0)) {
+    if (rcvbuf > 0) ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    sockaddr_storage dst{};
+    const socklen_t len =
+        sockaddr_from_endpoint(Endpoint{IpAddr(Ipv4Addr(127, 0, 0, 1)), port}, dst);
+    EXPECT_EQ(::connect(fd.get(), reinterpret_cast<const sockaddr*>(&dst), len), 0);
+  }
+
+  void send(const std::vector<std::uint8_t>& wire) {
+    const auto prefix = frame_prefix(wire.size());
+    std::vector<std::uint8_t> framed(prefix.begin(), prefix.end());
+    framed.insert(framed.end(), wire.begin(), wire.end());
+    EXPECT_EQ(::send(fd.get(), framed.data(), framed.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(framed.size()));
+  }
+
+  /// True when one whole answer arrives within `timeout_ms`.
+  bool answered(int timeout_ms) {
+    const auto deadline = Steady::now() + std::chrono::milliseconds(timeout_ms);
+    while (!decoder.next()) {
+      const auto left =
+          std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Steady::now());
+      pollfd pfd{fd.get(), POLLIN, 0};
+      if (left.count() <= 0 || ::poll(&pfd, 1, static_cast<int>(left.count())) != 1) {
+        return false;
+      }
+      std::uint8_t buf[4096];
+      const ssize_t n = ::recv(fd.get(), buf, sizeof(buf), 0);
+      if (n <= 0) return false;
+      decoder.feed({buf, static_cast<std::size_t>(n)});
+    }
+    return true;
+  }
+};
+
+std::uint64_t frontend_event(const Server& server, const char* event) {
+  return server.metrics_snapshot().sum("akadns_frontend_total",
+                                       obs::labels({{"event", event}}));
+}
+
+std::uint64_t defense_drops(const Server& server, const char* reason) {
+  return server.metrics_snapshot().sum("akadns_defense_drops_total",
+                                       obs::labels({{"reason", reason}}));
+}
+
+std::vector<std::uint8_t> query(const std::string& name, std::uint16_t id) {
+  return dns::encode(dns::make_query(id, dns::DnsName::from(name), dns::RecordType::A));
+}
+
+zone::ZoneStore example_store() {
+  zone::ZoneStore store;
+  store.publish(zone::ZoneBuilder("example.com", 1)
+                    .ns("@", "ns1.example.com")
+                    .a("ns1", "10.0.0.1")
+                    .a("www", "93.184.216.34")
+                    .build());
+  return store;
+}
 
 TEST(NetDefenseShed, LegitGoodputSurvivesRandomSubdomainFlood) {
   workload::HostedZonesConfig zc;
@@ -118,14 +197,113 @@ TEST(NetDefenseShed, QueryOfDeathRulesDropOnTheReceivePath) {
 
   Loadgen loadgen(lg, corpus, {});
   const auto report = loadgen.run();
+
+  // The same query over TCP meets the same rule: no answer, one more
+  // Firewall drop.
+  const std::uint64_t udp_firewalled = defense_drops(server, "firewall");
+  TcpClient tcp(server.tcp_port());
+  tcp.send(first.wire);
+  EXPECT_FALSE(tcp.answered(500)) << "firewalled name answered over TCP";
+  EXPECT_EQ(defense_drops(server, "firewall"), udp_firewalled + 1);
   server.stop();
 
   const auto stats = server.stats();
   EXPECT_EQ(stats.firewall_rules, 1u);
   // The firewalled name was queried (the corpus replays every entry at
   // least once) and silently dropped — visible only in defense drops.
-  EXPECT_GT(stats.defense.drops[DropReason::Firewall], 0u);
+  EXPECT_GT(udp_firewalled, 0u);
   EXPECT_EQ(report.received + report.dropped, report.sent);
+}
+
+TEST(NetDefenseShed, RandomSubdomainFloodOverTcpIsScoredAndShed) {
+  ServeConfig config;
+  config.port = 0;
+  config.workers = 1;
+  config.defense.enabled = true;
+  config.defense.nxdomain_threshold = 1;
+  config.defense.nxdomain_penalty = 200.0;  // >= S_max: discard outright
+
+  const zone::ZoneStore store = example_store();
+  Server server(config, store);
+  auto started = server.start();
+  ASSERT_TRUE(started) << started.error();
+
+  // The flood never touches UDP. Three sequential misses arm the zone
+  // (later ones may already be shed), then 20 probes arrive pipelined.
+  TcpClient tcp(server.tcp_port());
+  std::uint16_t id = 1;
+  for (int i = 0; i < 3; ++i) {
+    tcp.send(query("miss" + std::to_string(i) + ".example.com", ++id));
+    tcp.answered(250);
+  }
+  for (int i = 0; i < 20; ++i) tcp.send(query("probe" + std::to_string(i) + ".example.com", ++id));
+
+  // Every flood query is scored once the worker has decoded it.
+  const auto scored = [&] { return server.metrics_snapshot().sum("akadns_defense_scored_total"); };
+  const auto deadline = Steady::now() + std::chrono::seconds(5);
+  while (scored() < 23 && Steady::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(scored(), 23u);
+  EXPECT_GT(defense_drops(server, "score-discard"), 0u);
+  EXPECT_EQ(frontend_event(server, "udp_packets"), 0u);
+  server.stop();
+}
+
+TEST(NetDefenseShed, TcpClientThatNeverReadsStopsBeingDecoded) {
+  ServeConfig config;
+  config.port = 0;
+  config.workers = 1;
+  const zone::ZoneStore store = example_store();
+  Server server(config, store);
+  auto started = server.start();
+  ASSERT_TRUE(started) << started.error();
+
+  // Whole frames only, so the stream stays frame-aligned however much
+  // of the burst each send takes.
+  const auto wire = query("www.example.com", 7);
+  const std::size_t frame_len = wire.size() + 2;
+  std::vector<std::uint8_t> burst;
+  for (int i = 0; i < 1024; ++i) {
+    const auto prefix = frame_prefix(wire.size());
+    burst.insert(burst.end(), prefix.begin(), prefix.end());
+    burst.insert(burst.end(), wire.begin(), wire.end());
+  }
+  TcpClient tcp(server.tcp_port(), /*rcvbuf=*/4096);
+  std::size_t bytes_sent = 0;
+  const auto send_without_blocking = [&] {
+    for (ssize_t n = 1; n > 0;) {
+      const std::size_t off = bytes_sent % burst.size();
+      n = ::send(tcp.fd.get(), burst.data() + off, burst.size() - off,
+                 MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n > 0) bytes_sent += static_cast<std::size_t>(n);
+    }
+  };
+
+  // Pipeline without reading. The worker answers until it holds more
+  // than one frame of unsent output, then pauses the connection. Without
+  // that pause it would decode (and buffer answers for) all 8 MB.
+  constexpr std::size_t kCap = 8u << 20;
+  while (frontend_event(server, "tcp_read_paused") == 0 && bytes_sent < kCap) {
+    send_without_blocking();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(frontend_event(server, "tcp_read_paused"), 1u)
+      << "no pause after " << bytes_sent << " bytes of queries";
+
+  // Paused means not decoded: more frames wait in the kernel, and the
+  // decoded count stands still.
+  send_without_blocking();
+  const std::uint64_t decoded = frontend_event(server, "tcp_queries");
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(frontend_event(server, "tcp_queries"), decoded);
+  EXPECT_LT(decoded, bytes_sent / frame_len);
+
+  // Reading resumes it: every whole frame sent is answered.
+  std::size_t answers = 0;
+  while (answers < bytes_sent / frame_len && tcp.answered(2000)) ++answers;
+  EXPECT_EQ(answers, bytes_sent / frame_len);
+  server.stop();
 }
 
 }  // namespace

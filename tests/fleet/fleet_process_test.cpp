@@ -9,8 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,10 +39,10 @@ net::FdHandle connect_tcp(std::uint16_t port, int rcvbuf = 0) {
 bool accepts_connections(std::uint16_t port) { return connect_tcp(port).valid(); }
 
 /// A TCP client that pipelines queries (www.ent0.example A) and never
-/// reads the answers. The daemon reads them all; once the answers fill
-/// the kernel's send buffer (it grows to tcp_wmem's max) the rest stay
-/// owed in the daemon's own output buffer. Returns after the daemon has
-/// counted every answer, so the debt exists before anything else runs.
+/// reads the answers. The daemon answers until it holds more than one
+/// frame of unsent output for the connection, then stops reading it.
+/// Returns once /metrics counts that pause, so answers are owed, and stay
+/// owed, before anything else runs.
 net::FdHandle pipeline_unread_queries(const net::ReadyLine& ready) {
   static constexpr std::uint8_t kFramedQuery[] = {
       0x00, 0x22,                                      // frame length 34
@@ -52,37 +50,33 @@ net::FdHandle pipeline_unread_queries(const net::ReadyLine& ready) {
       0x00, 0x00, 0x00, 0x00,                          // an/ns/ar 0
       3, 'w', 'w', 'w', 4, 'e', 'n', 't', '0', 7, 'e', 'x', 'a', 'm', 'p', 'l', 'e', 0,
       0x00, 0x01, 0x00, 0x01};  // A, IN
-  std::size_t wmem_min = 0, wmem_default = 0, wmem_max = 4 << 20;
-  std::ifstream("/proc/sys/net/ipv4/tcp_wmem") >> wmem_min >> wmem_default >> wmem_max;
-  // Each framed answer is 52 bytes: the question plus one A record.
-  const std::size_t queries = (wmem_max + (2 << 20)) / 52;
   std::vector<std::uint8_t> burst;
-  for (std::size_t i = 0; i < queries; ++i) {
+  for (int i = 0; i < 1024; ++i) {
     burst.insert(burst.end(), std::begin(kFramedQuery), std::end(kFramedQuery));
   }
   net::FdHandle fd = connect_tcp(ready.tcp_port, /*rcvbuf=*/4096);
   EXPECT_TRUE(fd.valid());
-  for (std::size_t off = 0; off < burst.size();) {
-    const ssize_t n = ::send(fd.get(), burst.data() + off, burst.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      ADD_FAILURE() << "send: " << std::strerror(errno);
-      break;
-    }
-    off += static_cast<std::size_t>(n);
-  }
   const std::string url = "http://127.0.0.1:" + std::to_string(ready.stats_port) + "/metrics";
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  for (double answered = 0; answered < static_cast<double>(queries);) {
-    if (std::chrono::steady_clock::now() >= deadline) {
-      ADD_FAILURE() << "daemon answered " << answered << " of " << queries << " queries";
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::size_t off = 0;  // the stream stays frame-aligned: burst holds whole frames
+  while (true) {
     obs::HttpResponse response;
     std::string error;
-    if (!obs::http_get(url, &response, &error)) continue;
-    answered = obs::Exposition::parse(response.body)
-                   .sum("akadns_frontend_total", obs::labels({{"event", "tcp_responses"}}));
+    if (obs::http_get(url, &response, &error) &&
+        obs::Exposition::parse(response.body)
+                .sum("akadns_frontend_total", obs::labels({{"event", "tcp_read_paused"}})) >= 1) {
+      break;
+    }
+    if (std::chrono::steady_clock::now() >= deadline) {
+      ADD_FAILURE() << "the daemon never paused the unread connection";
+      break;
+    }
+    // Keep the daemon's receive queue topped up without blocking.
+    for (ssize_t n = 1; n > 0;) {
+      n = ::send(fd.get(), burst.data() + off, burst.size() - off, MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n > 0) off = (off + static_cast<std::size_t>(n)) % burst.size();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return fd;
 }
@@ -127,10 +121,11 @@ TEST(MachineProcess, SecondSigtermForcesImmediateExitCode3) {
 
   // Idempotent-but-escalating: the first SIGTERM begins the drain, an
   // impatient second one must not be swallowed — it forces _exit(3).
-  // A client that never reads its answers holds the drain open (for the
-  // daemon's 5 s drain deadline), and the second signal waits until the
-  // first is visibly acted on: the drain's first step closes the stats
-  // port. Neither signal can then land outside the drain.
+  // A client that never reads its answers holds the drain open (its
+  // paused connection keeps unsent output until the daemon's 5 s drain
+  // deadline), and the second signal waits until the first is visibly
+  // acted on: the drain's first step closes the stats port. Neither
+  // signal can then land outside the drain.
   const net::FdHandle hog = pipeline_unread_queries(ready);
   EXPECT_TRUE(machine.send_signal(SIGTERM));
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);

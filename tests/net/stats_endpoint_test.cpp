@@ -2,9 +2,10 @@
 // taken from a running server must (a) parse as text exposition, (b)
 // reconcile bit-for-bit with an in-process registry snapshot, and (c)
 // satisfy the packet-conservation invariant per worker once the traffic
-// quiesces — every datagram the kernel delivered is a response, a
-// malformed drop, a send failure, exactly one defense-drop reason, or
-// still sitting in a penalty queue. /healthz must report readiness.
+// quiesces — every datagram and every TCP query the kernel delivered is
+// a response, a malformed drop, a send failure, exactly one defense-drop
+// reason, or still sitting in a penalty queue. /healthz must report
+// readiness.
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -20,6 +21,7 @@
 
 #include "dns/wire.hpp"
 #include "net/server.hpp"
+#include "net/tcp_framing.hpp"
 #include "obs/exposition.hpp"
 #include "obs/stats_http.hpp"
 #include "zone/zone_builder.hpp"
@@ -74,24 +76,61 @@ struct Client {
   }
 };
 
+/// One TCP connection; its queries share the connection's worker.
+struct TcpClient {
+  int fd;
+  FrameDecoder decoder;
+  explicit TcpClient(std::uint16_t port) : fd(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_storage dst{};
+    const socklen_t len =
+        sockaddr_from_endpoint(Endpoint{IpAddr(kLoopback), port}, dst);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&dst), len), 0);
+  }
+  ~TcpClient() { ::close(fd); }
+
+  void send(const std::vector<std::uint8_t>& wire) {
+    const auto prefix = frame_prefix(wire.size());
+    std::vector<std::uint8_t> framed(prefix.begin(), prefix.end());
+    framed.insert(framed.end(), wire.begin(), wire.end());
+    EXPECT_EQ(::send(fd, framed.data(), framed.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(framed.size()));
+  }
+  /// Waits up to `timeout_ms` for one whole answer; false on timeout.
+  bool recv_one(int timeout_ms = 1000) {
+    while (!decoder.next()) {
+      pollfd pfd{fd, POLLIN, 0};
+      if (::poll(&pfd, 1, timeout_ms) != 1) return false;
+      std::uint8_t buf[4096];
+      const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+      if (n <= 0) return false;
+      decoder.feed({buf, static_cast<std::size_t>(n)});
+    }
+    return true;
+  }
+};
+
 std::vector<std::uint8_t> query(const char* name, std::uint16_t id) {
   return dns::encode(dns::make_query(id, DnsName::from(name), RecordType::A));
 }
 
 /// The net-path conservation sum over one label filter (a worker, or
-/// everything): responses + malformed + send failures + defense sheds +
+/// everything): responses on either transport + malformed + send
+/// failures + answers whose connection closed + defense sheds +
 /// still-queued backlog.
 std::uint64_t accounted(const obs::MetricsSnapshot& snap, const obs::LabelSet& filter) {
   const auto event = [&](const char* value) {
     return snap.sum("akadns_frontend_total", obs::with(filter, "event", value));
   };
   return event("udp_responses") + event("udp_malformed") + event("udp_send_failures") +
+         event("tcp_responses") + event("tcp_closed_drops") +
          snap.sum("akadns_defense_drops_total", filter) +
          snap.sum("akadns_penalty_queue_depth", filter);
 }
 
+/// Datagrams plus TCP queries: what the conservation sum must cover.
 std::uint64_t packets(const obs::MetricsSnapshot& snap, const obs::LabelSet& filter) {
-  return snap.sum("akadns_frontend_total", obs::with(filter, "event", "udp_packets"));
+  return snap.sum("akadns_frontend_total", obs::with(filter, "event", "udp_packets")) +
+         snap.sum("akadns_frontend_total", obs::with(filter, "event", "tcp_queries"));
 }
 
 TEST(StatsEndpoint, LiveScrapeReconcilesPerWorkerConservation) {
@@ -149,11 +188,28 @@ TEST(StatsEndpoint, LiveScrapeReconcilesPerWorkerConservation) {
   }
   client.drain();
 
-  // Scrape at ~10 Hz until the traffic quiesces: every datagram landed
-  // (43 total) and the conservation sum catches up with the packets
-  // counter. The scrape never blocks the workers, so intermediate reads
-  // may legitimately be mid-flight — quiescence is when they agree.
-  const std::uint64_t expected_packets = 43;
+  // Over TCP, 4 answerable queries and 1 firewalled one, pipelined: the
+  // same gates, the same queue, answers framed back in order. The client
+  // half-closes after its last query; the connection stays open until
+  // the answers still queued for it are flushed.
+  TcpClient tcp(server.tcp_port());
+  for (int i = 0; i < 4; ++i) tcp.send(query("www.example.com", ++id));
+  tcp.send(query("blocked.example.com", ++id));
+  ::shutdown(tcp.fd, SHUT_WR);
+  std::size_t tcp_answered = 0;
+  for (int i = 0; i < 4; ++i) {
+    if (tcp.recv_one()) ++tcp_answered;
+  }
+  EXPECT_EQ(tcp_answered, 4u);
+  EXPECT_FALSE(tcp.recv_one(200)) << "firewalled name answered over TCP";
+
+  // Scrape at ~10 Hz until the traffic quiesces: every datagram and TCP
+  // query landed (43 + 5) and the conservation sum catches up with the
+  // packets counter. The scrape never blocks the workers, so
+  // intermediate reads may legitimately be mid-flight — quiescence is
+  // when they agree.
+  const std::uint64_t expected_datagrams = 43;
+  const std::uint64_t expected_packets = expected_datagrams + 5;
   obs::MetricsSnapshot snap;
   bool settled = false;
   for (int attempt = 0; attempt < 100 && !settled; ++attempt) {
@@ -180,7 +236,9 @@ TEST(StatsEndpoint, LiveScrapeReconcilesPerWorkerConservation) {
     return snap.sum("akadns_defense_drops_total", obs::labels({{"reason", reason}}));
   };
   EXPECT_EQ(event("udp_malformed"), 5u);
-  EXPECT_EQ(shed("firewall"), 5u);
+  EXPECT_EQ(event("tcp_queries"), 5u);
+  EXPECT_EQ(event("tcp_responses"), 4u);
+  EXPECT_EQ(shed("firewall"), 6u);
   EXPECT_GE(shed("score-discard"), 1u);  // the armed probes
   EXPECT_EQ(shed("queue-full"), 0u);
   // 20 hits plus at least the first arming miss (the per-worker threshold
@@ -195,11 +253,12 @@ TEST(StatsEndpoint, LiveScrapeReconcilesPerWorkerConservation) {
   const auto parsed = obs::Exposition::parse(scrape.body);
   EXPECT_EQ(static_cast<std::uint64_t>(parsed.sum("akadns_frontend_total",
                                                   obs::labels({{"event", "udp_packets"}}))),
-            expected_packets);
+            expected_datagrams);
   for (std::size_t w = 0; w < config.workers; ++w) {
     const obs::LabelSet wl = obs::with({}, "worker", w);
     EXPECT_EQ(static_cast<std::uint64_t>(
-                  parsed.sum("akadns_frontend_total", obs::with(wl, "event", "udp_packets"))),
+                  parsed.sum("akadns_frontend_total", obs::with(wl, "event", "udp_packets")) +
+                  parsed.sum("akadns_frontend_total", obs::with(wl, "event", "tcp_queries"))),
               packets(snap, wl))
         << "worker " << w;
     EXPECT_EQ(static_cast<std::uint64_t>(parsed.sum("akadns_defense_drops_total", wl)),
