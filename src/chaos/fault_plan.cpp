@@ -4,104 +4,75 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/strings.hpp"
+
 namespace akadns::chaos {
 
 namespace {
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t' || s.front() == '\r')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) {
-    s.remove_suffix(1);
-  }
-  return s;
+/// The largest millisecond count a Duration holds.
+constexpr std::int64_t kMaxMillis = Duration::max().count_nanos() / 1'000'000;
+
+/// One FaultSpec key: a probability or a whole-millisecond duration.
+/// parse() and to_string() both read this table, in this order.
+struct SpecKey {
+  const char* name;
+  double FaultSpec::*probability;
+  Duration FaultSpec::*millis;
+};
+
+constexpr SpecKey kSpecKeys[] = {
+    {"loss", &FaultSpec::loss, nullptr},
+    {"dup", &FaultSpec::dup, nullptr},
+    {"reorder", &FaultSpec::reorder, nullptr},
+    {"corrupt", &FaultSpec::corrupt, nullptr},
+    {"tcp_reset", &FaultSpec::tcp_reset, nullptr},
+    {"tcp_stall", &FaultSpec::tcp_stall, nullptr},
+    {"delay_ms", nullptr, &FaultSpec::delay},
+    {"jitter_ms", nullptr, &FaultSpec::jitter},
+};
+
+Error bad_value(std::string_view key, const char* want, std::string_view value) {
+  return Error{std::string(key) + ": want " + want + ", got '" + std::string(value) + "'"};
 }
 
-Result<double> parse_prob(std::string_view key, std::string_view value) {
-  try {
-    const double p = std::stod(std::string(value));
-    if (p < 0.0 || p > 1.0) {
-      return Error{std::string(key) + ": probability out of [0,1]: " + std::string(value)};
+/// Applies `field=value` to the specs `key`'s direction prefix names.
+Result<bool> apply_spec_key(FaultPlan& plan, std::string_view key, std::string_view value) {
+  const std::size_t dot = key.find('.');
+  if (dot == std::string_view::npos) return Error{"unknown plan key: " + std::string(key)};
+  const std::string_view dir = key.substr(0, dot);
+  const std::string_view field = key.substr(dot + 1);
+  if (dir != "up" && dir != "down" && dir != "both") {
+    return Error{"unknown direction prefix (want up/down/both): " + std::string(key)};
+  }
+  const auto assign = [&](auto FaultSpec::*member, auto v) {
+    if (dir != "down") plan.up.*member = v;
+    if (dir != "up") plan.down.*member = v;
+  };
+  for (const SpecKey& k : kSpecKeys) {
+    if (field != k.name) continue;
+    if (k.probability) {
+      const auto p = parse_number<double>(value, 0.0, 1.0);
+      if (!p) return bad_value(key, "a probability in [0,1]", value);
+      assign(k.probability, *p);
+    } else {
+      const auto ms = parse_number<std::int64_t>(value, 0, kMaxMillis);
+      if (!ms) return bad_value(key, "whole milliseconds >= 0", value);
+      assign(k.millis, Duration::millis(*ms));
     }
-    return p;
-  } catch (...) {
-    return Error{std::string(key) + ": not a number: " + std::string(value)};
-  }
-}
-
-Result<std::int64_t> parse_int(std::string_view key, std::string_view value) {
-  try {
-    return static_cast<std::int64_t>(std::stoll(std::string(value)));
-  } catch (...) {
-    return Error{std::string(key) + ": not an integer: " + std::string(value)};
-  }
-}
-
-/// Applies `field=value` to one FaultSpec. `field` has no direction
-/// prefix at this point.
-Result<bool> apply_field(FaultSpec& spec, std::string_view field, std::string_view value,
-                         std::string_view key) {
-  if (field == "loss" || field == "dup" || field == "reorder" || field == "corrupt" ||
-      field == "tcp_reset" || field == "tcp_stall") {
-    auto p = parse_prob(key, value);
-    if (!p) return Error{std::move(p).error()};
-    if (field == "loss") spec.loss = p.value();
-    else if (field == "dup") spec.dup = p.value();
-    else if (field == "reorder") spec.reorder = p.value();
-    else if (field == "corrupt") spec.corrupt = p.value();
-    else if (field == "tcp_reset") spec.tcp_reset = p.value();
-    else spec.tcp_stall = p.value();
-    return true;
-  }
-  if (field == "delay_ms" || field == "jitter_ms") {
-    auto ms = parse_int(key, value);
-    if (!ms) return Error{std::move(ms).error()};
-    if (ms.value() < 0) return Error{std::string(key) + ": negative duration"};
-    if (field == "delay_ms") spec.delay = Duration::millis(ms.value());
-    else spec.jitter = Duration::millis(ms.value());
     return true;
   }
   return Error{"unknown fault field: " + std::string(key)};
-}
-
-void format_spec(std::ostringstream& out, const char* prefix, const FaultSpec& s) {
-  const auto prob = [&](const char* name, double v) {
-    if (v > 0.0) {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%s.%s=%g\n", prefix, name, v);
-      out << buf;
-    }
-  };
-  prob("loss", s.loss);
-  prob("dup", s.dup);
-  prob("reorder", s.reorder);
-  prob("corrupt", s.corrupt);
-  prob("tcp_reset", s.tcp_reset);
-  prob("tcp_stall", s.tcp_stall);
-  if (s.delay.count_nanos() > 0) {
-    out << prefix << ".delay_ms=" << s.delay.count_nanos() / 1'000'000 << "\n";
-  }
-  if (s.jitter.count_nanos() > 0) {
-    out << prefix << ".jitter_ms=" << s.jitter.count_nanos() / 1'000'000 << "\n";
-  }
 }
 
 }  // namespace
 
 Result<FaultPlan> FaultPlan::parse(std::string_view text) {
   FaultPlan plan;
-  std::size_t pos = 0;
   int line_no = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    std::string_view line =
-        text.substr(pos, eol == std::string_view::npos ? std::string_view::npos : eol - pos);
-    pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
+  for (std::string_view line : split(text, '\n')) {
     ++line_no;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string_view::npos) line = line.substr(0, hash);
-    line = trim(line);
+    line = trim(line.substr(0, line.find('#')));
     if (line.empty()) continue;
 
     const std::size_t eq = line.find('=');
@@ -112,47 +83,22 @@ Result<FaultPlan> FaultPlan::parse(std::string_view text) {
     const std::string_view value = trim(line.substr(eq + 1));
 
     if (key == "seed") {
-      auto n = parse_int(key, value);
-      if (!n) return Error{std::move(n).error()};
-      plan.seed = static_cast<std::uint64_t>(n.value());
-      continue;
-    }
-    if (key == "blackhole") {
+      const auto seed = parse_number<std::uint64_t>(value);
+      if (!seed) return bad_value(key, "an unsigned integer", value);
+      plan.seed = *seed;
+    } else if (key == "blackhole") {
       const std::size_t colon = value.find(':');
-      if (colon == std::string_view::npos) {
-        return Error{"blackhole: expected START_MS:END_MS, got " + std::string(value)};
+      const auto start = parse_number<std::int64_t>(trim(value.substr(0, colon)), 0, kMaxMillis);
+      const auto end = colon == std::string_view::npos
+                           ? std::nullopt
+                           : parse_number<std::int64_t>(trim(value.substr(colon + 1)), 0,
+                                                        kMaxMillis);
+      if (!start || !end || *end <= *start) {
+        return bad_value(key, "START_MS:END_MS with 0 <= start < end", value);
       }
-      auto start = parse_int("blackhole", trim(value.substr(0, colon)));
-      auto end = parse_int("blackhole", trim(value.substr(colon + 1)));
-      if (!start) return Error{std::move(start).error()};
-      if (!end) return Error{std::move(end).error()};
-      if (start.value() < 0 || end.value() <= start.value()) {
-        return Error{"blackhole: window must satisfy 0 <= start < end"};
-      }
-      plan.blackholes.push_back(
-          {Duration::millis(start.value()), Duration::millis(end.value())});
-      continue;
-    }
-
-    const std::size_t dot = key.find('.');
-    if (dot == std::string_view::npos) {
-      return Error{"unknown plan key: " + std::string(key)};
-    }
-    const std::string_view dir = key.substr(0, dot);
-    const std::string_view field = key.substr(dot + 1);
-    if (dir == "up") {
-      auto applied = apply_field(plan.up, field, value, key);
-      if (!applied) return Error{std::move(applied).error()};
-    } else if (dir == "down") {
-      auto applied = apply_field(plan.down, field, value, key);
-      if (!applied) return Error{std::move(applied).error()};
-    } else if (dir == "both") {
-      auto a = apply_field(plan.up, field, value, key);
-      if (!a) return Error{std::move(a).error()};
-      auto b = apply_field(plan.down, field, value, key);
-      if (!b) return Error{std::move(b).error()};
-    } else {
-      return Error{"unknown direction prefix (want up/down/both): " + std::string(key)};
+      plan.blackholes.push_back({Duration::millis(*start), Duration::millis(*end)});
+    } else if (auto applied = apply_spec_key(plan, key, value); !applied) {
+      return Error{std::move(applied).error()};
     }
   }
   return plan;
@@ -169,8 +115,18 @@ Result<FaultPlan> FaultPlan::load(const std::string& path) {
 std::string FaultPlan::to_string() const {
   std::ostringstream out;
   out << "seed=" << seed << "\n";
-  format_spec(out, "up", up);
-  format_spec(out, "down", down);
+  for (const auto& [prefix, spec] : {std::pair{"up", &up}, std::pair{"down", &down}}) {
+    for (const SpecKey& k : kSpecKeys) {
+      if (k.probability && spec->*k.probability > 0.0) {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%s.%s=%g\n", prefix, k.name, spec->*k.probability);
+        out << buf;
+      } else if (k.millis && (spec->*k.millis).count_nanos() > 0) {
+        out << prefix << "." << k.name << "=" << (spec->*k.millis).count_nanos() / 1'000'000
+            << "\n";
+      }
+    }
+  }
   for (const BlackholeWindow& w : blackholes) {
     out << "blackhole=" << w.start.count_nanos() / 1'000'000 << ":"
         << w.end.count_nanos() / 1'000'000 << "\n";

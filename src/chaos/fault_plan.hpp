@@ -82,9 +82,11 @@ struct FaultPlan {
     return false;
   }
 
-  /// Parses the `key=value` plan format described above. Unknown keys,
-  /// out-of-range probabilities, and malformed windows are errors — a
-  /// typo'd chaos plan must fail loudly, not silently run a clean test.
+  /// Parses the `key=value` plan format described above. Each value is
+  /// read whole (parse_number): unknown keys, trailing bytes, NaN,
+  /// exponents in millisecond counts, negative seeds, out-of-range
+  /// probabilities and malformed windows are errors — a typo'd chaos
+  /// plan must fail loudly, not silently run a clean test.
   static Result<FaultPlan> parse(std::string_view text);
   /// parse() over a file's contents.
   static Result<FaultPlan> load(const std::string& path);

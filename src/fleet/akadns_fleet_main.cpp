@@ -27,11 +27,10 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "chaos/fault_plan.hpp"
-#include "common/strings.hpp"
+#include "common/flags.hpp"
 #include "control/fleet_report.hpp"
 #include "fleet/anycast_front.hpp"
 #include "fleet/probe_suite.hpp"
@@ -49,164 +48,33 @@ void handle_stop(int) {
   g_stop_requested = 1;
 }
 
-struct CliOptions {
-  std::size_t machines = 3;
-  std::size_t synthetic_zones = 100;
+constexpr const char* kEpilogue =
+    "startup prints one line: {\"akadns_fleet_ready\":{...}} with the front port.\n"
+    "exit codes: 0 clean shutdown; 1 runtime failure; 2 usage error;\n"
+    "3 forced (second SIGTERM/SIGINT).\n";
+
+/// What the fleet reads beyond the library configs: what every machine
+/// serves, the drill schedule, the chaos plan and the report path.
+struct FleetOptions {
   std::uint64_t seed = 1;
   std::size_t workers = 2;
-  std::string defense = "off";
-  std::uint16_t port = 0;            // anycast front (0 = ephemeral)
+  bool defense = false;
   std::uint16_t machine_port_base = 0;  // 0 = ephemeral machine ports
-  std::uint16_t stats_port = 0;      // fleet /metrics (0 = ephemeral)
-  std::string serve_binary;          // default: alongside argv[0]
-  std::int64_t run_ms = 0;           // 0 = until SIGTERM
+  std::uint16_t stats_port = 0;         // fleet /metrics (0 = ephemeral)
+  std::int64_t run_ms = 0;              // 0 = until SIGTERM
   // Drill: kill (SIGKILL) a machine mid-run; the supervisor restarts it.
-  std::int64_t kill_after_ms = -1;
+  std::optional<std::int64_t> kill_after_ms;
   std::size_t kill_machine = 0;
   // Drill: make a machine's probes fail; quota decides the suspension.
-  std::int64_t suspend_after_ms = -1;
+  std::optional<std::int64_t> suspend_after_ms;
   std::size_t suspend_machine = 0;
-  std::int64_t restore_after_ms = -1;  // relative to the suspend injection
-  // Probe tuning.
-  int probe_interval_ms = 200;
-  int probe_timeout_ms = 500;
-  std::size_t fail_threshold = 3;
-  double quota_fraction = 0.34;
-  std::size_t min_serving = 1;
+  std::optional<std::int64_t> restore_after_ms;  // relative to the suspend injection
   std::string report_path;
   // Chaos: put an impairment hop between the front and every machine,
   // executing the given FaultPlan on each hop.
   std::string chaos_plan_path;
-  std::uint64_t chaos_seed = 0;
-  bool chaos_seed_set = false;
-  bool help = false;
+  std::optional<std::uint64_t> chaos_seed;
 };
-
-void print_usage(const char* argv0) {
-  std::printf(
-      "usage: %s [options]\n"
-      "  --machines N          akadns-serve processes in the PoP (default 3)\n"
-      "  --synthetic N         zones per machine (default 100)\n"
-      "  --seed S              workload seed (default 1)\n"
-      "  --workers N           worker threads per machine (default 2)\n"
-      "  --defense on|off      machine defense pipeline (default off)\n"
-      "  --port P              anycast front UDP+TCP port (default ephemeral;\n"
-      "                        printed in the fleet ready line)\n"
-      "  --machine-port-base P machine i binds P+i (default: ephemeral — the\n"
-      "                        ready-line handshake reports what was bound)\n"
-      "  --stats-port P        fleet /metrics + /healthz endpoint (default ephemeral)\n"
-      "  --serve-bin PATH      akadns-serve binary (default: next to this binary)\n"
-      "  --run-ms N            run duration; 0 = until SIGTERM (default 0)\n"
-      "  --kill-after-ms N     drill: SIGKILL --kill-machine at t=N\n"
-      "  --kill-machine I      machine index to kill (default 0)\n"
-      "  --suspend-after-ms N  drill: inject probe failures into --suspend-machine\n"
-      "                        at t=N (suspension goes through the real quota)\n"
-      "  --suspend-machine I   machine index to fail (default 0)\n"
-      "  --restore-after-ms N  drill: clear the injected failure N ms later\n"
-      "  --probe-interval-ms N probe round cadence (default 200)\n"
-      "  --probe-timeout-ms N  per-probe budget (default 500)\n"
-      "  --fail-threshold N    consecutive failing rounds before suspension (default 3)\n"
-      "  --quota-fraction F    max suspended fraction of the fleet (default 0.34)\n"
-      "  --min-serving N       never suspend below this many serving machines\n"
-      "                        (default 1: the PoP cannot go dark)\n"
-      "  --report PATH         write the fleet drill report JSON at exit\n"
-      "  --chaos-plan FILE     put an impairment hop between the front and every\n"
-      "                        machine: one more one-member front per machine,\n"
-      "                        executing FILE's FaultPlan (machine i uses seed+i;\n"
-      "                        counters as akadns_chaos_total{machine,event})\n"
-      "  --chaos-seed N        override the plan file's seed (with --chaos-plan)\n"
-      "startup prints one line: {\"akadns_fleet_ready\":{...}} with the front port.\n"
-      "exit codes: 0 clean shutdown; 1 runtime failure; 2 usage error;\n"
-      "3 forced (second SIGTERM/SIGINT).\n",
-      argv0);
-}
-
-bool parse_args(int argc, char** argv, CliOptions& opts) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    // The flag's value as a whole, range-checked number.
-    const auto number = [&]<typename T>(
-        T& out, std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
-        std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
-      const char* v = need_value();
-      const auto parsed = v ? akadns::parse_number<T>(v, lo, hi) : std::nullopt;
-      if (v && !parsed) std::fprintf(stderr, "bad %s value: %s\n", arg.c_str(), v);
-      if (parsed) out = *parsed;
-      return parsed.has_value();
-    };
-    const char* v = nullptr;
-    if (arg == "--help" || arg == "-h") {
-      opts.help = true;
-      return true;
-    } else if (arg == "--machines") {
-      if (!number(opts.machines, 1, 64)) return false;
-    } else if (arg == "--synthetic") {
-      if (!number(opts.synthetic_zones)) return false;
-    } else if (arg == "--seed") {
-      if (!number(opts.seed)) return false;
-    } else if (arg == "--workers") {
-      if (!number(opts.workers, 1, 1024)) return false;
-    } else if (arg == "--defense") {
-      if (!(v = need_value())) return false;
-      opts.defense = v;
-      if (opts.defense != "on" && opts.defense != "off") {
-        std::fprintf(stderr, "--defense wants on|off\n");
-        return false;
-      }
-    } else if (arg == "--port") {
-      if (!number(opts.port)) return false;
-    } else if (arg == "--machine-port-base") {
-      if (!number(opts.machine_port_base)) return false;
-    } else if (arg == "--stats-port") {
-      if (!number(opts.stats_port)) return false;
-    } else if (arg == "--serve-bin") {
-      if (!(v = need_value())) return false;
-      opts.serve_binary = v;
-    } else if (arg == "--run-ms") {
-      if (!number(opts.run_ms, 0)) return false;
-    } else if (arg == "--kill-after-ms") {
-      if (!number(opts.kill_after_ms)) return false;
-    } else if (arg == "--kill-machine") {
-      if (!number(opts.kill_machine)) return false;
-    } else if (arg == "--suspend-after-ms") {
-      if (!number(opts.suspend_after_ms)) return false;
-    } else if (arg == "--suspend-machine") {
-      if (!number(opts.suspend_machine)) return false;
-    } else if (arg == "--restore-after-ms") {
-      if (!number(opts.restore_after_ms)) return false;
-    } else if (arg == "--probe-interval-ms") {
-      if (!number(opts.probe_interval_ms, 1)) return false;
-    } else if (arg == "--probe-timeout-ms") {
-      if (!number(opts.probe_timeout_ms, 1)) return false;
-    } else if (arg == "--fail-threshold") {
-      if (!number(opts.fail_threshold, 1)) return false;
-    } else if (arg == "--quota-fraction") {
-      if (!number(opts.quota_fraction, 0.0, 1.0)) return false;
-    } else if (arg == "--min-serving") {
-      if (!number(opts.min_serving)) return false;
-    } else if (arg == "--report") {
-      if (!(v = need_value())) return false;
-      opts.report_path = v;
-    } else if (arg == "--chaos-plan") {
-      if (!(v = need_value())) return false;
-      opts.chaos_plan_path = v;
-    } else if (arg == "--chaos-seed") {
-      if (!number(opts.chaos_seed)) return false;
-      opts.chaos_seed_set = true;
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  return true;
-}
 
 // Finds akadns-serve near this binary: same directory (installed
 // layout) or the sibling src/net/ build directory.
@@ -232,22 +100,70 @@ std::int64_t now_ms() {
 int main(int argc, char** argv) {
   using namespace akadns;
 
-  CliOptions opts;
-  if (!parse_args(argc, argv, opts)) {
-    print_usage(argv[0]);
-    return 2;
+  FleetOptions opts;
+  workload::HostedZonesConfig zones_config;
+  zones_config.zone_count = 100;
+  fleet::SupervisorConfig sup_config;
+  sup_config.serve_binary = find_serve_binary(argv[0]);
+  fleet::FrontConfig front_config;
+  fleet::ProbeConfig probe_config;
+
+  FlagTable flags("akadns-fleet", "[options]", kEpilogue);
+  flags
+      .number("--machines", "N", sup_config.machines, "akadns-serve processes in the PoP", 1,
+              64)
+      .number("--synthetic", "N", zones_config.zone_count, "zones per machine")
+      .number("--seed", "S", opts.seed, "workload seed")
+      .number("--workers", "N", opts.workers, "worker threads per machine", 1, 1024)
+      .on_off("--defense", opts.defense, "machine defense pipeline")
+      .number("--port", "P", front_config.port,
+              "anycast front UDP+TCP port, 0 = ephemeral (printed in the fleet ready line)")
+      .number("--machine-port-base", "P", opts.machine_port_base,
+              "machine i binds P+i; 0 = ephemeral (the ready-line handshake reports what "
+              "was bound)")
+      .number("--stats-port", "P", opts.stats_port,
+              "fleet /metrics + /healthz endpoint, 0 = ephemeral")
+      .value("--serve-bin", "PATH", sup_config.serve_binary, "akadns-serve binary")
+      .number("--run-ms", "N", opts.run_ms, "run duration; 0 = until SIGTERM", 0)
+      .number("--kill-after-ms", "N", opts.kill_after_ms,
+              "drill: SIGKILL --kill-machine at t=N", 0)
+      .number("--kill-machine", "I", opts.kill_machine, "machine index to kill")
+      .number("--suspend-after-ms", "N", opts.suspend_after_ms,
+              "drill: inject probe failures into --suspend-machine at t=N (suspension goes "
+              "through the real quota)",
+              0)
+      .number("--suspend-machine", "I", opts.suspend_machine, "machine index to fail")
+      .number("--restore-after-ms", "N", opts.restore_after_ms,
+              "drill: clear the injected failure N ms later", 0)
+      .number("--probe-interval-ms", "N", probe_config.interval_ms, "probe round cadence", 1)
+      .number("--probe-timeout-ms", "N", probe_config.timeout_ms, "per-probe budget", 1)
+      .number("--fail-threshold", "N", probe_config.fail_threshold,
+              "consecutive failing rounds before suspension", 1)
+      .number("--quota-fraction", "F", probe_config.quota.max_suspended_fraction,
+              "max suspended fraction of the fleet", 0.0, 1.0)
+      .number("--min-serving", "N", probe_config.quota.min_serving,
+              "never suspend below this many serving machines (1: the PoP cannot go dark)")
+      .value("--report", "PATH", opts.report_path, "write the fleet drill report JSON at exit")
+      .value("--chaos-plan", "FILE", opts.chaos_plan_path,
+             "put an impairment hop between the front and every machine: one more "
+             "one-member front per machine, executing FILE's FaultPlan (machine i uses "
+             "seed+i; counters as akadns_chaos_total{machine,event})")
+      .number("--chaos-seed", "N", opts.chaos_seed,
+              "override the plan file's seed (with --chaos-plan)");
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
+  if (::access(sup_config.serve_binary.c_str(), X_OK) != 0) {
+    return flags.usage_error("akadns-serve binary not executable: " + sup_config.serve_binary +
+                             " (use --serve-bin)");
   }
-  if (opts.help) {
-    print_usage(argv[0]);
-    return 0;
-  }
-  if (opts.serve_binary.empty()) {
-    opts.serve_binary = find_serve_binary(argv[0]);
-  }
-  if (::access(opts.serve_binary.c_str(), X_OK) != 0) {
-    std::fprintf(stderr, "akadns-serve binary not executable: %s (use --serve-bin)\n",
-                 opts.serve_binary.c_str());
-    return 2;
+  // The chaos plan is read before any zone is built: a bad plan is a
+  // usage error that costs nothing.
+  chaos::FaultPlan chaos_plan;
+  const bool chaos_on = !opts.chaos_plan_path.empty();
+  if (chaos_on) {
+    auto loaded = chaos::FaultPlan::load(opts.chaos_plan_path);
+    if (!loaded) return flags.usage_error("chaos plan: " + loaded.error());
+    chaos_plan = std::move(loaded).take();
+    if (opts.chaos_seed) chaos_plan.seed = *opts.chaos_seed;
   }
 
   struct sigaction sa {};
@@ -259,10 +175,8 @@ int main(int argc, char** argv) {
   // answers and the machines' served content derive from the same
   // (count, seed) — self-play, no side channel.
   std::fprintf(stderr, "building %zu synthetic zones (seed %llu)...\n",
-               opts.synthetic_zones, (unsigned long long)opts.seed);
-  workload::HostedZonesConfig zc;
-  zc.zone_count = opts.synthetic_zones;
-  workload::HostedZones zones(zc, opts.seed);
+               zones_config.zone_count, (unsigned long long)opts.seed);
+  workload::HostedZones zones(zones_config, opts.seed);
 
   // --- Chaos plan (optional) ---
   // One impairment hop per machine sits between the front and that
@@ -272,20 +186,9 @@ int main(int argc, char** argv) {
   // --chaos-seed). Hops start before the supervisor (their ports must
   // exist when machines come up); each Up event re-points its hop at the
   // machine's fresh port, live flows included.
-  chaos::FaultPlan chaos_plan;
-  const bool chaos_on = !opts.chaos_plan_path.empty();
-  if (chaos_on) {
-    auto loaded = chaos::FaultPlan::load(opts.chaos_plan_path);
-    if (!loaded) {
-      std::fprintf(stderr, "chaos plan: %s\n", loaded.error().c_str());
-      return 2;
-    }
-    chaos_plan = loaded.value();
-    if (opts.chaos_seed_set) chaos_plan.seed = opts.chaos_seed;
-  }
   std::vector<std::unique_ptr<fleet::AnycastFront>> chaos_hops;
   if (chaos_on) {
-    for (std::size_t i = 0; i < opts.machines; ++i) {
+    for (std::size_t i = 0; i < sup_config.machines; ++i) {
       fleet::FrontConfig hop_config;
       hop_config.plan = chaos_plan;
       hop_config.plan.seed = chaos_plan.seed + i;
@@ -299,8 +202,6 @@ int main(int argc, char** argv) {
   }
 
   // --- Front ---
-  fleet::FrontConfig front_config;
-  front_config.port = opts.port;
   fleet::AnycastFront front(front_config);
   if (auto started = front.start(); !started) {
     std::fprintf(stderr, "anycast front failed: %s\n", started.error().c_str());
@@ -308,17 +209,14 @@ int main(int argc, char** argv) {
   }
 
   // --- Supervisor ---
-  fleet::SupervisorConfig sup_config;
-  sup_config.serve_binary = opts.serve_binary;
-  sup_config.machines = opts.machines;
   sup_config.common_args = {
-      "--synthetic", std::to_string(opts.synthetic_zones),
+      "--synthetic", std::to_string(zones_config.zone_count),
       "--seed",      std::to_string(opts.seed),
       "--workers",   std::to_string(opts.workers),
-      "--defense",   opts.defense,
+      "--defense",   opts.defense ? "on" : "off",
       "--stats-port", "0",
   };
-  for (std::size_t i = 0; i < opts.machines; ++i) {
+  for (std::size_t i = 0; i < sup_config.machines; ++i) {
     sup_config.ports.push_back(
         opts.machine_port_base == 0
             ? std::uint16_t{0}
@@ -368,13 +266,6 @@ int main(int argc, char** argv) {
   }
 
   // --- Probe suite ---
-  fleet::ProbeConfig probe_config;
-  probe_config.interval_ms = opts.probe_interval_ms;
-  probe_config.timeout_ms = opts.probe_timeout_ms;
-  probe_config.fail_threshold = opts.fail_threshold;
-  probe_config.quota.max_suspended_fraction = opts.quota_fraction;
-  probe_config.quota.min_allowed = 1;
-  probe_config.quota.min_serving = opts.min_serving;
   fleet::ProbeSuite probes(
       probe_config, zones,
       [&]() {
@@ -440,29 +331,29 @@ int main(int argc, char** argv) {
   std::printf("{\"akadns_fleet_ready\":{\"pid\":%lld,\"front_port\":%u,\"stats_port\":%u,"
               "\"machines\":%zu}}\n",
               static_cast<long long>(::getpid()), front.udp_port(), stats.port(),
-              opts.machines);
+              sup_config.machines);
   std::fflush(stdout);
   log_event("fleet up: front 127.0.0.1:" + std::to_string(front.udp_port()) + ", " +
-            std::to_string(opts.machines) + " machines" +
+            std::to_string(sup_config.machines) + " machines" +
             (chaos_on ? " (chaos plan " + opts.chaos_plan_path + ", seed " +
                             std::to_string(chaos_plan.seed) + ")"
                       : ""));
 
   // --- Main loop: supervision + drill schedule ---
-  bool kill_done = opts.kill_after_ms < 0;
-  bool suspend_done = opts.suspend_after_ms < 0;
-  bool restore_done = opts.restore_after_ms < 0;
+  bool kill_done = !opts.kill_after_ms;
+  bool suspend_done = !opts.suspend_after_ms;
+  bool restore_done = !opts.restore_after_ms;
   while (!g_stop_requested) {
     supervisor.poll();
     const std::int64_t elapsed = now_ms() - t0;
-    if (!kill_done && elapsed >= opts.kill_after_ms) {
+    if (!kill_done && elapsed >= *opts.kill_after_ms) {
       kill_done = true;
       if (opts.kill_machine < supervisor.size()) {
         log_event("drill: SIGKILL m" + std::to_string(opts.kill_machine));
         supervisor.signal_machine(opts.kill_machine, SIGKILL);
       }
     }
-    if (!suspend_done && elapsed >= opts.suspend_after_ms) {
+    if (!suspend_done && elapsed >= *opts.suspend_after_ms) {
       suspend_done = true;
       if (opts.suspend_machine < supervisor.size()) {
         log_event("drill: injecting probe failures into m" +
@@ -470,8 +361,8 @@ int main(int argc, char** argv) {
         probes.inject_failure("m" + std::to_string(opts.suspend_machine), true);
       }
     }
-    if (suspend_done && !restore_done && opts.suspend_after_ms >= 0 &&
-        elapsed >= opts.suspend_after_ms + opts.restore_after_ms) {
+    if (suspend_done && !restore_done && opts.suspend_after_ms &&
+        elapsed >= *opts.suspend_after_ms + *opts.restore_after_ms) {
       restore_done = true;
       log_event("drill: clearing injected failures on m" +
                 std::to_string(opts.suspend_machine));

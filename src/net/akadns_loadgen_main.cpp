@@ -16,9 +16,8 @@
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <type_traits>
 
-#include "common/strings.hpp"
+#include "common/flags.hpp"
 #include "net/loadgen.hpp"
 #include "obs/exposition.hpp"
 #include "obs/stats_http.hpp"
@@ -27,40 +26,24 @@
 
 namespace {
 
-struct CliOptions {
-  std::string target = "127.0.0.1:5300";
-  /// Every --target on the command line, in order. Empty means the
-  /// single default above; more than one spreads lanes round-robin.
-  std::vector<std::string> targets;
-  std::size_t synthetic_zones = 1000;
-  std::uint64_t seed = 1;
-  std::uint64_t queries = 100'000;
-  std::size_t sockets = 4;
-  std::size_t batch = 32;
-  std::size_t window = 512;
-  /// Aggregate send-rate cap, queries/sec (0 = unpaced). Failover drills
-  /// set this so the traffic spans a fixed wall-clock window on any
-  /// machine speed instead of finishing before the drill event fires.
-  double rate = 0.0;
-  std::size_t corpus_size = 4096;
-  double attack_fraction = 0.0;
-  double w_random_subdomain = 0.5;
-  double w_direct = 0.3;
-  double w_spoofed = 0.2;
-  /// What the server is running ("on"/"off"), recorded in the report and
-  /// selecting the exit policy under an attack mix (see main()).
-  std::string defense = "off";
-  std::uint64_t timeout_ms = 1000;
-  /// Retransmissions per query after a timeout (resolver behavior on a
-  /// lossy path — the chaos-drill lanes set this). 0 = single-shot.
-  std::uint64_t retries = 0;
+constexpr const char* kEpilogue =
+    "exit status without an attack mix: 0 iff nothing dropped, mismatched, or unexpected.\n"
+    "With an attack mix the server is *supposed* to shed attack traffic, so the gate\n"
+    "moves to the legitimate class: --defense on exits 0 iff legit goodput >= the floor\n"
+    "and no legit response mismatched; --defense off is a baseline measurement and\n"
+    "exits 0 whenever the run completed (counters still reported).\n";
+
+/// What the loadgen reads beyond LoadgenConfig and ReplayMixConfig: the
+/// server's mode, the exit gates, the flip drill and the report sinks.
+struct LoadgenOptions {
+  /// What the server is running, recorded in the report and selecting
+  /// the exit policy under an attack mix (see main()).
+  bool defense = false;
   double goodput_min = 0.9;
-  /// Failover-drill gate: when >= 0 the run *expects* loss (a machine is
+  /// Failover-drill gate: when set the run *expects* loss (a machine is
   /// killed or suspended mid-run) and passes iff the widest outage
   /// window stays under this and nothing legit mismatched.
-  std::int64_t max_outage_ms = -1;
-  /// Losses closer together than this merge into one outage window.
-  std::uint64_t outage_gap_ms = 500;
+  std::optional<std::int64_t> max_outage_ms;
   bool verify = false;
   /// Live-reload verification: the server was started with
   /// --flip-after-ms/--flip-count matching these — it will republish the
@@ -72,7 +55,6 @@ struct CliOptions {
   /// Server /metrics endpoint (http://host:port). Scraped once after the
   /// run; shed/cache-hit-rate/zone-generation land in the bench JSON.
   std::string stats_url;
-  bool help = false;
 };
 
 /// Server-side counters scraped from --stats-url after the run.
@@ -83,148 +65,6 @@ struct ServerScrape {
   double zone_generation = 0.0;   // max akadns_zone_generation across workers
   std::uint64_t udp_packets = 0;  // datagrams the server's kernel delivered
 };
-
-void print_usage(const char* argv0) {
-  std::printf(
-      "usage: %s [options]\n"
-      "  --target IP:PORT    server address (default 127.0.0.1:5300); repeatable —\n"
-      "                      with several targets, client sockets round-robin across\n"
-      "                      them and the report carries per-target accounting\n"
-      "  --synthetic N       zone count matching the server's --synthetic (default 1000)\n"
-      "  --seed S            seed matching the server's --seed (default 1)\n"
-      "  --queries N         total queries to send (default 100000)\n"
-      "  --sockets N         parallel client sockets/threads (default 4)\n"
-      "  --batch N           datagrams per syscall (default 32)\n"
-      "  --window N          max in-flight per socket (default 512)\n"
-      "  --rate N            aggregate send-rate cap in qps (0 = unpaced); pace\n"
-      "                      drills so traffic outlives the event under test\n"
-      "  --corpus N          distinct queries in the replay mix (default 4096)\n"
-      "  --attack-fraction F mix in attack traffic, 0..1 (default 0)\n"
-      "  --attack-mix F      alias for --attack-fraction\n"
-      "  --attack-weights R,D,S  random-subdomain/direct/spoofed blend (default 0.5,0.3,0.2)\n"
-      "  --defense MODE      what the server runs: off|on (recorded; selects exit policy)\n"
-      "  --timeout-ms N      per-query response timeout (default 1000)\n"
-      "  --retries N         resend a timed-out query up to N times before counting\n"
-      "                      it dropped (default 0; chaos drills over lossy paths\n"
-      "                      set this — retransmits are reported separately)\n"
-      "  --goodput-min F     legit goodput floor for --defense on (default 0.9)\n"
-      "  --max-outage-ms N   failover-drill gate: tolerate query loss, but require\n"
-      "                      the widest outage window (first lost send to last lost\n"
-      "                      send, losses < --outage-gap-ms apart merged) <= N and\n"
-      "                      zero byte mismatches\n"
-      "  --outage-gap-ms N   window-merge gap for outage classification (default 500)\n"
-      "  --verify            byte-compare responses against the local Responder\n"
-      "  --flip-count N      server flips its first N zones mid-run (--flip-after-ms);\n"
-      "                      with --verify, accept pre- and post-flip answers, require\n"
-      "                      the flip to be observed, and reject stale-serial answers\n"
-      "  --flip-generations G  generations the server flips by (default 1)\n"
-      "  --stats-url URL     scrape the server's /metrics after the run (the\n"
-      "                      akadns-serve --stats-port endpoint); embeds shed,\n"
-      "                      cache hit rate, and zone generation in the JSON\n"
-      "  --json PATH         write the report as JSON\n"
-      "exit status without an attack mix: 0 iff nothing dropped, mismatched, or unexpected.\n"
-      "With an attack mix the server is *supposed* to shed attack traffic, so the gate\n"
-      "moves to the legitimate class: --defense on exits 0 iff legit goodput >= the floor\n"
-      "and no legit response mismatched; --defense off is a baseline measurement and\n"
-      "exits 0 whenever the run completed (counters still reported).\n",
-      argv0);
-}
-
-bool parse_args(int argc, char** argv, CliOptions& opts) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    // The flag's value as a whole, range-checked number.
-    const auto number = [&]<typename T>(
-        T& out, std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
-        std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
-      const char* v = need_value();
-      const auto parsed = v ? akadns::parse_number<T>(v, lo, hi) : std::nullopt;
-      if (v && !parsed) std::fprintf(stderr, "bad %s value: %s\n", arg.c_str(), v);
-      if (parsed) out = *parsed;
-      return parsed.has_value();
-    };
-    const char* v = nullptr;
-    if (arg == "--help" || arg == "-h") {
-      opts.help = true;
-      return true;
-    } else if (arg == "--target") {
-      if (!(v = need_value())) return false;
-      opts.target = v;
-      opts.targets.emplace_back(v);
-    } else if (arg == "--synthetic") {
-      if (!number(opts.synthetic_zones)) return false;
-    } else if (arg == "--seed") {
-      if (!number(opts.seed)) return false;
-    } else if (arg == "--queries") {
-      if (!number(opts.queries)) return false;
-    } else if (arg == "--sockets") {
-      if (!number(opts.sockets, 1, 1024)) return false;
-    } else if (arg == "--batch") {
-      if (!number(opts.batch, 1, 1024)) return false;
-    } else if (arg == "--window") {
-      if (!number(opts.window, 1)) return false;
-    } else if (arg == "--rate") {
-      if (!number(opts.rate, 0.0)) return false;
-    } else if (arg == "--corpus") {
-      if (!number(opts.corpus_size, 1)) return false;
-    } else if (arg == "--attack-fraction" || arg == "--attack-mix") {
-      if (!number(opts.attack_fraction, 0.0, 1.0)) return false;
-    } else if (arg == "--attack-weights") {
-      if (!(v = need_value())) return false;
-      const auto parts = akadns::split(v, ',');
-      double* weights[] = {&opts.w_random_subdomain, &opts.w_direct, &opts.w_spoofed};
-      for (std::size_t k = 0; k < 3; ++k) {
-        const auto w = parts.size() == 3 ? akadns::parse_number<double>(parts[k], 0.0)
-                                         : std::nullopt;
-        if (!w) {
-          std::fprintf(stderr, "--attack-weights wants R,D,S\n");
-          return false;
-        }
-        *weights[k] = *w;
-      }
-    } else if (arg == "--defense") {
-      if (!(v = need_value())) return false;
-      opts.defense = v;
-      if (opts.defense != "on" && opts.defense != "off") {
-        std::fprintf(stderr, "--defense wants on|off\n");
-        return false;
-      }
-    } else if (arg == "--timeout-ms") {
-      if (!number(opts.timeout_ms, 1)) return false;
-    } else if (arg == "--retries") {
-      if (!number(opts.retries)) return false;
-    } else if (arg == "--goodput-min") {
-      if (!number(opts.goodput_min, 0.0, 1.0)) return false;
-    } else if (arg == "--max-outage-ms") {
-      if (!number(opts.max_outage_ms)) return false;
-    } else if (arg == "--outage-gap-ms") {
-      if (!number(opts.outage_gap_ms)) return false;
-    } else if (arg == "--verify") {
-      opts.verify = true;
-    } else if (arg == "--flip-count") {
-      if (!number(opts.flip_count)) return false;
-    } else if (arg == "--flip-generations") {
-      if (!number(opts.flip_generations)) return false;
-    } else if (arg == "--stats-url") {
-      if (!(v = need_value())) return false;
-      opts.stats_url = v;
-    } else if (arg == "--json") {
-      if (!(v = need_value())) return false;
-      opts.json_path = v;
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  return true;
-}
 
 std::string outages_json(const std::vector<akadns::net::OutageWindow>& windows) {
   std::string out = "[";
@@ -308,8 +148,10 @@ ServerScrape scrape_stats(const std::string& url) {
   return s;
 }
 
-std::string report_json(const akadns::net::LoadgenReport& r, const CliOptions& opts,
-                        const ServerScrape& scrape) {
+std::string report_json(const akadns::net::LoadgenReport& r,
+                        const akadns::net::LoadgenConfig& config,
+                        const akadns::workload::ReplayMixConfig& mix,
+                        const LoadgenOptions& opts, const ServerScrape& scrape) {
   char buf[1536];
   std::snprintf(buf, sizeof(buf),
                 "{\n"
@@ -325,8 +167,9 @@ std::string report_json(const akadns::net::LoadgenReport& r, const CliOptions& o
                 "  \"unexpected\": %llu,\n"
                 "  \"retransmits\": %llu,\n"
                 "  \"servfail\": %llu,\n",
-                opts.target.c_str(), (unsigned long long)opts.queries, opts.sockets,
-                opts.defense.c_str(), opts.attack_fraction, (unsigned long long)r.sent,
+                config.targets.back().to_string().c_str(),
+                (unsigned long long)config.total_queries, config.sockets,
+                opts.defense ? "on" : "off", mix.attack_fraction, (unsigned long long)r.sent,
                 (unsigned long long)r.received, (unsigned long long)r.dropped,
                 (unsigned long long)r.mismatched, (unsigned long long)r.unexpected,
                 (unsigned long long)r.retransmits, (unsigned long long)r.servfail);
@@ -373,44 +216,86 @@ std::string report_json(const akadns::net::LoadgenReport& r, const CliOptions& o
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliOptions opts;
-  if (!parse_args(argc, argv, opts)) {
-    print_usage(argv[0]);
-    return 2;
-  }
-  if (opts.help) {
-    print_usage(argv[0]);
-    return 0;
-  }
+  LoadgenOptions opts;
+  akadns::workload::HostedZonesConfig zones_config;
+  zones_config.zone_count = 1000;
+  akadns::workload::ReplayMixConfig mix;
+  akadns::net::LoadgenConfig config;
+  config.targets = {akadns::Endpoint{akadns::IpAddr(akadns::Ipv4Addr(127, 0, 0, 1)), 5300}};
 
-  if (opts.targets.empty()) opts.targets.push_back(opts.target);
-  std::vector<akadns::Endpoint> targets;
-  for (const auto& text : opts.targets) {
-    const auto target = akadns::Endpoint::parse(text);
-    if (!target) {
-      std::fprintf(stderr, "bad --target (want IP:PORT): %s\n", text.c_str());
-      return 2;
-    }
-    targets.push_back(*target);
-  }
+  double* const weights[] = {&mix.random_subdomain_weight, &mix.direct_query_weight,
+                             &mix.spoofed_weight};
+  char weights_text[64];
+  std::snprintf(weights_text, sizeof(weights_text), "%g,%g,%g", *weights[0], *weights[1],
+                *weights[2]);
+
+  akadns::FlagTable flags("akadns-loadgen", "[options]", kEpilogue);
+  flags
+      .list("--target", "IP:PORT", config.targets,
+            "server address; with several targets, client sockets round-robin across "
+            "them and the report carries per-target accounting")
+      .number("--synthetic", "N", zones_config.zone_count,
+              "zone count matching the server's --synthetic")
+      .number("--seed", "S", mix.seed, "seed matching the server's --seed")
+      .number("--queries", "N", config.total_queries, "total queries to send")
+      .number("--sockets", "N", config.sockets, "parallel client sockets/threads", 1, 1024)
+      .number("--batch", "N", config.batch, "datagrams per syscall", 1, 1024)
+      .number("--window", "N", config.window, "max in-flight per socket", 1)
+      .number("--rate", "N", config.rate,
+              "aggregate send-rate cap in qps (0 = unpaced); pace drills so traffic "
+              "outlives the event under test",
+              0.0)
+      .number("--corpus", "N", mix.corpus_size, "distinct queries in the replay mix", 1)
+      .number("--attack-mix", "F", mix.attack_fraction,
+              "fraction of attack traffic mixed in, 0..1", 0.0, 1.0)
+      .add({"--attack-weights", "R,D,S", "random-subdomain/direct/spoofed blend",
+            weights_text,
+            [weights](std::string_view text) {
+              const auto parts = akadns::split(text, ',');
+              for (std::size_t k = 0; k < 3; ++k) {
+                const auto w = parts.size() == 3
+                                   ? akadns::parse_number<double>(parts[k], 0.0)
+                                   : std::nullopt;
+                if (!w) return false;
+                *weights[k] = *w;
+              }
+              return true;
+            }})
+      .on_off("--defense", opts.defense,
+              "what the server runs (recorded; selects the exit policy)")
+      .millis("--timeout-ms", "N", config.response_timeout, "per-query response timeout", 1)
+      .number("--retries", "N", config.retries,
+              "resend a timed-out query up to N times before counting it dropped (chaos "
+              "drills over lossy paths set this; retransmits are reported separately)")
+      .number("--goodput-min", "F", opts.goodput_min, "legit goodput floor for --defense on",
+              0.0, 1.0)
+      .number("--max-outage-ms", "N", opts.max_outage_ms,
+              "failover-drill gate: tolerate query loss, but require the widest outage "
+              "window (first lost send to last lost send, losses < --outage-gap-ms apart "
+              "merged) <= N and zero byte mismatches",
+              0)
+      .millis("--outage-gap-ms", "N", config.outage_gap,
+              "window-merge gap for outage classification")
+      .set_true("--verify", opts.verify, "byte-compare responses against the local Responder")
+      .number("--flip-count", "N", opts.flip_count,
+              "server flips its first N zones mid-run (--flip-after-ms); with --verify, "
+              "accept pre- and post-flip answers, require the flip to be observed, and "
+              "reject stale-serial answers")
+      .number("--flip-generations", "G", opts.flip_generations,
+              "generations the server flips by")
+      .value("--stats-url", "URL", opts.stats_url,
+             "scrape the server's /metrics after the run (the akadns-serve --stats-port "
+             "endpoint); embeds shed, cache hit rate, and zone generation in the JSON")
+      .value("--json", "PATH", opts.json_path, "write the report as JSON");
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
 
   // Rebuild the server's world from the same (count, seed) — self-play.
-  std::fprintf(stderr, "building %zu synthetic zones (seed %llu)...\n", opts.synthetic_zones,
-               (unsigned long long)opts.seed);
-  akadns::workload::HostedZonesConfig zc;
-  zc.zone_count = opts.synthetic_zones;
-  akadns::workload::HostedZones zones(zc, opts.seed);
+  std::fprintf(stderr, "building %zu synthetic zones (seed %llu)...\n",
+               zones_config.zone_count, (unsigned long long)mix.seed);
+  akadns::workload::HostedZones zones(zones_config, mix.seed);
   akadns::workload::PopulationConfig pc;
   pc.resolver_count = 10'000;
-  akadns::workload::ResolverPopulation population(pc, opts.seed ^ 0xC0FFEEULL);
-
-  akadns::workload::ReplayMixConfig mix;
-  mix.corpus_size = opts.corpus_size;
-  mix.attack_fraction = opts.attack_fraction;
-  mix.random_subdomain_weight = opts.w_random_subdomain;
-  mix.direct_query_weight = opts.w_direct;
-  mix.spoofed_weight = opts.w_spoofed;
-  mix.seed = opts.seed;
+  akadns::workload::ResolverPopulation population(pc, mix.seed ^ 0xC0FFEEULL);
   akadns::workload::ReplayCorpus corpus(mix, population, zones);
   std::fprintf(stderr, "corpus ready: %zu entries (%zu attack)\n", corpus.size(),
                corpus.attack_count());
@@ -438,18 +323,6 @@ int main(int argc, char** argv) {
                  expected_v2.size(), flips);
   }
 
-  akadns::net::LoadgenConfig config;
-  config.target = targets.front();
-  config.targets = targets;
-  config.sockets = opts.sockets;
-  config.batch = opts.batch;
-  config.window = opts.window;
-  config.rate = opts.rate;
-  config.total_queries = opts.queries;
-  config.response_timeout = akadns::Duration::millis(static_cast<std::int64_t>(opts.timeout_ms));
-  config.retries = static_cast<std::size_t>(opts.retries);
-  config.outage_gap = akadns::Duration::millis(static_cast<std::int64_t>(opts.outage_gap_ms));
-
   akadns::net::Loadgen loadgen(config, corpus, std::move(expected), std::move(expected_v2));
   const auto report = loadgen.run();
 
@@ -458,7 +331,7 @@ int main(int argc, char** argv) {
   std::printf("dropped     %llu\n", (unsigned long long)report.dropped);
   std::printf("mismatched  %llu\n", (unsigned long long)report.mismatched);
   std::printf("unexpected  %llu\n", (unsigned long long)report.unexpected);
-  if (report.retransmits > 0 || opts.retries > 0) {
+  if (report.retransmits > 0 || config.retries > 0) {
     std::printf("retransmits %llu\n", (unsigned long long)report.retransmits);
   }
   if (report.servfail > 0) {
@@ -481,7 +354,7 @@ int main(int argc, char** argv) {
                   (unsigned long long)w.losses);
     }
   }
-  if (opts.attack_fraction > 0.0) {
+  if (mix.attack_fraction > 0.0) {
     std::printf("legit       sent=%llu received=%llu dropped=%llu mismatched=%llu goodput=%.4f\n",
                 (unsigned long long)report.legit.sent, (unsigned long long)report.legit.received,
                 (unsigned long long)report.legit.dropped,
@@ -518,11 +391,11 @@ int main(int argc, char** argv) {
 
   if (!opts.json_path.empty()) {
     std::ofstream out(opts.json_path);
-    out << report_json(report, opts, scrape);
+    out << report_json(report, config, mix, opts, scrape);
     std::fprintf(stderr, "wrote %s\n", opts.json_path.c_str());
   }
 
-  if (opts.max_outage_ms >= 0) {
+  if (opts.max_outage_ms) {
     // Failover-drill gate: a machine was killed or suspended on purpose,
     // so dropped queries are expected — inside a bounded window. The run
     // passes iff service recovered fast enough (widest outage window
@@ -532,17 +405,17 @@ int main(int argc, char** argv) {
     // are re-steered duplicates, not errors, so they do not gate.
     const double widest_ms = static_cast<double>(report.widest_outage_ns) / 1e6;
     const bool ok = report.mismatched == 0 && report.received > 0 &&
-                    widest_ms <= static_cast<double>(opts.max_outage_ms);
+                    widest_ms <= static_cast<double>(*opts.max_outage_ms);
     std::printf("drill gate: widest_outage_ms=%.1f (budget %lld), mismatched=%llu -> %s\n",
-                widest_ms, (long long)opts.max_outage_ms,
+                widest_ms, (long long)*opts.max_outage_ms,
                 (unsigned long long)report.mismatched, ok ? "PASS" : "FAIL");
     return ok ? 0 : 1;
   }
-  if (opts.attack_fraction > 0.0) {
+  if (mix.attack_fraction > 0.0) {
     // Under an attack mix shed attack traffic is the *intended* outcome,
     // so total-drop counts cannot gate. The property that matters is
     // collateral damage: did legitimate traffic keep flowing, unchanged?
-    if (opts.defense == "on") {
+    if (opts.defense) {
       bool ok = report.legit.goodput() >= opts.goodput_min &&
                 report.legit.mismatched == 0 && report.legit.sent > 0;
       if (flip_mode) ok = ok && report.flip.stale_old == 0 && report.flip.new_answers > 0;

@@ -25,18 +25,16 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/drop_reason.hpp"
-#include "common/strings.hpp"
+#include "common/flags.hpp"
 #include "dns/name.hpp"
 #include "dns/wire.hpp"
 #include "net/ready_line.hpp"
@@ -75,191 +73,30 @@ void handle_reload(int) { g_reload_requested = 1; }
 void handle_suspend(int) { g_suspend_requested = 1; }
 void handle_resume(int) { g_suspend_requested = 0; }
 
-struct CliOptions {
+constexpr const char* kEpilogue =
+    "Once every socket is bound the daemon prints one machine-readable JSON\n"
+    "ready line on stdout ({\"akadns_serve_ready\":{pid, addr, udp_port,\n"
+    "tcp_port, stats_port, workers, zones, generation, defense}}) reporting\n"
+    "the *bound* ports, so --port 0 / --stats-port 0 compose with a\n"
+    "supervisor handshake without polling.\n"
+    "Signals: SIGHUP republishes --zone files; SIGTERM/SIGINT drains\n"
+    "gracefully and dumps telemetry JSON; a second SIGTERM/SIGINT forces an\n"
+    "immediate exit (code 3); SIGUSR1 self-suspends (/healthz flips to 503,\n"
+    "queries still answered); SIGUSR2 resumes.\n"
+    "Exit codes: 0 clean drain; 1 runtime failure; 2 usage error; 3 forced\n"
+    "exit by a second stop signal.\n";
+
+/// What the daemon reads beyond the library configs: zone sources, the
+/// propagation roles' peers, the flip drill and the stats endpoint.
+struct ServeOptions {
   std::vector<std::string> zone_files;
-  std::size_t synthetic_zones = 0;
   std::uint64_t seed = 1;
-  std::string addr = "127.0.0.1";
-  std::uint16_t port = 5300;
-  std::size_t workers = 4;
-  std::size_t batch = 32;
-  std::size_t edns_max = 1232;
-  bool defense = false;
-  double compute_qps = 0.0;
-  std::uint64_t nxdomain_threshold = 0;  // 0 = keep the DefenseOptions default
-  double nxdomain_penalty = 0.0;         // 0 = keep the DefenseOptions default
-  std::vector<std::string> qod_drops;
-  // Propagation roles.
-  std::vector<std::string> notify_targets;  // host:port strings
-  std::string secondary_of;                 // host:port, empty = primary only
-  std::vector<std::string> track_apexes;
-  std::uint64_t refresh_ms = 5000;
-  // Freshness-ladder caps (serve-stale drills): 0 = the zone's SOA
-  // refresh/expire verbatim.
-  std::uint64_t stale_after_ms = 0;
-  std::uint64_t expire_after_ms = 0;
-  // Live-reload drill: republish evolved synthetic zones mid-run.
+  std::vector<akadns::Endpoint> notify_targets;
+  std::optional<akadns::Endpoint> secondary_of;
   std::uint64_t flip_after_ms = 0;
   std::size_t flip_count = 1;
-  /// -1 = no stats endpoint; 0 = ephemeral (port printed on the ready line).
-  int stats_port = -1;
-  bool help = false;
+  std::optional<std::uint16_t> stats_port;
 };
-
-void print_usage(const char* argv0) {
-  std::printf(
-      "usage: %s [options]\n"
-      "  --zone FILE        load a master-format zone file (repeatable);\n"
-      "                     SIGHUP re-reads and republishes every --zone file\n"
-      "  --synthetic N      publish N deterministic synthetic zones\n"
-      "  --seed S           seed for --synthetic (default 1)\n"
-      "                     --zone and --synthetic compose: files are published\n"
-      "                     on top of the corpus through one pipeline (a file\n"
-      "                     reusing a synthetic apex must carry a newer serial)\n"
-      "  --addr A           bind address (default 127.0.0.1)\n"
-      "  --port P           UDP+TCP port, 0 = ephemeral (default 5300)\n"
-      "  --workers N        SO_REUSEPORT worker threads (default 4)\n"
-      "  --batch N          datagrams per recvmmsg/sendmmsg (default 32)\n"
-      "  --edns-max N       EDNS payload-size ceiling (default 1232)\n"
-      "  --notify H:P       send NOTIFY to this secondary on every publish\n"
-      "                     (repeatable)\n"
-      "  --secondary-of H:P pull zones from this primary (SOA refresh + IXFR,\n"
-      "                     AXFR fallback); NOTIFYs from it collapse the wait\n"
-      "  --track-apex NAME  zone apex the secondary bootstraps/tracks\n"
-      "                     (repeatable; default: whatever is already local)\n"
-      "  --refresh-ms T     secondary SOA probe cadence (default 5000)\n"
-      "  --stale-after-ms T cap on the SOA refresh timer: a tracked zone not\n"
-      "                     confirmed for T ms is *stale* (served, counted,\n"
-      "                     zone_staleness_seconds > 0); 0 = SOA verbatim\n"
-      "  --expire-after-ms T cap on the SOA expire timer: past it the zone is\n"
-      "                     withdrawn (queries REFUSED, /healthz 503);\n"
-      "                     0 = SOA verbatim\n"
-      "  --flip-after-ms T  live-reload drill: after T ms republish the first\n"
-      "                     --flip-count synthetic zones, deterministically\n"
-      "                     evolved (serial+1, A records' last octet +1)\n"
-      "  --flip-count K     zones the drill flips (default 1)\n"
-      "  --defense MODE     off|on: route queries through the filter chain +\n"
-      "                     penalty queues ahead of the responder (default off)\n"
-      "  --compute-qps Q    defense compute metering, answers/sec server-wide\n"
-      "                     (0 = unmetered; only meaningful with --defense on)\n"
-      "  --qod-drop NAME    install a query-of-death firewall rule dropping NAME\n"
-      "                     and everything below it (repeatable)\n"
-      "  --nxdomain-threshold N  server-wide NXDOMAINs per zone per window that arm\n"
-      "                     the random-subdomain filter (default 200)\n"
-      "  --nxdomain-penalty P  score added to random-subdomain probes of an armed\n"
-      "                     zone; >= 200 discards them outright (default 150)\n"
-      "  --stats-port P     serve live telemetry over HTTP on 127.0.0.1:P\n"
-      "                     (/metrics Prometheus text, /metrics.json, /healthz;\n"
-      "                     0 = ephemeral, port echoed on the ready line)\n"
-      "Once every socket is bound the daemon prints one machine-readable JSON\n"
-      "ready line on stdout ({\"akadns_serve_ready\":{pid, addr, udp_port,\n"
-      "tcp_port, stats_port, workers, zones, generation, defense}}) reporting\n"
-      "the *bound* ports, so --port 0 / --stats-port 0 compose with a\n"
-      "supervisor handshake without polling.\n"
-      "Signals: SIGHUP republishes --zone files; SIGTERM/SIGINT drains\n"
-      "gracefully and dumps telemetry JSON; a second SIGTERM/SIGINT forces an\n"
-      "immediate exit (code 3); SIGUSR1 self-suspends (/healthz flips to 503,\n"
-      "queries still answered); SIGUSR2 resumes.\n"
-      "Exit codes: 0 clean drain; 1 runtime failure; 2 usage error; 3 forced\n"
-      "exit by a second stop signal.\n",
-      argv0);
-}
-
-bool parse_args(int argc, char** argv, CliOptions& opts) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    // The flag's value as a whole, range-checked number.
-    const auto number = [&]<typename T>(
-        T& out, std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
-        std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
-      const char* v = need_value();
-      const auto parsed = v ? akadns::parse_number<T>(v, lo, hi) : std::nullopt;
-      if (v && !parsed) std::fprintf(stderr, "bad %s value: %s\n", arg.c_str(), v);
-      if (parsed) out = *parsed;
-      return parsed.has_value();
-    };
-    if (arg == "--help" || arg == "-h") {
-      opts.help = true;
-      return true;
-    } else if (arg == "--zone") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.zone_files.emplace_back(v);
-    } else if (arg == "--synthetic") {
-      if (!number(opts.synthetic_zones)) return false;
-    } else if (arg == "--seed") {
-      if (!number(opts.seed)) return false;
-    } else if (arg == "--addr") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.addr = v;
-    } else if (arg == "--port") {
-      if (!number(opts.port)) return false;
-    } else if (arg == "--workers") {
-      if (!number(opts.workers, 1, 1024)) return false;
-    } else if (arg == "--batch") {
-      if (!number(opts.batch, 1, 1024)) return false;
-    } else if (arg == "--edns-max") {
-      if (!number(opts.edns_max, 512, 65535)) return false;
-    } else if (arg == "--notify") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.notify_targets.emplace_back(v);
-    } else if (arg == "--secondary-of") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.secondary_of = v;
-    } else if (arg == "--track-apex") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.track_apexes.emplace_back(v);
-    } else if (arg == "--refresh-ms") {
-      if (!number(opts.refresh_ms)) return false;
-    } else if (arg == "--stale-after-ms") {
-      if (!number(opts.stale_after_ms)) return false;
-    } else if (arg == "--expire-after-ms") {
-      if (!number(opts.expire_after_ms)) return false;
-    } else if (arg == "--flip-after-ms") {
-      if (!number(opts.flip_after_ms)) return false;
-    } else if (arg == "--flip-count") {
-      if (!number(opts.flip_count)) return false;
-    } else if (arg == "--defense") {
-      const char* v = need_value();
-      if (!v) return false;
-      if (std::strcmp(v, "on") == 0) {
-        opts.defense = true;
-      } else if (std::strcmp(v, "off") == 0) {
-        opts.defense = false;
-      } else {
-        std::fprintf(stderr, "--defense wants on|off\n");
-        return false;
-      }
-    } else if (arg == "--compute-qps") {
-      if (!number(opts.compute_qps, 0.0)) return false;
-    } else if (arg == "--qod-drop") {
-      const char* v = need_value();
-      if (!v) return false;
-      opts.qod_drops.emplace_back(v);
-    } else if (arg == "--stats-port") {
-      if (!number(opts.stats_port, 0, 65535)) return false;
-    } else if (arg == "--nxdomain-threshold") {
-      if (!number(opts.nxdomain_threshold)) return false;
-    } else if (arg == "--nxdomain-penalty") {
-      if (!number(opts.nxdomain_penalty, 0.0)) return false;
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  return true;
-}
 
 /// Parses and publishes one master file through the pipeline. Returns
 /// the published apex (for NOTIFY fanout), or nullopt on failure. An
@@ -330,19 +167,75 @@ void dump_telemetry(const akadns::obs::MetricsSnapshot& snap) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliOptions opts;
-  if (!parse_args(argc, argv, opts)) {
-    print_usage(argv[0]);
-    return 2;
+  ServeOptions opts;
+  akadns::workload::HostedZonesConfig zones_config;
+  zones_config.zone_count = 0;
+  akadns::net::ServeConfig config;
+  config.port = 5300;
+  akadns::net::SecondaryConfig secondary_config;
+
+  akadns::FlagTable flags("akadns-serve", "[options]", kEpilogue);
+  flags
+      .list("--zone", "FILE", opts.zone_files,
+            "load a master-format zone file, published on top of any --synthetic "
+            "corpus through one pipeline (a file reusing a synthetic apex must carry a "
+            "newer serial); SIGHUP re-reads and republishes every --zone file")
+      .number("--synthetic", "N", zones_config.zone_count,
+              "publish N deterministic synthetic zones")
+      .number("--seed", "S", opts.seed, "seed for --synthetic")
+      .value("--addr", "A", config.bind_addr, "bind address")
+      .number("--port", "P", config.port, "UDP+TCP port, 0 = ephemeral")
+      .number("--workers", "N", config.workers, "SO_REUSEPORT worker threads", 1, 1024)
+      .number("--batch", "N", config.udp_batch, "datagrams per recvmmsg/sendmmsg", 1, 1024)
+      .number("--edns-max", "N", config.responder.edns_udp_payload_max,
+              "EDNS payload-size ceiling", 512, 65535)
+      .list("--notify", "H:P", opts.notify_targets,
+            "send NOTIFY to this secondary on every publish")
+      .value("--secondary-of", "H:P", opts.secondary_of,
+             "pull zones from this primary (SOA refresh + IXFR, AXFR fallback); "
+             "NOTIFYs from it collapse the wait")
+      .list("--track-apex", "NAME", secondary_config.apexes,
+            "zone apex the secondary bootstraps and tracks; none given = whatever is "
+            "already local")
+      .millis("--refresh-ms", "T", secondary_config.refresh_interval,
+              "secondary SOA probe cadence", 1)
+      .millis("--stale-after-ms", "T", secondary_config.freshness_caps.refresh_cap,
+              "cap on the SOA refresh timer: a tracked zone not confirmed for T ms is "
+              "*stale* (served, counted, zone_staleness_seconds > 0); 0 = SOA verbatim")
+      .millis("--expire-after-ms", "T", secondary_config.freshness_caps.expire_cap,
+              "cap on the SOA expire timer: past it the zone is withdrawn (queries "
+              "REFUSED, /healthz 503); 0 = SOA verbatim")
+      .number("--flip-after-ms", "T", opts.flip_after_ms,
+              "live-reload drill: after T ms republish the first --flip-count synthetic "
+              "zones, deterministically evolved (serial+1, A records' last octet +1); "
+              "0 = no drill")
+      .number("--flip-count", "K", opts.flip_count, "zones the drill flips")
+      .on_off("--defense", config.defense.enabled,
+              "route queries through the filter chain + penalty queues ahead of the "
+              "responder")
+      .number("--compute-qps", "Q", config.defense.compute_qps,
+              "defense compute metering, answers/sec server-wide (0 = unmetered; "
+              "needs --defense on)",
+              0.0)
+      .list("--qod-drop", "NAME", config.defense.qod_rules,
+            "install a query-of-death firewall rule dropping NAME and everything below it")
+      .number("--nxdomain-threshold", "N", config.defense.nxdomain_threshold,
+              "server-wide NXDOMAINs per zone per window that arm the random-subdomain "
+              "filter",
+              1)
+      .number("--nxdomain-penalty", "P", config.defense.nxdomain_penalty,
+              "score (> 0) added to random-subdomain probes of an armed zone; >= 200 "
+              "discards them outright",
+              std::numeric_limits<double>::min())
+      .number("--stats-port", "P", opts.stats_port,
+              "serve live telemetry over HTTP on 127.0.0.1:P (/metrics Prometheus text, "
+              "/metrics.json, /healthz; 0 = ephemeral, port echoed on the ready line)");
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
+  if (opts.zone_files.empty() && zones_config.zone_count == 0 && !opts.secondary_of) {
+    return flags.usage_error("no zones: pass --zone FILE, --synthetic N, or --secondary-of H:P");
   }
-  if (opts.help) {
-    print_usage(argv[0]);
-    return 0;
-  }
-  if (opts.zone_files.empty() && opts.synthetic_zones == 0 && opts.secondary_of.empty()) {
-    std::fprintf(stderr, "no zones: pass --zone FILE, --synthetic N, or --secondary-of H:P\n");
-    print_usage(argv[0]);
-    return 2;
+  if (config.defense.compute_qps > 0.0 && !config.defense.enabled) {
+    return flags.usage_error("--compute-qps meters the defense queues: it needs --defense on");
   }
 
   // Handlers go in before any slow work (zone compiles, binds): a stop
@@ -361,21 +254,6 @@ int main(int argc, char** argv) {
   usr.sa_handler = handle_resume;
   ::sigaction(SIGUSR2, &usr, nullptr);
 
-  const auto addr = akadns::Ipv4Addr::parse(opts.addr);
-  if (!addr) {
-    std::fprintf(stderr, "bad --addr: %s\n", opts.addr.c_str());
-    return 2;
-  }
-  std::vector<akadns::Endpoint> notify_targets;
-  for (const auto& text : opts.notify_targets) {
-    const auto target = akadns::Endpoint::parse(text);
-    if (!target) {
-      std::fprintf(stderr, "bad --notify target: %s\n", text.c_str());
-      return 2;
-    }
-    notify_targets.push_back(*target);
-  }
-
   // One pipeline for all zone content. The synthetic corpus is adopted
   // (compiled snapshots shared, no recompile); --zone files and every
   // later change (SIGHUP, secondary transfers, flip drill) publish
@@ -383,13 +261,11 @@ int main(int argc, char** argv) {
   akadns::MonotonicClock clock;
   akadns::propagation::ZonePublisher publisher(clock);
   std::unique_ptr<akadns::workload::HostedZones> synthetic;
-  if (opts.synthetic_zones > 0) {
-    akadns::workload::HostedZonesConfig zc;
-    zc.zone_count = opts.synthetic_zones;
-    synthetic = std::make_unique<akadns::workload::HostedZones>(zc, opts.seed);
+  if (zones_config.zone_count > 0) {
+    synthetic = std::make_unique<akadns::workload::HostedZones>(zones_config, opts.seed);
     publisher.adopt(synthetic->store());
     std::fprintf(stderr, "published %zu synthetic zones (seed %llu)\n",
-                 opts.synthetic_zones, (unsigned long long)opts.seed);
+                 zones_config.zone_count, (unsigned long long)opts.seed);
   }
   for (const auto& path : opts.zone_files) {
     if (!publish_zone_file(path, publisher, /*reload=*/false)) return 1;
@@ -397,53 +273,11 @@ int main(int argc, char** argv) {
 
   // Secondary role: pull zones from a primary into the same publisher.
   std::unique_ptr<akadns::net::SecondarySync> secondary;
-  if (!opts.secondary_of.empty()) {
-    const auto primary = akadns::Endpoint::parse(opts.secondary_of);
-    if (!primary) {
-      std::fprintf(stderr, "bad --secondary-of target: %s\n", opts.secondary_of.c_str());
-      return 2;
-    }
-    akadns::net::SecondaryConfig sc;
-    sc.primary_addr = primary->addr.v4();
-    sc.primary_port = primary->port;
-    sc.refresh_interval = akadns::Duration::millis(
-        static_cast<std::int64_t>(std::max<std::uint64_t>(1, opts.refresh_ms)));
-    // Freshness ladder, shared with the serve workers: the sync confirms
-    // refreshes into the tracker, the query path gates on it.
-    sc.freshness_caps.refresh_cap =
-        akadns::Duration::millis(static_cast<std::int64_t>(opts.stale_after_ms));
-    sc.freshness_caps.expire_cap =
-        akadns::Duration::millis(static_cast<std::int64_t>(opts.expire_after_ms));
-    for (const auto& text : opts.track_apexes) {
-      auto apex = akadns::dns::DnsName::parse(text);
-      if (!apex) {
-        std::fprintf(stderr, "bad --track-apex name: %s\n", text.c_str());
-        return 2;
-      }
-      sc.apexes.push_back(std::move(*apex));
-    }
-    secondary = std::make_unique<akadns::net::SecondarySync>(std::move(sc), publisher);
-  }
-
-  akadns::net::ServeConfig config;
-  config.bind_addr = *addr;
-  config.port = opts.port;
-  config.workers = opts.workers;
-  config.udp_batch = opts.batch;
-  config.responder.edns_udp_payload_max = opts.edns_max;
-  config.defense.enabled = opts.defense;
-  config.defense.compute_qps = opts.compute_qps;
-  if (opts.nxdomain_threshold > 0) config.defense.nxdomain_threshold = opts.nxdomain_threshold;
-  if (opts.nxdomain_penalty > 0.0) config.defense.nxdomain_penalty = opts.nxdomain_penalty;
-  for (const auto& name_text : opts.qod_drops) {
-    auto name = akadns::dns::DnsName::parse(name_text);
-    if (!name) {
-      std::fprintf(stderr, "bad --qod-drop name: %s\n", name_text.c_str());
-      return 2;
-    }
-    config.defense.qod_rules.push_back(std::move(*name));
-  }
-  if (secondary) {
+  if (opts.secondary_of) {
+    secondary_config.primary_addr = opts.secondary_of->addr.v4();
+    secondary_config.primary_port = opts.secondary_of->port;
+    secondary =
+        std::make_unique<akadns::net::SecondarySync>(std::move(secondary_config), publisher);
     config.on_notify = [sync = secondary.get()](const akadns::dns::DnsName&) {
       sync->notify_kick();
     };
@@ -487,9 +321,9 @@ int main(int argc, char** argv) {
         return server.ready() && (!sec || !sec->degraded());
       });
   std::uint16_t stats_port = 0;
-  if (opts.stats_port >= 0) {
+  if (opts.stats_port) {
     std::string err;
-    if (!stats_server.start(static_cast<std::uint16_t>(opts.stats_port), &err)) {
+    if (!stats_server.start(*opts.stats_port, &err)) {
       std::fprintf(stderr, "stats endpoint failed: %s\n", err.c_str());
       return 1;
     }
@@ -501,20 +335,20 @@ int main(int argc, char** argv) {
   // net::parse_ready_line — never by polling a port).
   akadns::net::ReadyLine ready;
   ready.pid = static_cast<std::int64_t>(::getpid());
-  ready.addr = opts.addr;
+  ready.addr = config.bind_addr.to_string();
   ready.udp_port = server.udp_port();
   ready.tcp_port = server.tcp_port();
   ready.stats_port = stats_port;
-  ready.workers = opts.workers;
+  ready.workers = config.workers;
   ready.zones = publisher.zone_count();
   ready.generation = publisher.stats().published.value();
-  ready.defense = opts.defense;
+  ready.defense = config.defense.enabled;
   std::fputs(akadns::net::render_ready_line(ready).c_str(), stdout);
   std::fflush(stdout);
 
   std::uint16_t notify_id = 1;
   for (const auto& apex : publisher.apexes()) {
-    notify_all(notify_targets, publisher, apex, notify_id);
+    notify_all(opts.notify_targets, publisher, apex, notify_id);
   }
 
   const auto start_time = std::chrono::steady_clock::now();
@@ -534,7 +368,7 @@ int main(int argc, char** argv) {
       g_reload_requested = 0;
       for (const auto& path : opts.zone_files) {
         if (const auto apex = publish_zone_file(path, publisher, /*reload=*/true)) {
-          notify_all(notify_targets, publisher, *apex, notify_id);
+          notify_all(opts.notify_targets, publisher, *apex, notify_id);
         }
       }
     }
@@ -552,7 +386,7 @@ int main(int argc, char** argv) {
                        published.error().c_str());
           continue;
         }
-        notify_all(notify_targets, publisher, apex, notify_id);
+        notify_all(opts.notify_targets, publisher, apex, notify_id);
       }
       std::fprintf(stderr, "flipped %zu zones\n", count);
     }

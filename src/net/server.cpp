@@ -88,7 +88,7 @@ struct Server::Worker {
             cfg.transfer),
         clock(epoch_tp),
         engine(worker_engine_config(cfg), clock),
-        queue_path(cfg.defense.enabled || cfg.defense.compute_qps > 0.0),
+        queue_path(cfg.defense.enabled),
         output_bound(cfg.tcp_max_frame + 2) {
     if (cfg.defense.enabled) {
       // Content-based chain: the NXDOMAIN filter discriminates by what
@@ -136,9 +136,8 @@ struct Server::Worker {
   /// expire against.
   MonotonicClock clock;
   server::LaneCore::Engine engine;
-  /// Queries go through the penalty queues (filters on, or compute
-  /// metering requested without filters). Off: the inline fast path
-  /// answers straight out of the receive batch.
+  /// Queries go through the filters and penalty queues (defense on).
+  /// Off: the inline fast path answers straight out of the receive batch.
   const bool queue_path;
   /// Unsent TCP output past which a connection is paused: one maximum
   /// frame, so a client that pipelines without reading pins at most
@@ -630,6 +629,9 @@ Server::~Server() { stop(); }
 Result<bool> Server::start() {
   if (running_ || stopped_) return Error{"server already started"};
   if (config_.workers == 0) return Error{"workers must be >= 1"};
+  if (config_.defense.compute_qps > 0.0 && !config_.defense.enabled) {
+    return Error{"compute metering needs the defense pipeline (defense.enabled)"};
+  }
 
   workers_.clear();
   // One shared epoch: every worker's MonotonicClock (and SimTime view)

@@ -58,12 +58,15 @@ namespace akadns::net {
 /// sim's lane, so per-worker filter state needs no sharing or locking.
 struct DefenseOptions {
   /// Routes queries through the filter chain + penalty queues. Off by
-  /// default: the inline zero-alloc fast path answers straight out of
-  /// the receive batch (the firewall rule table is consulted either way).
+  /// default: the inline fast path answers straight out of the receive
+  /// batch (the firewall rule table is consulted either way). It makes
+  /// about 3 heap allocations per query, all in decode_query_view
+  /// growing the qname's label vector; the queued path makes about 5.5.
   bool enabled = false;
   /// Server-wide compute metering (answers/sec the engine releases to
   /// the responders; split evenly across workers). <= 0: unmetered —
-  /// with `enabled` the queues then only shed by score, never shape.
+  /// the queues then only shed by score, never shape. Metering needs
+  /// `enabled`: Server::start() rejects compute_qps > 0 without it.
   double compute_qps = 0.0;
   /// Per-worker penalty-queue shape (M_i thresholds, S_max, capacity).
   filters::PenaltyQueueConfig queue_config{};

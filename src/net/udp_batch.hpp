@@ -5,8 +5,9 @@
 // syscall-per-packet toy from a server that saturates hardware. All
 // storage (receive buffers, response buffers, mmsghdr/iovec/sockaddr
 // arrays) is allocated once at construction and reused for every batch,
-// so the steady-state UDP path performs zero per-query heap allocations,
-// matching the simulator datapath's pooled-buffer discipline.
+// so batching itself allocates nothing per query. The query path still
+// does: decode_query_view grows the qname's label vector, about 3 heap
+// allocations per query inline and 5.5 with the defense queues on.
 #pragma once
 
 #include <sys/socket.h>

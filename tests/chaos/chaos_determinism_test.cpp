@@ -255,6 +255,12 @@ TEST(FaultPlan, TyposAndOutOfRangeValuesFailLoudly) {
            "blackhole=3000\n",       // malformed window
            "blackhole=5000:4000\n",  // end before start
            "seed=\n",
+           "both.loss=0.05x\n",        // trailing bytes
+           "both.delay_ms=20ms\n",
+           "blackhole=100:200junk\n",
+           "seed=-1\n",                // not 18446744073709551615
+           "up.jitter_ms=1e3\n",       // whole milliseconds, not 1
+           "both.loss=nan\n",          // not a clean plan
        }) {
     EXPECT_FALSE(FaultPlan::parse(bad).ok()) << "accepted: " << bad;
   }

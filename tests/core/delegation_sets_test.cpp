@@ -36,7 +36,9 @@ TEST(DelegationSets, SetsAreSortedAndInRange) {
     const auto set = delegation_set_for(index);
     for (std::size_t i = 0; i < set.size(); ++i) {
       EXPECT_LT(set[i], kCloudCount);
-      if (i > 0) EXPECT_LT(set[i - 1], set[i]);
+      if (i > 0) {
+        EXPECT_LT(set[i - 1], set[i]);
+      }
     }
   }
 }

@@ -3,8 +3,13 @@
 // it, and watch the supervisor repopulate the PoP. This is the one test
 // layer where the subject is a process, not a class.
 
+#include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <spawn.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -19,9 +24,12 @@
 #include "obs/exposition.hpp"
 #include "obs/stats_http.hpp"
 
-#ifndef AKADNS_SERVE_BIN
-#error "AKADNS_SERVE_BIN must point at the akadns-serve binary"
+#if !defined(AKADNS_SERVE_BIN) || !defined(AKADNS_LOADGEN_BIN) || \
+    !defined(AKADNS_FLEET_BIN) || !defined(AKADNS_CHAOS_BIN)
+#error "AKADNS_{SERVE,LOADGEN,FLEET,CHAOS}_BIN must point at the four binaries"
 #endif
+
+extern char** environ;
 
 namespace akadns::fleet {
 namespace {
@@ -79,6 +87,62 @@ net::FdHandle pipeline_unread_queries(const net::ReadyLine& ready) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return fd;
+}
+
+/// One finished run of a binary: its exit code and what it printed.
+struct CliRun {
+  int exit_code = -1;
+  std::string out;
+  std::string err;
+};
+
+/// Runs `binary args...` to completion (SIGKILLed after 20 s), capturing
+/// stdout and stderr separately.
+CliRun run_cli(const std::string& binary, const std::vector<std::string>& args) {
+  CliRun run;
+  int out_pipe[2];
+  int err_pipe[2];
+  if (::pipe2(out_pipe, O_CLOEXEC) != 0 || ::pipe2(err_pipe, O_CLOEXEC) != 0) return run;
+  posix_spawn_file_actions_t actions;
+  ::posix_spawn_file_actions_init(&actions);
+  ::posix_spawn_file_actions_adddup2(&actions, out_pipe[1], STDOUT_FILENO);
+  ::posix_spawn_file_actions_adddup2(&actions, err_pipe[1], STDERR_FILENO);
+  std::vector<char*> argv{const_cast<char*>(binary.c_str())};
+  for (const auto& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
+  argv.push_back(nullptr);
+  pid_t pid = -1;
+  const int spawned = ::posix_spawn(&pid, binary.c_str(), &actions, nullptr, argv.data(), environ);
+  ::posix_spawn_file_actions_destroy(&actions);
+  ::close(out_pipe[1]);
+  ::close(err_pipe[1]);
+  pollfd fds[2] = {{out_pipe[0], POLLIN, 0}, {err_pipe[0], POLLIN, 0}};
+  std::string* sinks[2] = {&run.out, &run.err};
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (spawned == 0 && (fds[0].fd >= 0 || fds[1].fd >= 0)) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      ADD_FAILURE() << binary << " still running after 20 s";
+      ::kill(pid, SIGKILL);
+      break;
+    }
+    if (::poll(fds, 2, 100) <= 0) continue;
+    for (int i = 0; i < 2; ++i) {
+      if (fds[i].fd < 0 || fds[i].revents == 0) continue;
+      char buf[4096];
+      const ssize_t n = ::read(fds[i].fd, buf, sizeof(buf));
+      if (n > 0) {
+        sinks[i]->append(buf, static_cast<std::size_t>(n));
+      } else {
+        fds[i].fd = -1;
+      }
+    }
+  }
+  ::close(out_pipe[0]);
+  ::close(err_pipe[0]);
+  int status = 0;
+  if (spawned == 0 && ::waitpid(pid, &status, 0) == pid && WIFEXITED(status)) {
+    run.exit_code = WEXITSTATUS(status);
+  }
+  return run;
 }
 
 SpawnSpec tiny_serve(const std::string& id) {
@@ -142,7 +206,11 @@ TEST(MachineProcess, BadNumericFlagIsAUsageError) {
   // Strict flags: an out-of-range port or a non-number is exit 2, not a
   // daemon on the wrapped-around port or a worker with batch 0.
   for (const std::vector<std::string>& args :
-       {std::vector<std::string>{"--port", "70000"}, {"--port", "5x"}, {"--batch", "abc"}}) {
+       {std::vector<std::string>{"--port", "70000"},
+        {"--port", "5x"},
+        {"--batch", "abc"},
+        // Compute metering without the defense queues it meters.
+        {"--synthetic", "5", "--port", "0", "--compute-qps", "5000"}}) {
     SpawnSpec spec;
     spec.id = "m0";
     spec.binary = AKADNS_SERVE_BIN;
@@ -151,6 +219,73 @@ TEST(MachineProcess, BadNumericFlagIsAUsageError) {
     ASSERT_TRUE(machine.spawn());
     ASSERT_TRUE(machine.wait_exit(10000)) << args[0] << " " << args[1];
     EXPECT_EQ(machine.exit_code(), 2) << args[0] << " " << args[1];
+  }
+}
+
+TEST(MachineProcess, EveryBinaryPrintsHelpAndRejectsBadFlagsBeforeWork) {
+  struct Binary {
+    std::string path;
+    std::vector<std::string> flags;  // the whole flag surface
+    std::vector<std::string> out_of_range;
+  };
+  const Binary binaries[] = {
+      {AKADNS_SERVE_BIN,
+       {"--zone", "--synthetic", "--seed", "--addr", "--port", "--workers", "--batch",
+        "--edns-max", "--notify", "--secondary-of", "--track-apex", "--refresh-ms",
+        "--stale-after-ms", "--expire-after-ms", "--flip-after-ms", "--flip-count",
+        "--defense", "--compute-qps", "--qod-drop", "--nxdomain-threshold",
+        "--nxdomain-penalty", "--stats-port"},
+       {"--port", "70000"}},
+      {AKADNS_LOADGEN_BIN,
+       {"--target", "--synthetic", "--seed", "--queries", "--sockets", "--batch", "--window",
+        "--rate", "--corpus", "--attack-mix", "--attack-weights", "--defense", "--timeout-ms",
+        "--retries", "--goodput-min", "--max-outage-ms", "--outage-gap-ms", "--verify",
+        "--flip-count", "--flip-generations", "--stats-url", "--json"},
+       {"--sockets", "0"}},
+      {AKADNS_FLEET_BIN,
+       {"--machines", "--synthetic", "--seed", "--workers", "--defense", "--port",
+        "--machine-port-base", "--stats-port", "--serve-bin", "--run-ms", "--kill-after-ms",
+        "--kill-machine", "--suspend-after-ms", "--suspend-machine", "--restore-after-ms",
+        "--probe-interval-ms", "--probe-timeout-ms", "--fail-threshold", "--quota-fraction",
+        "--min-serving", "--report", "--chaos-plan", "--chaos-seed"},
+       {"--machines", "65"}},
+      {AKADNS_CHAOS_BIN,
+       {"--upstream", "--listen", "--addr", "--plan", "--fault", "--seed", "--stats-port"},
+       {"--listen", "70000"}},
+  };
+  EXPECT_EQ(binaries[0].flags.size(), 22u);
+  EXPECT_EQ(binaries[1].flags.size(), 22u);
+  EXPECT_EQ(binaries[2].flags.size(), 23u);
+  EXPECT_EQ(binaries[3].flags.size(), 7u);
+  for (const Binary& binary : binaries) {
+    const CliRun help = run_cli(binary.path, {"--help"});
+    EXPECT_EQ(help.exit_code, 0) << binary.path;
+    for (const std::string& flag : binary.flags) {
+      EXPECT_NE(help.out.find("\n  " + flag + " "), std::string::npos)
+          << binary.path << " --help lacks " << flag << ":\n" << help.out;
+    }
+    for (const std::vector<std::string>& args :
+         {std::vector<std::string>{"--no-such-flag"}, {"--seed"}, binary.out_of_range}) {
+      const CliRun run = run_cli(binary.path, args);
+      EXPECT_EQ(run.exit_code, 2) << binary.path << " " << args[0];
+      EXPECT_FALSE(run.err.empty()) << binary.path << " " << args[0];
+    }
+  }
+  // The alias is the one name the loadgen keeps for its attack mix.
+  EXPECT_EQ(run_cli(AKADNS_LOADGEN_BIN, {"--attack-fraction", "0.5"}).exit_code, 2);
+
+  // Values are checked as they are read, before the daemon builds a zone.
+  for (const std::vector<std::string>& bad : {
+           std::vector<std::string>{"--qod-drop", "a..b"},
+           {"--secondary-of", "127.0.0.1:99999"},
+           {"--secondary-of", "127.0.0.1:5300", "--track-apex", "a..b"},
+       }) {
+    std::vector<std::string> args = {"--synthetic", "1000", "--port", "0"};
+    args.insert(args.end(), bad.begin(), bad.end());
+    const CliRun run = run_cli(AKADNS_SERVE_BIN, args);
+    EXPECT_EQ(run.exit_code, 2) << bad.back();
+    EXPECT_EQ(run.err.find("synthetic zones"), std::string::npos) << bad.back() << ":\n"
+                                                                 << run.err;
   }
 }
 

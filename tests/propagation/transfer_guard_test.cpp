@@ -95,7 +95,7 @@ ResourceRecord& record_at(std::vector<Message>& stream, std::size_t n) {
 
 TEST(TransferGuard, CompleteAxfrStreamPasses) {
   Fixture fx(/*head=*/5, /*journal_from=*/3);
-  auto service = fx.service({.axfr_records_per_message = 2});
+  auto service = fx.service({.axfr_records_per_message = 2, .fault_hooks = nullptr});
   const auto stream =
       through_the_wire(service.serve(TransferService::make_axfr_query(kApex, 7)));
   ASSERT_GE(stream.size(), 3u) << "fixture must split the body across messages";
@@ -106,7 +106,7 @@ TEST(TransferGuard, AxfrCutAtEveryMessageBoundaryIsRejected) {
   // The core adversarial sweep: a connection dying between any two
   // messages of the stream must never yield a publishable prefix.
   Fixture fx(5, 3);
-  auto service = fx.service({.axfr_records_per_message = 2});
+  auto service = fx.service({.axfr_records_per_message = 2, .fault_hooks = nullptr});
   const auto stream =
       through_the_wire(service.serve(TransferService::make_axfr_query(kApex, 7)));
   ASSERT_GE(stream.size(), 3u);
@@ -158,7 +158,7 @@ TEST(TransferGuard, SingleSoaIsUpToDateOnlyWhenNotAheadOfTheClient) {
 
 TEST(TransferGuard, CorruptOpenerAndInteriorSoaAreRejected) {
   Fixture fx(5, 3);
-  auto service = fx.service({.axfr_records_per_message = 2});
+  auto service = fx.service({.axfr_records_per_message = 2, .fault_hooks = nullptr});
   const auto good =
       through_the_wire(service.serve(TransferService::make_axfr_query(kApex, 7)));
 

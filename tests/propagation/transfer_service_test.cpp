@@ -80,7 +80,7 @@ TEST(TransferService, AxfrStreamsTheWholeZone) {
 
 TEST(TransferService, AxfrSplitsAtConfiguredMessageSize) {
   Fixture fx(5, 3);
-  auto service = fx.service({.axfr_records_per_message = 2});
+  auto service = fx.service({.axfr_records_per_message = 2, .fault_hooks = nullptr});
   const auto stream = service.serve(TransferService::make_axfr_query(kApex, 7));
   EXPECT_GT(stream.size(), 1u);
   const auto payload =

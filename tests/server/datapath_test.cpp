@@ -51,10 +51,10 @@ struct Fixture {
 
 /// A 12-byte header claiming one question, followed by `question_bytes`.
 std::vector<std::uint8_t> header_plus(std::vector<std::uint8_t> question_bytes) {
-  std::vector<std::uint8_t> wire = {0x12, 0x34, 0x00, 0x00, 0x00, 0x01,
-                                    0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
-  wire.insert(wire.end(), question_bytes.begin(), question_bytes.end());
-  return wire;
+  static constexpr std::uint8_t kHeader[] = {0x12, 0x34, 0x00, 0x00, 0x00, 0x01,
+                                             0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  question_bytes.insert(question_bytes.begin(), std::begin(kHeader), std::end(kHeader));
+  return question_bytes;
 }
 
 TEST(Datapath, TruncatedHeaderDropsAsMalformed) {
