@@ -306,7 +306,7 @@ class SeedEncoder {
     u16(static_cast<std::uint16_t>(v));
   }
   void name(const dns::DnsName& n) {
-    const auto& labels = n.labels();
+    const dns::DnsName::Labels labels(n);
     for (std::size_t i = 0; i < labels.size(); ++i) {
       const dns::DnsName suffix = n.suffix(labels.size() - i);
       if (auto it = offsets_.find(suffix); it != offsets_.end()) {

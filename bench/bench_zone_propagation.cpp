@@ -1,17 +1,20 @@
 // Zone propagation bench: what a zone update costs end to end.
 //
-// Four sections. (1) Full vs incremental recompile across zone size ×
+// Five sections. (1) Full vs incremental recompile across zone size ×
 // delta size — the case for compile_incremental is that a 1-record
 // change in a 100k-record zone should cost the delta, not the zone.
 // (2) The publisher pipeline: diff + journal + incremental compile per
 // publish, sustained over a long serial chain. (3) Publish-to-visible
 // latency at a subscriber, for both the in-process adoption path and
-// the wire-style delta-replay path. (4) An apex-count sweep over the
-// zone store (10^3..10^5 small zones): building it one publish at a
-// time, seeding a replica, republishing one apex, lookup cost and RSS
-// per apex. Loading n zones must cost O(n) and one republish must not
-// grow with n. The sweep also checks that every apex's www name resolves
-// to that apex and exits nonzero on a mismatch; it gates no timing.
+// the wire-style delta-replay path. (4) The heap per hosted zone of the
+// benchmark's zone population (HostedZones, 5000 zones, seed 1), split
+// into the interpreted Zone, its CompiledZone and the rest. (5) An
+// apex-count sweep over the zone store (10^3..10^5 small zones):
+// building it one publish at a time, seeding a replica, republishing one
+// apex, lookup cost, and RSS and heap per apex. Loading n zones must
+// cost O(n) and one republish must not grow with n. The sweep also
+// checks that every apex's www name resolves to that apex and exits
+// nonzero on a mismatch; it gates no timing and no memory figure.
 //
 // With AKADNS_BENCH_JSON=<path> every row is also written as JSON (the
 // CI artifact).
@@ -29,6 +32,7 @@
 #include "common/rng.hpp"
 #include "propagation/zone_publisher.hpp"
 #include "propagation/zone_subscriber.hpp"
+#include "workload/zones.hpp"
 #include "zone/compiled_zone.hpp"
 #include "zone/zone_builder.hpp"
 
@@ -180,6 +184,60 @@ std::size_t rss_bytes() {
   return resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
 }
 
+// Bytes in use in malloc's arenas. Blocks it serves straight from mmap
+// (128 KB and up, here only a few large vectors) are not counted.
+std::size_t heap_bytes() { return mallinfo2().uordblks; }
+
+// Where the heap of a hosted zone goes. The total is the heap the whole
+// HostedZones build keeps; the Zone part is what one more shared copy of
+// every published snapshot costs, and the CompiledZone part what
+// compiling every snapshot once more costs (the copies and compiles are
+// kept alive while measured). The rest — the store's apex map, the
+// workload's name lists — is the difference.
+void heap_split_section() {
+  bench::subheading("heap per hosted zone: HostedZones{5000}, seed 1");
+  constexpr std::size_t kZones = 5000;
+  const std::size_t h0 = heap_bytes();
+  workload::HostedZonesConfig config;
+  config.zone_count = kZones;
+  const auto zones = std::make_unique<workload::HostedZones>(config, 1);
+  const std::size_t total = heap_bytes() - h0;
+
+  std::vector<zone::ZonePtr> sources;
+  for (const dns::DnsName& apex : zones->store().zone_apexes()) {
+    sources.push_back(zones->store().find_zone(apex));
+  }
+  std::vector<zone::ZonePtr> copies;
+  copies.reserve(sources.size());
+  std::vector<zone::CompiledZonePtr> compiled;
+  compiled.reserve(sources.size());
+
+  const std::size_t h1 = heap_bytes();
+  for (const zone::ZonePtr& z : sources) copies.push_back(std::make_shared<const Zone>(*z));
+  const std::size_t h2 = heap_bytes();
+  std::size_t nodes = 0;
+  for (const zone::ZonePtr& z : sources) {
+    compiled.push_back(CompiledZone::compile(z));
+    nodes += compiled.back()->node_count();
+  }
+  const std::size_t h3 = heap_bytes();
+
+  const auto per_zone_kb = [](std::size_t bytes) {
+    return static_cast<double>(bytes) / kZones / 1000.0;
+  };
+  const std::size_t zone_part = h2 - h1;
+  const std::size_t compiled_part = h3 - h2;
+  const std::size_t parts = zone_part + compiled_part;
+  const std::size_t rest = total > parts ? total - parts : 0;
+  bench::print_row("heap per hosted zone", per_zone_kb(total), "KB");
+  bench::print_row("  interpreted Zone", per_zone_kb(zone_part), "KB");
+  bench::print_row("  CompiledZone", per_zone_kb(compiled_part), "KB");
+  bench::print_row("  rest (apex map, workload names)", per_zone_kb(rest), "KB");
+  bench::print_row("CompiledZone heap per node",
+                   static_cast<double>(compiled_part) / static_cast<double>(nodes), "B");
+  bench::print_row("compiled nodes per zone", static_cast<double>(nodes) / kZones, "");
+}
+
 // A 5-record zone: SOA, NS and three A records.
 zone::ZonePtr small_zone(const std::string& apex, std::uint32_t serial) {
   return std::make_shared<const Zone>(ZoneBuilder(apex, serial)
@@ -193,14 +251,15 @@ zone::ZonePtr small_zone(const std::string& apex, std::uint32_t serial) {
 // Returns false when a lookup resolves to the wrong apex.
 bool apex_sweep_section() {
   bench::subheading("apex-count sweep: build, seed a replica, republish one apex");
-  std::printf("  %-8s %10s %11s %15s %12s %13s\n", "apexes", "build (s)", "adopt (ms)",
-              "republish (us)", "lookup (ns)", "RSS/apex (B)");
+  std::printf("  %-8s %10s %11s %15s %12s %13s %14s\n", "apexes", "build (s)", "adopt (ms)",
+              "republish (us)", "lookup (ns)", "RSS/apex (B)", "heap/apex (B)");
   constexpr std::size_t kRepublishes = 64;
   constexpr std::size_t kLookups = 200'000;
 
   for (const std::size_t n : {1'000ULL, 10'000ULL, 100'000ULL}) {
     malloc_trim(0);  // earlier rows' freed memory must not hide this row's growth
     const std::size_t rss_before = rss_bytes();
+    const std::size_t heap_before = heap_bytes();
     std::vector<zone::ZonePtr> zones;
     zones.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -214,6 +273,9 @@ bool apex_sweep_section() {
     const std::size_t rss_after = rss_bytes();
     const double rss_per_apex =
         rss_after > rss_before ? static_cast<double>(rss_after - rss_before) / n : 0.0;
+    const std::size_t heap_after = heap_bytes();
+    const double heap_per_apex =
+        heap_after > heap_before ? static_cast<double>(heap_after - heap_before) / n : 0.0;
 
     zone::ZoneStore replica;
     t0 = std::chrono::steady_clock::now();
@@ -254,14 +316,15 @@ bool apex_sweep_section() {
     const double lookup_ns = elapsed_us(t0) * 1e3 / kLookups;
     if (hits != inside) ++mismatches;  // the timed pass must hit exactly the inside names
 
-    std::printf("  %-8zu %10.3f %11.2f %15.1f %12.1f %13.0f\n", n, build_s, adopt_ms,
-                republish_us, lookup_ns, rss_per_apex);
+    std::printf("  %-8zu %10.3f %11.2f %15.1f %12.1f %13.0f %14.0f\n", n, build_s, adopt_ms,
+                republish_us, lookup_ns, rss_per_apex, heap_per_apex);
     const std::string label = std::to_string(n) + " apexes: ";
     bench::print_row((label + "build, one publish each").c_str(), build_s, "s");
     bench::print_row((label + "seed a replica (adopt)").c_str(), adopt_ms, "ms");
     bench::print_row((label + "republish one apex").c_str(), republish_us, "us");
     bench::print_row((label + "find_best_compiled").c_str(), lookup_ns, "ns");
     bench::print_row((label + "RSS per apex").c_str(), rss_per_apex, "B");
+    bench::print_row((label + "heap per apex").c_str(), heap_per_apex, "B");
     bench::print_count_row((label + "lookup mismatches").c_str(), mismatches);
     if (mismatches != 0) {
       std::printf("  !! %zu lookups resolved to the wrong apex at %zu apexes\n", mismatches, n);
@@ -280,6 +343,7 @@ int main() {
   akadns::compile_section();
   akadns::publisher_section();
   akadns::visibility_section();
+  akadns::heap_split_section();
   const bool sweep_ok = akadns::apex_sweep_section();
   std::printf("\n");
   return sweep_ok ? 0 : 1;

@@ -47,24 +47,25 @@ class Encoder {
 
   /// Writes a name, emitting a compression pointer when a suffix of the
   /// name was already written at a pointer-reachable offset (< 0x4000).
-  /// Written suffixes are indexed as (name pointer, first label) pairs —
-  /// the names being encoded outlive the encoder, so no DnsName is ever
-  /// copied on this path (the seed keyed a std::map by DnsName value,
-  /// which allocated per suffix per name).
+  /// Written suffixes are indexed by their label bytes — the names being
+  /// encoded outlive the encoder, so no DnsName is ever copied on this
+  /// path, and label-aligned tails are equal exactly when their bytes are.
   void name(const DnsName& n) {
-    const auto& labels = n.labels();
-    for (std::size_t i = 0; i < labels.size(); ++i) {
+    const std::string_view wire = n.wire_labels();
+    for (std::size_t pos = 0; pos < wire.size();) {
+      const std::string_view tail = wire.substr(pos);
       if (compress_) {
-        if (const SuffixRef* hit = find_suffix(labels, i)) {
+        if (const SuffixRef* hit = find_suffix(tail)) {
           u16(static_cast<std::uint16_t>(0xC000 | hit->offset));
           return;
         }
         if (out_.size() < 0x3FFF) {
-          offsets_.push_back(SuffixRef{&n, i, static_cast<std::uint16_t>(out_.size())});
+          offsets_.push_back(SuffixRef{tail, static_cast<std::uint16_t>(out_.size())});
         }
       }
-      u8(static_cast<std::uint8_t>(labels[i].size()));
-      bytes({reinterpret_cast<const std::uint8_t*>(labels[i].data()), labels[i].size()});
+      const std::size_t label_end = pos + 1 + static_cast<std::uint8_t>(wire[pos]);
+      bytes({reinterpret_cast<const std::uint8_t*>(wire.data() + pos), label_end - pos});
+      pos = label_end;
     }
     u8(0);  // root
   }
@@ -93,31 +94,19 @@ class Encoder {
   }
 
  private:
-  /// The suffix of `*name` starting at label index `start`, written at
-  /// wire offset `offset`.
+  /// A label-aligned tail of a written name, written at wire offset
+  /// `offset`.
   struct SuffixRef {
-    const DnsName* name;
-    std::size_t start;
+    std::string_view tail;
     std::uint16_t offset;
   };
 
   /// Linear scan beats a map here: messages hold a handful of names, the
   /// entries are contiguous, and labels are lowercased at construction so
-  /// string equality is exact name equality.
-  const SuffixRef* find_suffix(const std::vector<std::string>& labels,
-                               std::size_t start) const noexcept {
-    const std::size_t count = labels.size() - start;
+  /// byte equality is exact name equality.
+  const SuffixRef* find_suffix(std::string_view tail) const noexcept {
     for (const SuffixRef& ref : offsets_) {
-      const auto& other = ref.name->labels();
-      if (other.size() - ref.start != count) continue;
-      bool equal = true;
-      for (std::size_t j = 0; j < count; ++j) {
-        if (labels[start + j] != other[ref.start + j]) {
-          equal = false;
-          break;
-        }
-      }
-      if (equal) return &ref;
+      if (ref.tail == tail) return &ref;
     }
     return nullptr;
   }
@@ -294,12 +283,15 @@ class Decoder {
   /// must point strictly backwards; at most one chain of kMaxPointers is
   /// followed, which both bounds work and rejects loops.
   bool name(DnsName& out) noexcept {
-    std::vector<std::string> labels;
+    // Labels gather on the stack (a compressed name is scattered across
+    // the packet); DnsName::from_wire lowercases them into the name, in
+    // place for any name of up to DnsName::kInlineBytes.
+    std::uint8_t labels[255];
+    std::size_t size = 0;
     std::size_t cursor = pos_;
     std::size_t after_first_pointer = 0;
     bool jumped = false;
     int pointers = 0;
-    std::size_t total_len = 1;
     constexpr int kMaxPointers = 32;
     while (true) {
       if (cursor >= wire_.size()) return false;
@@ -323,15 +315,13 @@ class Decoder {
         break;
       }
       if (cursor + 1 + len > wire_.size()) return false;
-      total_len += 1 + len;
-      if (total_len > 255) return false;
-      std::string label(reinterpret_cast<const char*>(&wire_[cursor + 1]), len);
-      for (auto& c : label) c = (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-      labels.push_back(std::move(label));
+      if (size + 1 + len > 254) return false;  // 255 wire octets with the root
+      std::memcpy(labels + size, &wire_[cursor], 1 + len);
+      size += 1 + len;
       cursor += 1 + len;
     }
     pos_ = jumped ? after_first_pointer : cursor;
-    auto parsed = DnsName::from_labels(std::move(labels));
+    auto parsed = DnsName::from_wire({labels, size});
     if (!parsed) return false;
     out = *std::move(parsed);
     return true;

@@ -311,19 +311,19 @@ int main(int argc, char** argv) {
   // evolved by flip_generations, everything else untouched (evolved with
   // 0 generations is the identity) — and run the Responder over it.
   const bool flip_mode = opts.verify && opts.flip_count > 0;
-  std::vector<std::vector<std::uint8_t>> expected_v2;
+  akadns::net::FlipReference flip;
   if (flip_mode) {
     akadns::zone::ZoneStore flipped;
     const std::size_t flips = std::min(opts.flip_count, zones.zone_count());
     for (std::size_t rank = 0; rank < zones.zone_count(); ++rank) {
       flipped.publish(zones.evolved(rank, rank < flips ? opts.flip_generations : 0));
     }
-    expected_v2 = akadns::net::expected_responses(corpus, flipped);
+    flip = akadns::net::flip_reference(corpus, flipped);
     std::fprintf(stderr, "computed %zu post-flip expected responses (%zu zones evolved)\n",
-                 expected_v2.size(), flips);
+                 flip.expected.size(), flips);
   }
 
-  akadns::net::Loadgen loadgen(config, corpus, std::move(expected), std::move(expected_v2));
+  akadns::net::Loadgen loadgen(config, corpus, std::move(expected), std::move(flip));
   const auto report = loadgen.run();
 
   std::printf("sent        %llu\n", (unsigned long long)report.sent);

@@ -28,7 +28,7 @@ struct SocketLane {
   LoadgenConfig config;
   const std::vector<workload::ReplayEntry>* corpus = nullptr;
   const std::vector<std::vector<std::uint8_t>>* expected = nullptr;
-  const std::vector<std::vector<std::uint8_t>>* expected_v2 = nullptr;
+  const FlipReference* flip_ref = nullptr;  // null outside live-reload runs
   std::uint64_t quota = 0;
   std::size_t corpus_offset = 0;
   std::size_t target_index = 0;  // which config.targets entry this lane hits
@@ -41,9 +41,8 @@ struct SocketLane {
   std::uint64_t unexpected = 0;
   std::uint64_t retransmits = 0;
   LogHistogram latency_ns;
-  FlipStats flip;
+  FlipLedger flip;
   OutageTracker outages{500'000'000};
-  bool saw_new = false;  // this lane's worker has served a v2-only answer
   std::string error;
 
   struct Outstanding {
@@ -135,30 +134,11 @@ struct SocketLane {
                      std::memcmp(buf.data() + 2, want.data() + 2, len - 2) == 0;
             };
             const bool m1 = matches((*expected)[slot.corpus_idx]);
-            const bool m2 = expected_v2 && matches((*expected_v2)[slot.corpus_idx]);
+            const bool m2 = flip_ref && matches(flip_ref->expected[slot.corpus_idx]);
             if (!m1 && !m2) {
               ++cls.mismatched;
-            } else if (expected_v2) {
-              // Version bookkeeping. m1 && m2 means the entry's answer is
-              // byte-identical across versions (no changed record in it):
-              // version-agnostic, counted with whichever era the lane is
-              // in, never stale. A v1-only match after this lane has seen
-              // v2 is the server answering from a stale-serial snapshot.
-              if (m2 && !m1) {
-                if (!saw_new) {
-                  saw_new = true;
-                  flip.first_new_ns = t;
-                }
-                ++flip.new_answers;
-              } else if (saw_new) {
-                if (m2) {
-                  ++flip.new_answers;
-                } else {
-                  ++flip.stale_old;
-                }
-              } else {
-                ++flip.old_answers;
-              }
+            } else if (flip_ref) {
+              flip.record(flip_ref->zone[slot.corpus_idx], m1, m2, t);
             }
           }
         }
@@ -309,13 +289,32 @@ std::vector<std::vector<std::uint8_t>> expected_responses(
   return expected;
 }
 
+FlipReference flip_reference(const workload::ReplayCorpus& corpus, const zone::ZoneStore& flipped,
+                             const server::ResponderConfig& responder_config) {
+  FlipReference ref;
+  ref.expected = expected_responses(corpus, flipped, responder_config);
+  const std::vector<dns::DnsName> apexes = flipped.zone_apexes();  // canonical order
+  ref.zone.reserve(corpus.size());
+  for (const auto& entry : corpus.entries()) {
+    std::size_t zone = apexes.size();  // no zone holds the name
+    const auto question = dns::decode_question(entry.wire);
+    if (question.ok()) {
+      if (const auto best = flipped.find_best_compiled(question.value().name)) {
+        zone = static_cast<std::size_t>(
+            std::lower_bound(apexes.begin(), apexes.end(), best->apex()) - apexes.begin());
+      }
+    }
+    ref.zone.push_back(static_cast<std::uint32_t>(zone));
+  }
+  return ref;
+}
+
 Loadgen::Loadgen(LoadgenConfig config, const workload::ReplayCorpus& corpus,
-                 std::vector<std::vector<std::uint8_t>> expected,
-                 std::vector<std::vector<std::uint8_t>> expected_v2)
+                 std::vector<std::vector<std::uint8_t>> expected, FlipReference flip)
     : config_(config),
       corpus_(corpus),
       expected_(std::move(expected)),
-      expected_v2_(std::move(expected_v2)) {}
+      flip_(std::move(flip)) {}
 
 LoadgenReport Loadgen::run() {
   const std::size_t lanes_n = std::max<std::size_t>(1, config_.sockets);
@@ -337,7 +336,7 @@ LoadgenReport Loadgen::run() {
     lanes[i].config.target = targets[lanes[i].target_index];
     lanes[i].corpus = &corpus_.entries();
     lanes[i].expected = expected_.empty() ? nullptr : &expected_;
-    lanes[i].expected_v2 = expected_v2_.empty() ? nullptr : &expected_v2_;
+    lanes[i].flip_ref = flip_.expected.empty() ? nullptr : &flip_;
     lanes[i].quota = per_lane + (i < remainder ? 1 : 0);
     // Stagger starting offsets so lanes do not replay the corpus in
     // lockstep (better cache/zone mix at the server).
@@ -366,7 +365,7 @@ LoadgenReport Loadgen::run() {
     report.unexpected += lane.unexpected;
     report.retransmits += lane.retransmits;
     report.latency_ns.merge(lane.latency_ns);
-    report.flip.merge(lane.flip);
+    report.flip.merge(lane.flip.stats());
     TargetReport& tgt = report.targets[lane.target_index];
     ++tgt.lanes;
     tgt.sent += lane.legit.sent + lane.attack.sent;

@@ -183,19 +183,21 @@ struct ClassCounters {
   }
 };
 
-/// Version accounting for live-reload runs (expected_v2 supplied). Every
-/// received response is byte-matched against both the pre-flip (v1) and
-/// post-flip (v2) expected tables. Because one connected UDP socket is
-/// one SO_REUSEPORT flow, each lane observes a single worker's replica —
-/// so per lane the served version is monotone, and a v1 answer arriving
-/// *after* that lane saw v2 is a genuine stale-serial answer, not
-/// reordering. Entries whose bytes are identical in both versions (e.g.
+/// Version accounting for live-reload runs (a FlipReference supplied).
+/// Every received response is byte-matched against both the pre-flip
+/// (v1) and post-flip (v2) expected tables. Because one connected UDP
+/// socket is one SO_REUSEPORT flow, each lane observes a single worker's
+/// replica — so per lane and per zone the served version is monotone,
+/// and a v1 answer for a zone arriving *after* that lane saw the zone's
+/// v2 is a genuine stale-serial answer, not reordering. Zones flip one
+/// publish at a time, so one zone's new answer says nothing about
+/// another's. Entries whose bytes are identical in both versions (e.g.
 /// REFUSED responses carrying no records) are version-agnostic and never
 /// counted stale.
 struct FlipStats {
-  std::uint64_t old_answers = 0;  // matched v1 before the lane saw v2
-  std::uint64_t new_answers = 0;  // matched v2 (or either, post-flip)
-  std::uint64_t stale_old = 0;    // matched ONLY v1 after the lane saw v2
+  std::uint64_t old_answers = 0;  // matched v1 before the lane saw the zone's v2
+  std::uint64_t new_answers = 0;  // matched v2 (or either, after the zone's v2)
+  std::uint64_t stale_old = 0;    // matched ONLY v1 after the lane saw the zone's v2
   /// Nanoseconds from run start to the first v2-only match across all
   /// lanes; -1 when no lane observed the new version.
   std::int64_t first_new_ns = -1;
@@ -208,6 +210,35 @@ struct FlipStats {
       first_new_ns = o.first_new_ns;
     }
   }
+};
+
+/// One lane's FlipStats bookkeeping: which zones it has seen answer with
+/// their post-flip version.
+class FlipLedger {
+ public:
+  /// Files one verified answer for an entry of `zone` that matched the
+  /// pre-flip table (`old_match`), the post-flip one (`new_match`) or
+  /// both, received `t_ns` into the run.
+  void record(std::uint32_t zone, bool old_match, bool new_match, std::int64_t t_ns) {
+    if (zone >= saw_new_.size()) saw_new_.resize(std::size_t{zone} + 1, false);
+    if (new_match && !old_match) {
+      if (!saw_new_[zone]) {
+        saw_new_[zone] = true;
+        if (stats_.first_new_ns < 0) stats_.first_new_ns = t_ns;
+      }
+      ++stats_.new_answers;
+    } else if (saw_new_[zone]) {
+      ++(new_match ? stats_.new_answers : stats_.stale_old);
+    } else {
+      ++stats_.old_answers;
+    }
+  }
+
+  const FlipStats& stats() const noexcept { return stats_; }
+
+ private:
+  std::vector<bool> saw_new_;
+  FlipStats stats_;
 };
 
 struct LoadgenReport {
@@ -226,7 +257,7 @@ struct LoadgenReport {
   /// The same counters split by traffic class.
   ClassCounters legit;
   ClassCounters attack;
-  /// Live-reload version accounting (all zero / -1 without expected_v2).
+  /// Live-reload version accounting (all zero / -1 without a FlipReference).
   FlipStats flip;
   /// One entry per distinct endpoint (config.targets order; a single
   /// entry in single-target runs), with per-target outage windows.
@@ -244,16 +275,29 @@ std::vector<std::vector<std::uint8_t>> expected_responses(
     const workload::ReplayCorpus& corpus, const zone::ZoneStore& store,
     const server::ResponderConfig& responder_config = {});
 
+/// The post-flip reference of a live-reload run, index-aligned with the
+/// corpus: each entry's expected answer once the flip is published, and
+/// the zone that holds the entry's qname (its index among the store's
+/// apexes; one extra index for names no zone holds), which keys the
+/// per-zone version bookkeeping.
+struct FlipReference {
+  std::vector<std::vector<std::uint8_t>> expected;
+  std::vector<std::uint32_t> zone;
+};
+
+/// Builds the FlipReference from the store the flip publishes.
+FlipReference flip_reference(const workload::ReplayCorpus& corpus, const zone::ZoneStore& flipped,
+                             const server::ResponderConfig& responder_config = {});
+
 class Loadgen {
  public:
   /// `expected` may be empty (no verification). When non-empty it must
-  /// be index-aligned with the corpus. `expected_v2` (optional, same
-  /// alignment) is the post-flip expected table for live-reload runs:
-  /// responses matching it count as new-version answers and the report's
-  /// FlipStats become meaningful.
+  /// be index-aligned with the corpus. `flip` (optional, same alignment)
+  /// is the post-flip reference for live-reload runs: responses matching
+  /// it count as new-version answers and the report's FlipStats become
+  /// meaningful.
   Loadgen(LoadgenConfig config, const workload::ReplayCorpus& corpus,
-          std::vector<std::vector<std::uint8_t>> expected = {},
-          std::vector<std::vector<std::uint8_t>> expected_v2 = {});
+          std::vector<std::vector<std::uint8_t>> expected = {}, FlipReference flip = {});
 
   /// Blocks until every query is sent and answered (or timed out).
   LoadgenReport run();
@@ -262,7 +306,7 @@ class Loadgen {
   LoadgenConfig config_;
   const workload::ReplayCorpus& corpus_;
   std::vector<std::vector<std::uint8_t>> expected_;
-  std::vector<std::vector<std::uint8_t>> expected_v2_;
+  FlipReference flip_;
 };
 
 }  // namespace akadns::net

@@ -15,9 +15,9 @@
 // one query path: decode_query_view once, the NOTIFY (UDP) or transfer
 // (TCP) hand-off, the query-of-death firewall, the freshness ladder,
 // then either respond_view_into straight into the reply buffer (on the
-// UDP path the answer allocates nothing per query; the decoded qname
-// still allocates its labels) or, on the defense path, the lane core's
-// admit and answer that the sim's lanes run too.
+// UDP path a query with a short name allocates nothing, decode
+// included) or, on the defense path, the lane core's admit and answer
+// that the sim's lanes run too.
 // A queued query carries its reply route, so a released answer goes
 // back as a datagram or as a frame onto its still-open connection. A
 // connection whose unsent output passes one maximum frame is not read
@@ -60,8 +60,8 @@ struct DefenseOptions {
   /// Routes queries through the filter chain + penalty queues. Off by
   /// default: the inline fast path answers straight out of the receive
   /// batch (the firewall rule table is consulted either way). It makes
-  /// about 3 heap allocations per query, all in decode_query_view
-  /// growing the qname's label vector; the queued path makes about 5.5.
+  /// no heap allocation per query; the queued path makes about 0.5, the
+  /// penalty queue's deque chunks.
   bool enabled = false;
   /// Server-wide compute metering (answers/sec the engine releases to
   /// the responders; split evenly across workers). <= 0: unmetered —

@@ -14,7 +14,7 @@ namespace {
 
 // DnsName caps wire length at 255 octets, so a name can never exceed 127
 // labels; the lookup's per-depth hash table lives on the stack.
-constexpr std::size_t kMaxDepth = 127;
+constexpr std::size_t kMaxDepth = dns::DnsName::kMaxLabels;
 
 std::span<const WireFragment> subspan(const std::vector<WireFragment>& v,
                                       std::uint32_t begin, std::uint32_t end) noexcept {
@@ -35,9 +35,9 @@ std::uint64_t fnv1a_u32(std::uint64_t h, std::uint32_t v) noexcept {
 }
 
 std::uint64_t hash_name(std::uint64_t h, const dns::DnsName& name) {
-  for (std::size_t i = 0; i < name.label_count(); ++i) {
-    const auto& label = name.label(i);
-    h = fnv1a(h, label.data(), label.size());
+  const dns::DnsName::Labels labels(name);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    h = fnv1a(h, labels[i].data(), labels[i].size());
     h = fnv1a(h, "\0", 1);
   }
   return fnv1a(h, "\xff", 1);
@@ -59,33 +59,31 @@ CompiledZone::NodeDataPtr CompiledZone::build_node(const Zone& z, const DnsName&
                                                    const DnsName& apex) {
   auto data = std::make_shared<NodeData>();
   data->owner = name;
-  // Fragments must not alias the source zone (the node outlives it when
-  // shared into later snapshots): the owner pointer targets the node's
-  // own copy, and every rdata name reference is copied into the arena.
-  const auto self_contain = [&data](const dns::ResourceRecord& rr, const DnsName* owner) {
+  // Fragments are first compiled against the source zone's records, then
+  // made self-contained (the node outlives the source when shared into
+  // later snapshots): owner pointers target the node's own copy, and the
+  // other names they point at are copied into `names` below.
+  const auto compile_rr = [&data](const dns::ResourceRecord& rr) {
     WireFragment fragment = dns::make_wire_fragment(rr);
-    fragment.owner = owner;
-    for (auto& op : fragment.rdata) {
-      if (op.name != nullptr) {
-        data->arena.push_back(*op.name);
-        op.name = &data->arena.back();
-      }
-    }
+    fragment.owner = &data->owner;
     return fragment;
   };
 
   if (const auto* rrsets = z.rrsets_at(name)) {
+    std::size_t records = 0;
+    for (const auto& [type, set] : *rrsets) records += set.records.size();
+    data->ranges.reserve(rrsets->size());
+    data->frags.reserve(records);
     for (const auto& [type, set] : *rrsets) {
       TypeRange range;
       range.type = type;
       range.begin = static_cast<std::uint32_t>(data->frags.size());
       range.ttl = set.ttl();
-      for (const auto& rr : set.records) data->frags.push_back(self_contain(rr, &data->owner));
+      for (const auto& rr : set.records) data->frags.push_back(compile_rr(rr));
       range.end = static_cast<std::uint32_t>(data->frags.size());
       data->ranges.push_back(range);
       if (type == RecordType::CNAME && !set.records.empty()) {
-        data->arena.push_back(std::get<CnameRecord>(set.records.front().rdata).target);
-        data->cname_target = &data->arena.back();
+        data->cname_target = &std::get<CnameRecord>(set.records.front().rdata).target;
       }
     }
   }
@@ -97,26 +95,52 @@ CompiledZone::NodeDataPtr CompiledZone::build_node(const Zone& z, const DnsName&
   if (ns != nullptr && !ns->records.empty()) {
     data->is_cut = true;
     std::uint32_t min_ttl = ns->ttl();
-    for (const auto& rr : ns->records) {
-      data->referral_frags.push_back(self_contain(rr, &data->owner));
-    }
+    for (const auto& rr : ns->records) data->referral_frags.push_back(compile_rr(rr));
     data->referral_auth_end = static_cast<std::uint32_t>(data->referral_frags.size());
     for (const auto& rr : ns->records) {
-      const auto& target = std::get<NsRecord>(rr.rdata).nameserver;
+      const DnsName& target = std::get<NsRecord>(rr.rdata).nameserver;
       if (!target.is_subdomain_of(apex)) continue;
-      data->glue_targets.push_back(target);
-      data->arena.push_back(target);
-      const DnsName* glue_owner = &data->arena.back();
       for (const RecordType t : {RecordType::A, RecordType::AAAA}) {
         if (const RrSet* glue = z.find(target, t)) {
           min_ttl = std::min(min_ttl, glue->ttl());
           for (const auto& grr : glue->records) {
-            data->referral_frags.push_back(self_contain(grr, glue_owner));
+            data->referral_frags.push_back(dns::make_wire_fragment(grr));
+            data->referral_frags.back().owner = &target;
           }
         }
       }
     }
     data->referral_min_ttl = min_ttl;
+  }
+
+  // Every pointer still aimed at the source zone, then each distinct
+  // name once, in storage sized here and never grown.
+  std::vector<const DnsName**> refs;
+  const auto collect = [&refs, &data](std::vector<WireFragment>& frags) {
+    for (WireFragment& fragment : frags) {
+      if (fragment.owner != &data->owner) refs.push_back(&fragment.owner);
+      for (auto& op : fragment.rdata) {
+        if (op.name != nullptr) refs.push_back(&op.name);
+      }
+    }
+  };
+  collect(data->frags);
+  collect(data->referral_frags);
+  if (data->cname_target != nullptr) refs.push_back(&data->cname_target);
+  if (!refs.empty()) {
+    std::vector<const DnsName*> distinct;
+    distinct.reserve(refs.size());
+    for (const DnsName** ref : refs) distinct.push_back(*ref);
+    std::sort(distinct.begin(), distinct.end(),
+              [](const DnsName* a, const DnsName* b) { return *a < *b; });
+    distinct.erase(std::unique(distinct.begin(), distinct.end(),
+                               [](const DnsName* a, const DnsName* b) { return *a == *b; }),
+                   distinct.end());
+    data->names.reserve(distinct.size());
+    for (const DnsName* n : distinct) data->names.push_back(*n);
+    for (const DnsName** ref : refs) {
+      *ref = &*std::lower_bound(data->names.begin(), data->names.end(), **ref);
+    }
   }
   return data;
 }
@@ -189,12 +213,9 @@ CompiledZonePtr CompiledZone::compile(ZonePtr source) {
   out->nodes_.reserve(name_set.size());
   out->index_.reserve(name_set.size());
   for (const DnsName& name : name_set) {
-    Node node;
-    node.data = build_node(z, name, apex);
-    node.depth = static_cast<std::uint16_t>(name.label_count());
     out->index_.emplace_back(name.suffix_hash(),
                              static_cast<std::uint32_t>(out->nodes_.size()));
-    out->nodes_.push_back(std::move(node));
+    out->nodes_.push_back(Node{build_node(z, name, apex)});
   }
   std::sort(out->index_.begin(), out->index_.end());
 
@@ -241,14 +262,16 @@ CompiledZonePtr CompiledZone::compile_incremental(const CompiledZone& prev, Zone
   }
   // 2. Glue dependents: a delegation cut bakes its targets' A/AAAA into
   //    the referral group, so a change at a target rebuilds the cut too.
-  for (const Node& node : prev.nodes_) {
-    if (!node.data->is_cut) continue;
-    for (const DnsName& target : node.data->glue_targets) {
-      if (touched.contains(target)) {
-        mark(node.data->owner);
-        break;
+  const auto glue_touched = [&touched](const NodeData& cut) {
+    for (std::uint32_t i = 0; i < cut.referral_auth_end; ++i) {
+      for (const auto& op : cut.referral_frags[i].rdata) {
+        if (op.name != nullptr && touched.contains(*op.name)) return true;
       }
     }
+    return false;
+  };
+  for (const Node& node : prev.nodes_) {
+    if (node.data->is_cut && glue_touched(*node.data)) mark(node.data->owner);
   }
 
   auto out = std::make_shared<CompiledZone>();
@@ -263,10 +286,7 @@ CompiledZonePtr CompiledZone::compile_incremental(const CompiledZone& prev, Zone
   std::vector<std::pair<std::uint64_t, std::uint32_t>> fresh_index;
   const auto emit_if_exists = [&](const DnsName& name) {
     if (!(name == apex) && !z.subtree_exists(name)) return;
-    Node node;
-    node.data = build_node(z, name, apex);
-    node.depth = static_cast<std::uint16_t>(name.label_count());
-    out->nodes_.push_back(std::move(node));
+    out->nodes_.push_back(Node{build_node(z, name, apex)});
   };
   auto dirty_it = dirty.begin();
   for (std::size_t i = 0; i < prev.nodes_.size(); ++i) {
@@ -332,7 +352,6 @@ std::uint64_t CompiledZone::content_hash() const {
   for (const Node& node : nodes_) {
     const NodeData& data = *node.data;
     h = hash_name(h, data.owner);
-    h = fnv1a_u32(h, node.depth);
     h = fnv1a_u32(h, static_cast<std::uint32_t>(node.wildcard));
     for (const TypeRange& range : data.ranges) {
       h = fnv1a_u32(h, static_cast<std::uint32_t>(range.type));
@@ -353,8 +372,8 @@ std::uint64_t CompiledZone::content_hash() const {
   return h;
 }
 
-const CompiledZone::Node* CompiledZone::find_node(std::uint64_t hash, const DnsName& qname,
-                                                  std::size_t depth) const noexcept {
+const CompiledZone::Node* CompiledZone::find_node(std::uint64_t hash,
+                                                  std::string_view tail) const noexcept {
   auto it = std::lower_bound(
       index_.begin(), index_.end(), hash,
       [](const std::pair<std::uint64_t, std::uint32_t>& entry, std::uint64_t h) {
@@ -362,9 +381,7 @@ const CompiledZone::Node* CompiledZone::find_node(std::uint64_t hash, const DnsN
       });
   for (; it != index_.end() && it->first == hash; ++it) {
     const Node& node = nodes_[it->second];
-    if (node.depth == depth && node.data->owner.equals_tail_of(qname, depth)) {
-      return &node;
-    }
+    if (node.data->owner.wire_labels() == tail) return &node;
   }
   return nullptr;
 }
@@ -393,10 +410,11 @@ CompiledAnswer CompiledZone::lookup(const DnsName& qname, dns::RecordType qtype)
   if (qn > kMaxDepth) return negative(LookupStatus::NxDomain);  // unreachable by DnsName limits
 
   // One right-to-left pass computes the suffix hash at every depth.
+  const DnsName::Labels labels(qname);
   std::uint64_t hashes[kMaxDepth + 1];
   std::uint64_t h = DnsName::kSuffixHashSeed;
   for (std::size_t depth = 1; depth <= qn; ++depth) {
-    h = DnsName::suffix_hash_extend(h, qname.label(qn - depth));
+    h = DnsName::suffix_hash_extend(h, labels[qn - depth]);
     hashes[depth] = h;
   }
 
@@ -407,7 +425,7 @@ CompiledAnswer CompiledZone::lookup(const DnsName& qname, dns::RecordType qtype)
   // delegation-first ordering).
   const Node* node = &nodes_[apex_node_];
   for (std::size_t depth = an + 1; depth <= qn; ++depth) {
-    const Node* next = find_node(hashes[depth], qname, depth);
+    const Node* next = find_node(hashes[depth], labels.tail(depth));
     if (next == nullptr) {
       if (node->wildcard >= 0) {  // wildcard at the closest encloser (RFC 4592)
         const NodeData& wild = *nodes_[static_cast<std::uint32_t>(node->wildcard)].data;

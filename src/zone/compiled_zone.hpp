@@ -19,10 +19,11 @@
 //     re-serializing ResourceRecords — byte-identical to the interpreted
 //     path, which stays as the differential-testing reference.
 //
-// Per-node data is self-contained (owner name, fragment name references,
-// and glue owners all live in the node's own arena) and held behind
-// shared_ptr, so successive snapshots of the same zone share every node a
-// ZoneDiff did not touch: compile_incremental() rebuilds only the
+// Per-node data is self-contained (the owner name and every name a
+// fragment references — rdata targets, glue owners — live in the node,
+// the latter in one exactly-sized vector) and held behind shared_ptr,
+// so successive snapshots of the same zone share every node a ZoneDiff
+// did not touch: compile_incremental() rebuilds only the
 // affected nodes and their referral/ENT/glue dependents, with the result
 // pinned byte-identical to a from-scratch compile by the differential
 // suite. Snapshots are always handed around behind shared_ptr, so
@@ -31,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <vector>
@@ -124,26 +124,32 @@ class CompiledZone {
 
   /// Everything one existing name (real or empty non-terminal) compiles
   /// to. Immutable and self-contained: fragment owner/name pointers only
-  /// reference `owner` and `arena`, never the source Zone — which is what
+  /// reference `owner` and `names`, never the source Zone — which is what
   /// lets snapshots share untouched nodes while their sources differ.
   struct NodeData {
+    NodeData() = default;
+    // Fragments point into the node's own names: a copy would alias them.
+    NodeData(const NodeData&) = delete;
+    NodeData& operator=(const NodeData&) = delete;
+
     DnsName owner;
-    /// Name copies referenced by fragments (rdata targets, glue owners,
-    /// the CNAME target). Deque: growth never invalidates references.
-    std::deque<DnsName> arena;
+    /// Every other name a fragment points at (rdata targets, glue owners,
+    /// the CNAME target), each distinct name once, in canonical order.
+    /// Sized exactly when the node is built and never grown, so the
+    /// pointers into it hold for the node's whole life.
+    std::vector<DnsName> names;
     std::vector<TypeRange> ranges;
     std::vector<dns::WireFragment> frags;  // all RRsets at the node, map order
     /// Delegation referral payload: NS RRset then glue, matching the
-    /// interpreted attach_glue() order (A then AAAA per NS record).
+    /// interpreted attach_glue() order (A then AAAA per NS record). The
+    /// NS fragments' targets are also the glue dependency edges the
+    /// incremental compiler consults: a change at a target invalidates
+    /// this node's referral group.
     std::vector<dns::WireFragment> referral_frags;
     std::uint32_t referral_auth_end = 0;  // NS/glue boundary
     std::uint32_t referral_min_ttl = 0;
     bool is_cut = false;
-    /// In-bailiwick NS targets of a cut (the glue dependency edges the
-    /// incremental compiler consults: a change at a target invalidates
-    /// this node's referral group). Duplicates preserved.
-    std::vector<DnsName> glue_targets;
-    const DnsName* cname_target = nullptr;  // into arena, set iff CNAME here
+    const DnsName* cname_target = nullptr;  // into names, set iff CNAME here
   };
   using NodeDataPtr = std::shared_ptr<const NodeData>;
 
@@ -152,7 +158,6 @@ class CompiledZone {
   /// changing, so it lives outside NodeData).
   struct Node {
     NodeDataPtr data;
-    std::uint16_t depth = 0;     // label count of the owner name
     std::int32_t wildcard = -1;  // node index of the "*" child, if any
   };
 
@@ -163,8 +168,9 @@ class CompiledZone {
   void finish(const Zone& z);
   std::int32_t find_node_index(const DnsName& name) const;
 
-  const Node* find_node(std::uint64_t hash, const DnsName& qname,
-                        std::size_t depth) const noexcept;
+  /// The node whose owner is `tail` (a label-aligned tail of a query
+  /// name, in DnsName::wire_labels() form) with suffix hash `hash`.
+  const Node* find_node(std::uint64_t hash, std::string_view tail) const noexcept;
   static const TypeRange* find_range(const NodeData& data, dns::RecordType type) noexcept;
   CompiledAnswer negative(LookupStatus status) const noexcept;
 

@@ -94,18 +94,19 @@ bool ZoneStore::remove(const DnsName& apex) {
 
 CompiledZonePtr ZoneStore::find_best_compiled(const DnsName& qname) const noexcept {
   if (zones_.empty()) return nullptr;
-  const std::size_t qn = qname.label_count();  // <= 127 by DnsName limits
-  std::uint64_t hashes[128];
+  const DnsName::Labels labels(qname);
+  const std::size_t qn = labels.size();  // <= 127 by DnsName limits
+  std::uint64_t hashes[DnsName::kMaxLabels + 1];
   std::uint64_t h = DnsName::kSuffixHashSeed;
   hashes[0] = h;
   for (std::size_t depth = 1; depth <= qn; ++depth) {
-    h = DnsName::suffix_hash_extend(h, qname.label(qn - depth));
+    h = DnsName::suffix_hash_extend(h, labels[qn - depth]);
     hashes[depth] = h;
   }
   // Longest-suffix match, deepest first; skip depths with no apex at all.
   for (std::size_t depth = qn + 1; depth-- > 0;) {
     if (apexes_at_depth_[depth] == 0) continue;
-    auto it = zones_.find(ApexProbe{qname, depth, hashes[depth]});
+    auto it = zones_.find(ApexProbe{labels.tail(depth), hashes[depth]});
     if (it != zones_.end()) return it->second;
   }
   return nullptr;

@@ -138,10 +138,10 @@ class ZoneStore {
     DnsName name;
     std::uint64_t hash;
   };
-  /// The trailing `depth` labels of `qname`: a key that builds no DnsName.
+  /// A label-aligned tail of a query name (DnsName::wire_labels() form):
+  /// a key that builds no DnsName.
   struct ApexProbe {
-    const DnsName& qname;
-    std::size_t depth;
+    std::string_view tail;
     std::uint64_t hash;
   };
   struct ApexHash {
@@ -152,13 +152,13 @@ class ZoneStore {
     using is_transparent = void;
     bool operator()(const ApexKey& a, const ApexKey& b) const noexcept { return a.name == b.name; }
     bool operator()(const ApexProbe& p, const ApexKey& k) const noexcept {
-      return p.hash == k.hash && k.name.equals_tail_of(p.qname, p.depth);
+      return p.hash == k.hash && k.name.wire_labels() == p.tail;
     }
     bool operator()(const ApexKey& k, const ApexProbe& p) const noexcept { return (*this)(p, k); }
   };
 
   static ApexProbe exact(const DnsName& apex) noexcept {
-    return {apex, apex.label_count(), apex.suffix_hash()};
+    return {apex.wire_labels(), apex.suffix_hash()};
   }
   void store(ZonePtr zone);
   void install(CompiledZonePtr compiled);

@@ -17,6 +17,7 @@
 
 #include "common/clock.hpp"
 #include "dns/wire.hpp"
+#include "net/loadgen.hpp"
 #include "net/server.hpp"
 #include "propagation/zone_publisher.hpp"
 #include "zone/zone_builder.hpp"
@@ -120,6 +121,34 @@ TEST(LiveReloadLoopback, MidRunPublishFlipsAnswersWithoutDrops) {
   EXPECT_EQ(stats.frontend.udp_malformed, 0u);
   // At least this flow's worker replica absorbed the published update.
   EXPECT_GE(stats.zone_sync.updates, 1u);
+}
+
+// akadns-serve's flip drill publishes the evolved zones one at a time, so
+// a lane can see zone A's new answer while zone B still answers from its
+// old snapshot: that is not stale. Only a zone's old answer after that
+// same zone's new one is.
+TEST(FlipLedger, ZonesFlippedMillisecondsApartAreJudgedApart) {
+  constexpr std::int64_t kMs = 1'000'000;
+  constexpr std::uint32_t kA = 0;
+  constexpr std::uint32_t kB = 1;
+  constexpr std::uint32_t kNoZone = 2;
+  FlipLedger ledger;
+  ledger.record(kA, /*old_match=*/true, /*new_match=*/false, 1 * kMs);
+  ledger.record(kB, true, false, 1 * kMs);
+  ledger.record(kA, false, true, 2 * kMs);      // A's publish reached this lane's worker
+  ledger.record(kB, true, false, 3 * kMs);      // B's has not yet: old, not stale
+  ledger.record(kNoZone, true, true, 3 * kMs);  // the same bytes in both versions
+  ledger.record(kB, false, true, 5 * kMs);      // B's publish, 3 ms after A's
+  ledger.record(kA, true, true, 6 * kMs);
+  EXPECT_EQ(ledger.stats().stale_old, 0u);
+  EXPECT_EQ(ledger.stats().old_answers, 4u);
+  EXPECT_EQ(ledger.stats().new_answers, 3u);
+  EXPECT_EQ(ledger.stats().first_new_ns, 2 * kMs);
+
+  // A v1-only answer for a zone after that zone's own v2 is stale.
+  ledger.record(kA, true, false, 7 * kMs);
+  ledger.record(kB, true, false, 8 * kMs);
+  EXPECT_EQ(ledger.stats().stale_old, 2u);
 }
 
 }  // namespace

@@ -174,7 +174,7 @@ TEST(Datapath, EveryReceiveSideDropKeepsConservation) {
      public:
       std::string_view name() const noexcept override { return "hostile"; }
       double score(const filters::QueryContext& ctx) override {
-        return ctx.question.name.labels().front() == "evil" ? 100.0 : 0.0;
+        return ctx.question.name.label(0) == "evil" ? 100.0 : 0.0;
       }
     };
     return std::make_unique<Hostile>();
@@ -229,7 +229,7 @@ TEST(Datapath, EveryDropIsCountedOnce) {
    public:
     std::string_view name() const noexcept override { return "hostile"; }
     double score(const filters::QueryContext& ctx) override {
-      const auto& label = ctx.question.name.labels().front();
+      const std::string_view label = ctx.question.name.label(0);
       if (label == "evil") return 100.0;  // >= S_max: discarded
       if (label == "odd") return 10.0;    // penalty queue 1
       return 0.0;
