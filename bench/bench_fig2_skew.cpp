@@ -3,7 +3,6 @@
 // IPs -> 80% of queries; top 1% of ASNs -> 83%; top 1% of zones -> 88%,
 // with one zone receiving 5.5% of all queries.
 
-#include <algorithm>
 #include <map>
 
 #include "bench_util.hpp"
@@ -13,19 +12,6 @@
 using namespace akadns;
 
 namespace {
-
-/// Cumulative mass carried by the top `fraction` of a weight vector.
-double mass_of_top(std::vector<double> weights, double fraction) {
-  std::sort(weights.rbegin(), weights.rend());
-  double total = 0, top = 0;
-  const auto k = std::max<std::size_t>(
-      1, static_cast<std::size_t>(fraction * static_cast<double>(weights.size())));
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    total += weights[i];
-    if (i < k) top += weights[i];
-  }
-  return total > 0 ? top / total : 0;
-}
 
 void print_line(const char* label, const std::vector<double>& weights,
                 const std::vector<double>& fractions) {

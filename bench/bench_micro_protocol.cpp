@@ -3,17 +3,13 @@
 // datapath — the per-query costs behind the platform's "millions of
 // queries each second" scaling story.
 //
-// The datapath section also reports heap allocations per query (counted
-// through a global operator new hook) for the pooled QueryContext
-// pipeline vs a seed-equivalent path that copies the wire and re-decodes
-// the question at every stage.
+// The datapath section also reports heap allocations per query, counted
+// through a global operator new hook; test_alloc pins that count.
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <cstdlib>
-#include <deque>
-#include <map>
 #include <new>
 
 #include "dns/wire.hpp"
@@ -247,13 +243,9 @@ BENCHMARK(BM_RateLimitFilterScore);
 
 // ---- receive -> respond datapath ------------------------------------------
 //
-// Both benchmarks push the same clean query through a full
-// admit/score/queue/resolve/respond cycle and report queries/sec plus
-// heap allocations per query. The first uses the QueryContext pipeline
-// (pooled wire buffer, question decoded once); the second replays the
-// seed datapath's per-query work: fresh std::vector copy of the wire,
-// fast-path question decode copied into the pending record, then a full
-// re-decode inside respond_wire().
+// Pushes one clean query at a time through a full
+// admit/score/queue/resolve/respond cycle and reports queries/sec plus
+// heap allocations per query.
 
 void BM_FullDatapathReceiveProcess(benchmark::State& state) {
   server::Nameserver nameserver({.compute_capacity_qps = 1e12, .io_capacity_qps = 1e12},
@@ -284,139 +276,6 @@ void BM_FullDatapathReceiveProcess(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_FullDatapathReceiveProcess);
-
-// Verbatim reproduction of the seed's wire encoder: name compression
-// keyed by a std::map of DnsName *values* (every suffix of every name is
-// materialized and copied into the map) and an output vector grown from
-// empty. The library encoder has since moved to a copy-free suffix index
-// with an up-front reservation; this copy keeps the baseline measurable.
-// It covers the record types the benchmark response contains.
-class SeedEncoder {
- public:
-  std::vector<std::uint8_t> take() && { return std::move(out_); }
-  std::size_t size() const noexcept { return out_.size(); }
-
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-    out_.push_back(static_cast<std::uint8_t>(v));
-  }
-  void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v >> 16));
-    u16(static_cast<std::uint16_t>(v));
-  }
-  void name(const dns::DnsName& n) {
-    const dns::DnsName::Labels labels(n);
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      const dns::DnsName suffix = n.suffix(labels.size() - i);
-      if (auto it = offsets_.find(suffix); it != offsets_.end()) {
-        u16(static_cast<std::uint16_t>(0xC000 | it->second));
-        return;
-      }
-      if (out_.size() < 0x3FFF) {
-        offsets_.emplace(suffix, static_cast<std::uint16_t>(out_.size()));
-      }
-      u8(static_cast<std::uint8_t>(labels[i].size()));
-      for (char c : labels[i]) out_.push_back(static_cast<std::uint8_t>(c));
-    }
-    u8(0);
-  }
-
- private:
-  std::vector<std::uint8_t> out_;
-  std::map<dns::DnsName, std::uint16_t> offsets_;
-};
-
-std::vector<std::uint8_t> seed_encode(const dns::Message& m) {
-  SeedEncoder enc;
-  std::uint16_t flags = 0;
-  if (m.header.qr) flags |= 0x8000;
-  flags |= static_cast<std::uint16_t>(static_cast<std::uint8_t>(m.header.opcode) & 0xF) << 11;
-  if (m.header.aa) flags |= 0x0400;
-  flags |= static_cast<std::uint16_t>(m.header.rcode) & 0xF;
-  enc.u16(m.header.id);
-  enc.u16(flags);
-  enc.u16(static_cast<std::uint16_t>(m.questions.size()));
-  enc.u16(static_cast<std::uint16_t>(m.answers.size()));
-  enc.u16(0);
-  enc.u16(0);
-  for (const auto& q : m.questions) {
-    enc.name(q.name);
-    enc.u16(static_cast<std::uint16_t>(q.qtype));
-    enc.u16(static_cast<std::uint16_t>(q.qclass));
-  }
-  for (const auto& rr : m.answers) {
-    enc.name(rr.name);
-    enc.u16(static_cast<std::uint16_t>(rr.type()));
-    enc.u16(static_cast<std::uint16_t>(rr.rclass));
-    enc.u32(rr.ttl);
-    const auto& a = std::get<dns::ARecord>(rr.rdata);
-    enc.u16(4);
-    enc.u32(a.address.value());
-  }
-  return std::move(enc).take();
-}
-
-void BM_LegacyDatapathSeedEquivalent(benchmark::State& state) {
-  // Seed-shaped pending record: owned wire copy + question copied by value.
-  struct LegacyPending {
-    std::vector<std::uint8_t> wire;
-    Endpoint source;
-    std::uint8_t ip_ttl = 0;
-    SimTime arrival;
-    double score = 0.0;
-    std::optional<dns::Question> question;
-  };
-  server::Responder responder(store());
-  filters::ScoringEngine scoring;
-  std::deque<LegacyPending> queue;
-  std::uint64_t responses = 0;
-  const auto wire = dns::encode(
-      dns::make_query(7, dns::DnsName::from("host7.bench.example"), dns::RecordType::A));
-  const Endpoint src{*IpAddr::parse("198.51.100.1"), 5353};
-  std::int64_t ns = 0;
-  const std::uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    const auto now = SimTime::from_nanos(ns += 1'000'000);
-    // receive(): fast-path decode, question copied, wire copied.
-    LegacyPending pending;
-    if (auto q = dns::decode_question(wire)) pending.question = q.value();
-    double score = 0.0;
-    if (pending.question) {
-      score = scoring.score(
-          filters::QueryContext{src, 57, *pending.question, now});
-    }
-    pending.wire.assign(wire.begin(), wire.end());
-    pending.source = src;
-    pending.ip_ttl = 57;
-    pending.arrival = now;
-    pending.score = score;
-    queue.push_back(std::move(pending));
-    // process(): full re-decode of the wire, then seed-style encode of
-    // the response Message.
-    LegacyPending item = std::move(queue.front());
-    queue.pop_front();
-    auto decoded = dns::decode(item.wire);
-    std::vector<std::uint8_t> response;
-    if (decoded) {
-      response = seed_encode(responder.respond(decoded.value(), item.source));
-    }
-    if (item.question) {
-      scoring.observe_response(filters::QueryContext{item.source, item.ip_ttl,
-                                                     *item.question, now},
-                               !response.empty() ? dns::Rcode::NoError
-                                                 : dns::Rcode::ServFail);
-    }
-    if (!response.empty()) ++responses;
-    benchmark::DoNotOptimize(response);
-  }
-  const std::uint64_t allocs = g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
-  benchmark::DoNotOptimize(responses);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["allocs_per_query"] =
-      benchmark::Counter(static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_LegacyDatapathSeedEquivalent);
 
 }  // namespace
 

@@ -222,10 +222,6 @@ bool IpPrefix::contains(const IpAddr& addr) const noexcept {
   return (a[full] & mask) == (b[full] & mask);
 }
 
-std::string IpPrefix::to_string() const {
-  return base_.to_string() + "/" + std::to_string(length_);
-}
-
 IpAddr IpPrefix::host(std::uint64_t i) const {
   if (!base_.is_v6()) {
     const std::uint32_t host_bits = 32 - length_;

@@ -100,7 +100,6 @@ class IpPrefix {
   bool contains(const IpAddr& addr) const noexcept;
   const IpAddr& base() const noexcept { return base_; }
   std::uint8_t length() const noexcept { return length_; }
-  std::string to_string() const;
 
   /// The i-th host address inside the prefix (for synthesizing endpoints).
   IpAddr host(std::uint64_t i) const;

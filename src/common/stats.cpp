@@ -15,20 +15,8 @@ void StreamingStats::add(double x) noexcept {
     max_ = std::max(max_, x);
   }
   ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(n_);
 }
-
-double StreamingStats::variance() const noexcept {
-  return n_ ? m2_ / static_cast<double>(n_) : 0.0;
-}
-
-double StreamingStats::sample_variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double StreamingStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 void EmpiricalDistribution::add(double value, double weight) {
   if (weight <= 0.0) return;
@@ -69,42 +57,6 @@ double EmpiricalDistribution::cdf_at(double x) const {
     acc += w;
   }
   return acc / total_weight_;
-}
-
-double EmpiricalDistribution::mean() const {
-  double acc = 0.0;
-  for (const auto& [v, w] : samples_) acc += v * w;
-  return samples_.empty() ? 0.0 : acc / total_weight_;
-}
-
-double EmpiricalDistribution::min() const {
-  ensure_sorted();
-  return samples_.empty() ? 0.0 : samples_.front().first;
-}
-
-double EmpiricalDistribution::max() const {
-  ensure_sorted();
-  return samples_.empty() ? 0.0 : samples_.back().first;
-}
-
-std::vector<std::pair<double, double>> EmpiricalDistribution::cdf_points(
-    const std::vector<double>& xs) const {
-  std::vector<std::pair<double, double>> out;
-  out.reserve(xs.size());
-  for (double x : xs) out.emplace_back(x, cdf_at(x));
-  return out;
-}
-
-std::vector<std::pair<double, double>> EmpiricalDistribution::cdf_curve(std::size_t n) const {
-  std::vector<std::pair<double, double>> out;
-  if (samples_.empty() || n == 0) return out;
-  ensure_sorted();
-  out.reserve(n);
-  for (std::size_t i = 1; i <= n; ++i) {
-    const double q = static_cast<double>(i) / static_cast<double>(n);
-    out.emplace_back(quantile(q), q);
-  }
-  return out;
 }
 
 LogHistogram::LogHistogram(double lo, double growth, std::size_t bins)
@@ -182,6 +134,18 @@ double LogHistogram::quantile(double q) const noexcept {
     seen = next;
   }
   return max_;
+}
+
+double mass_of_top(std::vector<double> weights, double fraction) {
+  std::sort(weights.rbegin(), weights.rend());
+  double total = 0, top = 0;
+  const auto k = std::max<std::size_t>(
+      1, static_cast<std::size_t>(fraction * static_cast<double>(weights.size())));
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    total += weights[i];
+    if (i < k) top += weights[i];
+  }
+  return total > 0 ? top / total : 0;
 }
 
 std::string render_bar(double fraction, std::size_t width) {

@@ -1,6 +1,7 @@
 // Statistics helpers used by the workload models and benchmark harnesses:
 // streaming moments, empirical CDFs (optionally weighted), the log-bucketed
-// LogHistogram and simple text rendering for bench output.
+// LogHistogram, the skew share of Figure 2 and simple text rendering for
+// bench output.
 #pragma once
 
 #include <cstddef>
@@ -10,16 +11,13 @@
 
 namespace akadns {
 
-/// Streaming mean / variance / min / max (Welford's algorithm).
+/// Streaming mean / min / max.
 class StreamingStats {
  public:
   void add(double x) noexcept;
 
   std::uint64_t count() const noexcept { return n_; }
   double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  double variance() const noexcept;       // population variance
-  double sample_variance() const noexcept;
-  double stddev() const noexcept;
   double min() const noexcept { return n_ ? min_ : 0.0; }
   double max() const noexcept { return n_ ? max_ : 0.0; }
   double sum() const noexcept { return mean_ * static_cast<double>(n_); }
@@ -27,7 +25,6 @@ class StreamingStats {
  private:
   std::uint64_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
@@ -52,16 +49,6 @@ class EmpiricalDistribution {
 
   /// Weighted fraction of samples with value strictly greater than x.
   double fraction_above(double x) const { return 1.0 - cdf_at(x); }
-
-  double mean() const;
-  double min() const;
-  double max() const;
-
-  /// Evaluates the CDF at each of the given points (for bench output).
-  std::vector<std::pair<double, double>> cdf_points(const std::vector<double>& xs) const;
-
-  /// Returns `n` evenly spaced (in rank) points of the CDF.
-  std::vector<std::pair<double, double>> cdf_curve(std::size_t n) const;
 
  private:
   void ensure_sorted() const;
@@ -128,6 +115,11 @@ class LogHistogram {
   double min_ = 0.0;
   double max_ = 0.0;
 };
+
+/// Share of the total weight carried by the heaviest `fraction` of the
+/// items, at least one item: Figure 2's "percent of queries for/from
+/// percent of zones, ASNs and source IPs". 0 for no weight.
+double mass_of_top(std::vector<double> weights, double fraction);
 
 /// Renders a crude ASCII sparkline/bar chart for bench output, e.g.
 ///   render_bar(0.76, 40) -> "##############################          ".

@@ -218,109 +218,4 @@ DatapathReport collect_datapath(const std::vector<pop::Machine*>& fleet) {
   return render_datapath(std::move(merged));
 }
 
-void TrafficAggregator::record(const dns::DnsName& zone_apex, dns::Rcode rcode, SimTime now) {
-  const std::lock_guard<std::mutex> lock(record_mutex_);
-  ZoneReport& report = reports_[zone_apex];
-  ++report.queries;
-  switch (rcode) {
-    case dns::Rcode::NoError: ++report.noerror; break;
-    case dns::Rcode::NxDomain: ++report.nxdomain; break;
-    case dns::Rcode::ServFail: ++report.servfail; break;
-    default: break;
-  }
-  recent_[zone_apex].push_back(now);
-  ++total_events_;
-}
-
-void TrafficAggregator::attach(pop::Machine& machine, std::function<SimTime()> now_fn) {
-  zone::ZoneStore* store = machine.local_store();
-  machine.nameserver().set_response_observer(
-      [this, store, now_fn = std::move(now_fn)](const dns::Question& question,
-                                                dns::Rcode rcode) {
-        dns::DnsName apex;  // root = "not a hosted zone" bucket
-        if (store) {
-          if (const auto zone = store->find_best_zone(question.name)) {
-            apex = zone->apex();
-          }
-        }
-        record(apex, rcode, now_fn());
-      });
-}
-
-const TrafficAggregator::ZoneReport& TrafficAggregator::report_for(
-    const dns::DnsName& apex) const {
-  static const ZoneReport kEmpty{};
-  const auto it = reports_.find(apex);
-  return it == reports_.end() ? kEmpty : it->second;
-}
-
-double TrafficAggregator::recent_qps(const dns::DnsName& apex, SimTime now) const {
-  const auto it = recent_.find(apex);
-  if (it == recent_.end()) return 0.0;
-  auto& events = it->second;
-  const SimTime cutoff = now - rate_window_;
-  events.erase(std::remove_if(events.begin(), events.end(),
-                              [cutoff](SimTime t) { return t < cutoff; }),
-               events.end());
-  return static_cast<double>(events.size()) / rate_window_.to_seconds();
-}
-
-// ---------------------------------------------------------------------------
-
-std::string to_string(AlertSeverity severity) {
-  switch (severity) {
-    case AlertSeverity::Info: return "info";
-    case AlertSeverity::Warning: return "warning";
-    case AlertSeverity::Critical: return "critical";
-  }
-  return "unknown";
-}
-
-void NoccMonitor::raise(SimTime now, AlertSeverity severity, std::string message) {
-  alerts_.push_back(Alert{now, severity, std::move(message)});
-}
-
-std::size_t NoccMonitor::observe(const std::vector<pop::Machine*>& fleet,
-                                 const pop::SuspensionCoordinator& coordinator,
-                                 SimTime now) {
-  const std::size_t before = alerts_.size();
-  if (fleet.empty()) return 0;
-
-  std::size_t not_running = 0, stale = 0;
-  for (const auto* machine : fleet) {
-    if (!machine->nameserver().running()) ++not_running;
-    if (machine->nameserver().is_stale(now)) ++stale;
-  }
-  const double unhealthy =
-      static_cast<double>(not_running) / static_cast<double>(fleet.size());
-  if (unhealthy >= config_.unhealthy_critical_fraction) {
-    raise(now, AlertSeverity::Critical,
-          std::to_string(not_running) + "/" + std::to_string(fleet.size()) +
-              " machines out of service");
-  } else if (unhealthy >= config_.unhealthy_warning_fraction) {
-    raise(now, AlertSeverity::Warning,
-          std::to_string(not_running) + "/" + std::to_string(fleet.size()) +
-              " machines out of service");
-  }
-  if (config_.alert_on_staleness && stale > 0) {
-    raise(now, AlertSeverity::Warning, std::to_string(stale) + " machines serving stale metadata");
-  }
-  if (config_.alert_on_quota_exhaustion && coordinator.denied_requests() > last_denied_) {
-    raise(now, AlertSeverity::Critical,
-          "suspension quota exhausted: " +
-              std::to_string(coordinator.denied_requests() - last_denied_) +
-              " machines denied self-suspension and serving degraded");
-    last_denied_ = coordinator.denied_requests();
-  }
-  return alerts_.size() - before;
-}
-
-std::size_t NoccMonitor::alert_count(AlertSeverity severity) const {
-  std::size_t count = 0;
-  for (const auto& alert : alerts_) {
-    if (alert.severity == severity) ++count;
-  }
-  return count;
-}
-
 }  // namespace akadns::control

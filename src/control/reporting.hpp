@@ -1,28 +1,14 @@
-// Data Collection/Aggregation and NOCC monitoring (§3.2, Figure 5).
-//
-// "Metrics published by nameservers are compiled into reports displayed
-// to enterprises through the Management Portal" — TrafficAggregator
-// ingests per-response events from the fleet and produces per-zone
-// reports with windowed rate estimates.
-//
-// "This system aggregates health data across nameservers, tracks trends,
-// and alerts human operators in the Network Operations & Control Center
-// when anomalies occur" — NoccMonitor samples fleet health and raises
-// alerts on crash bursts, widespread suspension, and staleness. Alerts
-// inform humans; the *automated* mitigations (monitoring agents,
-// suspension quota, QoD traps) act independently and faster (§4.2).
+// Fleet datapath report (§3.2, Figure 5's Data Collection/Aggregation):
+// the sim's conservation check over every machine's counters, rendered
+// from the same registry families that /metrics exposes.
 #pragma once
 
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "defense/defense_engine.hpp"
-#include "dns/message.hpp"
 #include "obs/registry.hpp"
 #include "pop/machine.hpp"
-#include "pop/suspension.hpp"
 #include "server/nameserver.hpp"
 
 namespace akadns::control {
@@ -123,95 +109,5 @@ DatapathReport render_datapath(obs::MetricsSnapshot snapshot);
 /// a `machine` label), merges the snapshots, and renders the report.
 /// Shared zone stores are registered exactly once.
 DatapathReport collect_datapath(const std::vector<pop::Machine*>& fleet);
-
-class TrafficAggregator {
- public:
-  struct ZoneReport {
-    std::uint64_t queries = 0;
-    std::uint64_t noerror = 0;
-    std::uint64_t nxdomain = 0;
-    std::uint64_t servfail = 0;
-    double nxdomain_fraction() const {
-      return queries ? static_cast<double>(nxdomain) / static_cast<double>(queries) : 0.0;
-    }
-  };
-
-  explicit TrafficAggregator(Duration rate_window = Duration::seconds(60))
-      : rate_window_(rate_window) {}
-
-  /// Ingests one response event attributed to a zone apex. Thread-safe:
-  /// attached observers fire from the lanes of a parallel drain, so the
-  /// maps are guarded by an internal mutex (the counts are commutative,
-  /// so the aggregate stays deterministic in the worker count).
-  void record(const dns::DnsName& zone_apex, dns::Rcode rcode, SimTime now);
-
-  /// Wires a machine's responder into the aggregator: each answered
-  /// query is attributed to the zone serving it via the machine's local
-  /// store. `now_fn` supplies the simulation clock at event time.
-  void attach(pop::Machine& machine, std::function<SimTime()> now_fn);
-
-  const ZoneReport& report_for(const dns::DnsName& apex) const;
-  const std::map<dns::DnsName, ZoneReport>& all_reports() const noexcept {
-    return reports_;
-  }
-
-  /// Queries per second for a zone over the trailing window.
-  double recent_qps(const dns::DnsName& apex, SimTime now) const;
-
-  std::uint64_t total_events() const noexcept { return total_events_; }
-
- private:
-  Duration rate_window_;
-  /// Serializes record() against itself; readers run between phases.
-  std::mutex record_mutex_;
-  std::map<dns::DnsName, ZoneReport> reports_;
-  // Per-zone event timestamps inside the trailing window (pruned lazily).
-  mutable std::map<dns::DnsName, std::vector<SimTime>> recent_;
-  std::uint64_t total_events_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-
-enum class AlertSeverity : std::uint8_t { Info, Warning, Critical };
-std::string to_string(AlertSeverity severity);
-
-struct Alert {
-  SimTime at;
-  AlertSeverity severity = AlertSeverity::Info;
-  std::string message;
-};
-
-class NoccMonitor {
- public:
-  struct Config {
-    /// Warning when this fraction of the fleet is not Running.
-    double unhealthy_warning_fraction = 0.15;
-    /// Critical when this fraction is not Running.
-    double unhealthy_critical_fraction = 0.40;
-    /// Critical when the suspension quota is exhausted (denied requests
-    /// mean machines are serving in a degraded state).
-    bool alert_on_quota_exhaustion = true;
-    /// Warning when any machine reports stale metadata.
-    bool alert_on_staleness = true;
-  };
-
-  NoccMonitor() = default;
-  explicit NoccMonitor(Config config) : config_(config) {}
-
-  /// Samples fleet health once; appends any alerts raised. Returns the
-  /// number of new alerts.
-  std::size_t observe(const std::vector<pop::Machine*>& fleet,
-                      const pop::SuspensionCoordinator& coordinator, SimTime now);
-
-  const std::vector<Alert>& alerts() const noexcept { return alerts_; }
-  std::size_t alert_count(AlertSeverity severity) const;
-
- private:
-  void raise(SimTime now, AlertSeverity severity, std::string message);
-
-  Config config_;
-  std::vector<Alert> alerts_;
-  std::uint64_t last_denied_ = 0;
-};
 
 }  // namespace akadns::control

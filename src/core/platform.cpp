@@ -193,7 +193,6 @@ void Platform::start_mapping_heartbeat(Duration interval) {
   struct Beat {
     Platform* platform;
     void operator()() const {
-      if (!platform->heartbeat_running_) return;
       platform->control_.publish(control::kMappingTopic,
                                  std::make_shared<const control::Metadata>());
       platform->scheduler_.schedule_after(platform->heartbeat_interval_, Beat{platform});
@@ -201,8 +200,6 @@ void Platform::start_mapping_heartbeat(Duration interval) {
   };
   Beat{this}();
 }
-
-void Platform::stop_mapping_heartbeat() { heartbeat_running_ = false; }
 
 void Platform::install_filter_pipeline() { install_filter_pipeline(FilterDefaults{}); }
 

@@ -93,9 +93,8 @@ class Platform {
   void register_dynamic_domain(const dns::DnsName& suffix, std::size_t answer_count = 2);
 
   /// Starts the periodic mapping-intelligence publication (keeps
-  /// machines' metadata fresh; stopping it induces staleness, §4.2.2).
+  /// machines' metadata fresh, §4.2.2).
   void start_mapping_heartbeat(Duration interval);
-  void stop_mapping_heartbeat();
 
   /// Installs the §4.3.4 scoring pipeline (rate-limit + NXDOMAIN filter,
   /// each bound to the machine's own zone-store replica) on every

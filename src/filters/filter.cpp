@@ -12,18 +12,6 @@ double ScoringEngine::score(const QueryContext& ctx) {
   return total;
 }
 
-ScoreBreakdown ScoringEngine::score_detailed(const QueryContext& ctx) {
-  ScoreBreakdown breakdown;
-  for (auto& filter : filters_) {
-    const double penalty = filter->score(ctx);
-    if (penalty > 0.0) {
-      breakdown.contributions.emplace_back(filter->name(), penalty);
-    }
-    breakdown.total += penalty;
-  }
-  return breakdown;
-}
-
 void ScoringEngine::observe_response(const QueryContext& ctx, dns::Rcode rcode) {
   for (auto& filter : filters_) filter->observe_response(ctx, rcode);
 }

@@ -56,15 +56,6 @@ class Filter {
   }
 };
 
-/// Per-query scoring outcome. Filter names are string_views into the
-/// filters' static name() storage — recording a breakdown allocates only
-/// when a filter actually fires.
-struct ScoreBreakdown {
-  double total = 0.0;
-  /// (filter name, penalty) for each filter that fired.
-  std::vector<std::pair<std::string_view, double>> contributions;
-};
-
 /// Builds one filter instance for a datapath shard. The sharded
 /// nameserver keeps an independent ScoringEngine per lane; a factory is
 /// invoked once per lane with (shard, shard_count) so stateful filters
@@ -82,9 +73,6 @@ class ScoringEngine {
 
   /// Total penalty for the query.
   double score(const QueryContext& ctx);
-
-  /// Like score() but records which filters fired (diagnostics/benches).
-  ScoreBreakdown score_detailed(const QueryContext& ctx);
 
   /// Fans the response outcome out to every filter.
   void observe_response(const QueryContext& ctx, dns::Rcode rcode);

@@ -2,8 +2,6 @@
 
 namespace akadns::filters {
 
-LoyaltyFilter::LoyaltyFilter() : LoyaltyFilter(Config{}) {}
-
 LoyaltyFilter::LoyaltyFilter(Config config) : config_(config) {}
 
 void LoyaltyFilter::learn(const IpAddr& source, SimTime seen_at) {

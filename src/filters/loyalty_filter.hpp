@@ -32,7 +32,6 @@ class LoyaltyFilter : public Filter {
     std::size_t max_tracked_sources = 1'000'000;
   };
 
-  LoyaltyFilter();
   explicit LoyaltyFilter(Config config);
 
   std::string_view name() const noexcept override { return "loyalty"; }

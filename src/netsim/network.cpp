@@ -45,12 +45,6 @@ bool Network::has_link(NodeId a, NodeId b) const {
   return a < nodes_.size() && nodes_[a].neighbor_index.contains(b);
 }
 
-std::vector<NodeId> Network::neighbors(NodeId node) const {
-  std::vector<NodeId> out;
-  for (const auto& n : nodes_.at(node).neighbors) out.push_back(n.id);
-  return out;
-}
-
 NeighborRel Network::relationship(NodeId node, NodeId neighbor) const {
   const Neighbor* n = find_neighbor(node, neighbor);
   if (!n) throw std::invalid_argument("not neighbors");
@@ -125,13 +119,6 @@ void Network::set_export_enabled(NodeId node, NodeId neighbor, PrefixId prefix, 
     // Policy change acts like a targeted (re)advertisement/withdrawal.
     schedule_export(node, neighbor, prefix);
   }
-}
-
-bool Network::export_enabled(NodeId node, NodeId neighbor, PrefixId prefix) const {
-  const auto pit = nodes_.at(node).prefixes.find(prefix);
-  if (pit == nodes_[node].prefixes.end()) return true;
-  const auto eit = pit->second.export_disabled.find(neighbor);
-  return eit == pit->second.export_disabled.end() || !eit->second;
 }
 
 bool Network::has_route(NodeId node, PrefixId prefix) const {

@@ -91,7 +91,6 @@ class Network {
 
   std::size_t node_count() const noexcept { return nodes_.size(); }
   const std::string& label(NodeId node) const { return nodes_.at(node).label; }
-  std::vector<NodeId> neighbors(NodeId node) const;
   NeighborRel relationship(NodeId node, NodeId neighbor) const;
   Duration link_delay(NodeId a, NodeId b) const;
 
@@ -111,7 +110,6 @@ class Network {
   /// withdraw can be made per advertisement"). Disabling an export acts
   /// like withdrawing the route from that peering session only.
   void set_export_enabled(NodeId node, NodeId neighbor, PrefixId prefix, bool enabled);
-  bool export_enabled(NodeId node, NodeId neighbor, PrefixId prefix) const;
 
   /// Route introspection.
   bool has_route(NodeId node, PrefixId prefix) const;

@@ -86,16 +86,4 @@ std::vector<NodeId> build_chain(Network& network, std::size_t length, Duration l
   return nodes;
 }
 
-std::pair<NodeId, std::vector<NodeId>> build_star(Network& network, std::size_t leaves,
-                                                  Duration link_delay) {
-  const NodeId hub = network.add_node("hub");
-  std::vector<NodeId> leaf_nodes;
-  for (std::size_t i = 0; i < leaves; ++i) {
-    const NodeId leaf = network.add_node("leaf-" + std::to_string(i));
-    network.add_link(hub, leaf, link_delay, LinkKind::ProviderToCustomer);
-    leaf_nodes.push_back(leaf);
-  }
-  return {hub, leaf_nodes};
-}
-
 }  // namespace akadns::netsim

@@ -48,8 +48,4 @@ Topology build_internet(Network& network, const TopologyConfig& config, std::uin
 /// for deterministic unit tests of propagation timing.
 std::vector<NodeId> build_chain(Network& network, std::size_t length, Duration link_delay);
 
-/// Builds a star: one hub providing transit to `leaves` leaf nodes.
-std::pair<NodeId, std::vector<NodeId>> build_star(Network& network, std::size_t leaves,
-                                                  Duration link_delay);
-
 }  // namespace akadns::netsim

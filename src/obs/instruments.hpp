@@ -113,7 +113,7 @@ class Histogram {
   explicit Histogram(double lo = 1.0, double growth = 1.16,
                      std::size_t bins = kDefaultBins);
   Histogram(const Histogram& o);
-  Histogram& operator=(const Histogram& o);
+  Histogram& operator=(const Histogram&) = delete;
   ~Histogram();
 
   void add(double x) noexcept;

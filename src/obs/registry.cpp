@@ -35,21 +35,6 @@ Histogram::Histogram(const Histogram& o)
   max_.store(o.max_.load(std::memory_order_relaxed), std::memory_order_relaxed);
 }
 
-Histogram& Histogram::operator=(const Histogram& o) {
-  if (this == &o) return *this;
-  Histogram copy(o);
-  std::swap(lo_, copy.lo_);
-  std::swap(growth_, copy.growth_);
-  std::swap(log_growth_, copy.log_growth_);
-  std::swap(bins_, copy.bins_);
-  std::swap(counts_, copy.counts_);
-  total_.store(copy.total_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  sum_.store(copy.sum_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  min_.store(copy.min_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  max_.store(copy.max_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  return *this;
-}
-
 Histogram::~Histogram() { delete[] counts_; }
 
 std::size_t Histogram::bucket_index(double x) const noexcept {
@@ -283,13 +268,6 @@ MetricsSnapshot MetricRegistry::snapshot() const {
   std::sort(snap.families.begin(), snap.families.end(),
             [](const MetricFamily& a, const MetricFamily& b) { return a.name < b.name; });
   return snap;
-}
-
-std::size_t MetricRegistry::series_count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t n = 0;
-  for (const auto& fam : families_) n += fam.series.size();
-  return n;
 }
 
 // ---------------------------------------------------------------------------

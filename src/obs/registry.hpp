@@ -132,9 +132,6 @@ class MetricRegistry {
   /// contract), so this never blocks or perturbs the writers.
   MetricsSnapshot snapshot() const;
 
-  /// Registered series count (across all families).
-  std::size_t series_count() const;
-
  private:
   struct Series;
   struct Family;

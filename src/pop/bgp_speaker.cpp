@@ -56,12 +56,4 @@ std::vector<netsim::PrefixId> BgpSpeaker::configured_clouds() const {
   return out;
 }
 
-std::vector<netsim::PrefixId> BgpSpeaker::active_clouds() const {
-  std::vector<netsim::PrefixId> out;
-  for (const auto& [cloud, state] : clouds_) {
-    if (state.active) out.push_back(cloud);
-  }
-  return out;
-}
-
 }  // namespace akadns::pop

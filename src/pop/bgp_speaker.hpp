@@ -49,7 +49,6 @@ class BgpSpeaker {
 
   /// All clouds this speaker is configured for (advertised or not).
   std::vector<netsim::PrefixId> configured_clouds() const;
-  std::vector<netsim::PrefixId> active_clouds() const;
 
  private:
   struct CloudState {

@@ -4,18 +4,6 @@
 
 namespace akadns::pop {
 
-std::string to_string(FailureType f) {
-  switch (f) {
-    case FailureType::Disk: return "disk";
-    case FailureType::Memory: return "memory";
-    case FailureType::Nic: return "nic";
-    case FailureType::SoftwareBug: return "software-bug";
-    case FailureType::ConnectivityLoss: return "connectivity-loss";
-    case FailureType::PartialConnectivity: return "partial-connectivity";
-  }
-  return "unknown";
-}
-
 namespace {
 
 server::NameserverConfig with_id(MachineConfig& config) {

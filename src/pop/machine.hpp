@@ -24,8 +24,6 @@ enum class FailureType : std::uint8_t {
   PartialConnectivity, // transit links down: metadata cut, queries still arrive
 };
 
-std::string to_string(FailureType f);
-
 struct MachineConfig {
   std::string id = "machine";
   server::NameserverConfig nameserver{};

@@ -241,9 +241,4 @@ void ZonePublisher::register_metrics(obs::MetricRegistry& reg,
   master_.compile_stats().register_into(reg, base);
 }
 
-zone::CompileStats ZonePublisher::compile_stats() const {
-  std::lock_guard lock(mutex_);
-  return master_.compile_stats();
-}
-
 }  // namespace akadns::propagation

@@ -163,7 +163,6 @@ class ZonePublisher {
 
   PublisherStats stats() const;
   JournalStats journal_stats() const;
-  zone::CompileStats compile_stats() const;
 
   /// Registers the publisher's live counters, its journal's, and the
   /// master store's compile accounting. Instruments are single-writer

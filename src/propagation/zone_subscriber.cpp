@@ -7,8 +7,6 @@ void ZoneSubscriber::attach(ZonePublisher& publisher, std::function<void()> wake
   publisher.seed(replica_);
 }
 
-void ZoneSubscriber::detach() { subscription_.reset(); }
-
 std::size_t ZoneSubscriber::poll(Timepoint now) {
   if (!subscription_) return 0;
   std::vector<ZoneUpdatePtr> updates = subscription_->drain();

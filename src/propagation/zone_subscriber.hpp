@@ -79,8 +79,6 @@ class ZoneSubscriber {
   /// snapshots (subscribe-then-seed, so no version can fall in between).
   void attach(ZonePublisher& publisher, std::function<void()> wake = {});
 
-  void detach();
-
   /// Lock-free probe: anything queued since the last poll?
   bool has_pending() const noexcept { return subscription_ && subscription_->pending(); }
 

@@ -224,15 +224,12 @@ class Nameserver {
 
   // Hook setters fan out to every lane's responder. Hooks are invoked
   // from run_lane and must therefore be thread-safe (the mapping hook is
-  // pure by construction; observers synchronize internally).
+  // pure by construction).
   void set_mapping_hook(MappingHook hook) {
     for (auto& lane : lanes_) lane.core.responder().set_mapping_hook(hook);
   }
   void set_referral_push_hook(ReferralPushHook hook) {
     for (auto& lane : lanes_) lane.core.responder().set_referral_push_hook(hook);
-  }
-  void set_response_observer(Responder::ResponseObserver observer) {
-    for (auto& lane : lanes_) lane.core.responder().set_response_observer(observer);
   }
 
   /// Installs one filter instance per lane via the factory (each lane

@@ -150,7 +150,6 @@ Message Responder::respond_core(const dns::Header& query_header, std::size_t que
   response.header.rcode = rcode;
   count_rcode(rcode);
   if (rcode == Rcode::Refused) response.header.aa = false;
-  if (response_observer_) response_observer_(*question, rcode);
   return response;
 }
 
@@ -177,7 +176,6 @@ bool Responder::try_compiled(const Question& question, const dns::Header& query_
       stats_.referrals += hit->referrals;
       stats_.wildcard_answers += hit->wildcard_answers;
       stats_.cname_chases += hit->cname_chases;
-      if (response_observer_) response_observer_(question, hit->rcode);
       return true;
     }
   }
@@ -275,7 +273,6 @@ bool Responder::try_compiled(const Question& question, const dns::Header& query_
   stats_.referrals += delta.referrals;
   stats_.wildcard_answers += delta.wildcard_answers;
   stats_.cname_chases += delta.cname_chases;
-  if (response_observer_) response_observer_(question, rcode);
 
   // 4. Cacheable: positive or negative data with a real TTL. REFUSED is
   //    never cached (attacker-controlled keyspace) and ServFail never

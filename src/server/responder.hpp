@@ -146,13 +146,6 @@ class Responder {
   void set_mapping_hook(MappingHook hook) { mapping_hook_ = std::move(hook); }
   void set_referral_push_hook(ReferralPushHook hook) { push_hook_ = std::move(hook); }
 
-  /// Observer invoked once per answered query with the final rcode —
-  /// the feed for the Data Collection/Aggregation component (§3.2).
-  using ResponseObserver = std::function<void(const dns::Question&, dns::Rcode)>;
-  void set_response_observer(ResponseObserver observer) {
-    response_observer_ = std::move(observer);
-  }
-
   const ResponderStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = {}; }
 
@@ -193,7 +186,6 @@ class Responder {
   ResponderConfig config_;
   MappingHook mapping_hook_;
   ReferralPushHook push_hook_;
-  ResponseObserver response_observer_;
   ResponderStats stats_;
   AnswerCache cache_;
 };

@@ -4,15 +4,6 @@
 
 namespace akadns::twotier {
 
-std::string to_string(GtmPolicy policy) {
-  switch (policy) {
-    case GtmPolicy::Failover: return "failover";
-    case GtmPolicy::WeightedRoundRobin: return "weighted-round-robin";
-    case GtmPolicy::Performance: return "performance";
-  }
-  return "unknown";
-}
-
 GtmProperty::GtmProperty(Config config) : config_(std::move(config)) {}
 
 void GtmProperty::add_datacenter(Datacenter datacenter) {

@@ -22,8 +22,6 @@ enum class GtmPolicy : std::uint8_t {
   Performance,         // closest alive datacenter to the client
 };
 
-std::string to_string(GtmPolicy policy);
-
 struct Datacenter {
   std::string id;
   IpAddr address;

@@ -3,19 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <unordered_map>
 
 namespace akadns::workload {
-
-std::string to_string(Region r) {
-  switch (r) {
-    case Region::NorthAmerica: return "north-america";
-    case Region::Europe: return "europe";
-    case Region::Asia: return "asia";
-    case Region::RestOfWorld: return "rest-of-world";
-  }
-  return "unknown";
-}
 
 ResolverPopulation::ResolverPopulation(PopulationConfig config, std::uint64_t seed)
     : config_(config) {
@@ -114,47 +103,6 @@ std::vector<std::size_t> ResolverPopulation::top_by_weight(double fraction) cons
   const auto k = static_cast<std::size_t>(fraction * static_cast<double>(order.size()));
   order.resize(std::max<std::size_t>(k, 1));
   return order;
-}
-
-double ResolverPopulation::mass_of_top(double fraction) const {
-  double total = 0.0, top = 0.0;
-  std::vector<double> weights;
-  weights.reserve(resolvers_.size());
-  for (const auto& r : resolvers_) {
-    weights.push_back(r.weight);
-    total += r.weight;
-  }
-  std::sort(weights.rbegin(), weights.rend());
-  const auto k = static_cast<std::size_t>(fraction * static_cast<double>(weights.size()));
-  for (std::size_t i = 0; i < k && i < weights.size(); ++i) top += weights[i];
-  return total > 0 ? top / total : 0.0;
-}
-
-double ResolverPopulation::asn_mass_of_top(double fraction) const {
-  std::unordered_map<std::uint32_t, double> by_asn;
-  double total = 0.0;
-  for (const auto& r : resolvers_) {
-    by_asn[r.asn] += r.weight;
-    total += r.weight;
-  }
-  std::vector<double> masses;
-  masses.reserve(by_asn.size());
-  for (const auto& [asn, mass] : by_asn) masses.push_back(mass);
-  std::sort(masses.rbegin(), masses.rend());
-  const auto k = std::max<std::size_t>(
-      1, static_cast<std::size_t>(fraction * static_cast<double>(masses.size())));
-  double top = 0.0;
-  for (std::size_t i = 0; i < k && i < masses.size(); ++i) top += masses[i];
-  return total > 0 ? top / total : 0.0;
-}
-
-double ResolverPopulation::region_mass(Region region) const {
-  double total = 0.0, matching = 0.0;
-  for (const auto& r : resolvers_) {
-    total += r.weight;
-    if (r.region == region) matching += r.weight;
-  }
-  return total > 0 ? matching / total : 0.0;
 }
 
 void ResolverPopulation::advance_week(Rng& rng) {

@@ -19,7 +19,6 @@
 namespace akadns::workload {
 
 enum class Region : std::uint8_t { NorthAmerica, Europe, Asia, RestOfWorld };
-std::string to_string(Region r);
 
 struct ResolverInfo {
   IpAddr address;
@@ -68,16 +67,6 @@ class ResolverPopulation {
 
   /// Indices of the top `fraction` of resolvers by weight.
   std::vector<std::size_t> top_by_weight(double fraction) const;
-
-  /// Cumulative weight of the top `fraction` of resolvers — should match
-  /// the calibrated mass (e.g. 0.03 -> ~0.80).
-  double mass_of_top(double fraction) const;
-
-  /// Cumulative weight grouped by ASN: share of the top `fraction` ASNs.
-  double asn_mass_of_top(double fraction) const;
-
-  /// Query-weighted share per region.
-  double region_mass(Region region) const;
 
   /// Advances one week: jitters every resolver's weight lognormally and
   /// churns a small fraction of identities (new IP, fresh weight rank).

@@ -94,11 +94,6 @@ HostedZones::HostedZones(HostedZonesConfig config, std::uint64_t seed)
   }
 }
 
-double HostedZones::mass_of_top(double fraction) const {
-  const auto k = static_cast<std::size_t>(fraction * static_cast<double>(zone_count()));
-  return popularity_.cdf(std::max<std::size_t>(k, 1));
-}
-
 dns::DnsName HostedZones::sample_valid_name(std::size_t rank, Rng& rng) const {
   const auto& names = valid_names_.at(rank);
   return names[rng.next_below(names.size())];

@@ -40,7 +40,6 @@ class HostedZones {
   /// Samples a zone rank by popularity.
   std::size_t sample_zone(Rng& rng) const { return popularity_.sample(rng); }
   double zone_mass(std::size_t rank) const { return popularity_.pmf(rank); }
-  double mass_of_top(double fraction) const;
 
   /// A valid (existing) hostname in the given zone.
   dns::DnsName sample_valid_name(std::size_t rank, Rng& rng) const;

@@ -61,13 +61,6 @@ ZoneBuilder& ZoneBuilder::mx(std::string_view owner, std::uint16_t pref,
                      dns::MxRecord{pref, DnsName::from(exchange)}});
 }
 
-ZoneBuilder& ZoneBuilder::srv(std::string_view owner, std::uint16_t priority,
-                              std::uint16_t weight, std::uint16_t port, std::string_view target,
-                              std::uint32_t ttl) {
-  return record(ResourceRecord{owner_name(owner), dns::RecordClass::IN, ttl,
-                               dns::SrvRecord{priority, weight, port, DnsName::from(target)}});
-}
-
 ZoneBuilder& ZoneBuilder::record(ResourceRecord rr) {
   const std::string description = rr.to_string();
   if (!zone_.add(std::move(rr))) {

@@ -22,8 +22,6 @@ class ZoneBuilder {
   ZoneBuilder& txt(std::string_view owner, std::string_view text, std::uint32_t ttl = 300);
   ZoneBuilder& mx(std::string_view owner, std::uint16_t pref, std::string_view exchange,
                   std::uint32_t ttl = 3600);
-  ZoneBuilder& srv(std::string_view owner, std::uint16_t priority, std::uint16_t weight,
-                   std::uint16_t port, std::string_view target, std::uint32_t ttl = 300);
   ZoneBuilder& record(ResourceRecord rr);
 
   /// Finalizes. Throws std::invalid_argument if any record was rejected.

@@ -195,10 +195,6 @@ dns::Message ixfr_serialize_chain(std::span<const ZoneDiff> chain,
   return m;
 }
 
-dns::Message ixfr_serialize(const ZoneDiff& diff, std::uint16_t transaction_id) {
-  return ixfr_serialize_chain(std::span<const ZoneDiff>(&diff, 1), transaction_id);
-}
-
 Result<std::vector<ZoneDiff>> ixfr_parse_chain(const dns::Message& message) {
   auto fail = [](std::string what) {
     return Result<std::vector<ZoneDiff>>::failure(std::move(what));
@@ -247,15 +243,6 @@ Result<std::vector<ZoneDiff>> ixfr_parse_chain(const dns::Message& message) {
     return fail("IXFR chain does not end at the announced serial");
   }
   return chain;
-}
-
-Result<ZoneDiff> ixfr_parse(const dns::Message& message) {
-  auto chain = ixfr_parse_chain(message);
-  if (!chain) return Result<ZoneDiff>::failure(chain.error());
-  if (chain.value().size() != 1) {
-    return Result<ZoneDiff>::failure("multi-delta IXFR message: use ixfr_parse_chain");
-  }
-  return std::move(chain).take().front();
 }
 
 }  // namespace akadns::zone

@@ -65,10 +65,6 @@ ZoneDiff diff_zones(const Zone& from, const Zone& to);
 /// so a small delta against a big zone costs the map copy, not a rebuild.
 Result<Zone> apply_diff(const Zone& base, const ZoneDiff& diff);
 
-/// Serializes a diff as an IXFR response message (single-delta form):
-/// new-SOA, old-SOA, deletions, new-SOA, additions, new-SOA.
-dns::Message ixfr_serialize(const ZoneDiff& diff, std::uint16_t transaction_id = 0);
-
 /// Serializes a contiguous delta chain as one IXFR response (RFC 1995
 /// multi-delta form): latest-SOA, then per delta old-SOA, deletions,
 /// new-SOA, additions, closed by the latest SOA. Throws
@@ -76,10 +72,6 @@ dns::Message ixfr_serialize(const ZoneDiff& diff, std::uint16_t transaction_id =
 /// chain — the journal only ever hands out contiguous windows.
 dns::Message ixfr_serialize_chain(std::span<const ZoneDiff> chain,
                                   std::uint16_t transaction_id = 0);
-
-/// Parses an IXFR response message back into a single diff. Multi-delta
-/// messages are rejected; use ixfr_parse_chain.
-Result<ZoneDiff> ixfr_parse(const dns::Message& message);
 
 /// Parses a (possibly multi-delta) IXFR response into its delta chain,
 /// validating the SOA skeleton: serials strictly increase per delta, the

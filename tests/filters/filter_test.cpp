@@ -46,16 +46,6 @@ TEST(ScoringEngine, SumsFilterPenalties) {
   EXPECT_EQ(engine.filter_count(), 3u);
 }
 
-TEST(ScoringEngine, DetailedBreakdownOmitsZeroContributions) {
-  ScoringEngine engine;
-  engine.add_filter(std::make_unique<FixedFilter>("a", 10.0));
-  engine.add_filter(std::make_unique<FixedFilter>("b", 0.0));
-  const auto breakdown = engine.score_detailed(ctx());
-  EXPECT_DOUBLE_EQ(breakdown.total, 10.0);
-  ASSERT_EQ(breakdown.contributions.size(), 1u);
-  EXPECT_EQ(breakdown.contributions[0].first, "a");
-}
-
 TEST(ScoringEngine, ObserveResponseFansOut) {
   ScoringEngine engine;
   auto* a = new FixedFilter("a", 0.0);

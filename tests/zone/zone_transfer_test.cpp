@@ -156,19 +156,21 @@ TEST(Ixfr, MessageRoundTrip) {
   v2.add(dns::make_a(DnsName::from("extra.ex.com"), Ipv4Addr(10, 2, 2, 2), 60));
   const auto diff = diff_zones(v1, v2);
 
-  const auto message = ixfr_serialize(diff, 1234);
+  const auto message = ixfr_serialize_chain(std::span(&diff, 1), 1234);
   // Through the wire, as a real IXFR would travel.
   const auto decoded = dns::decode(dns::encode(message));
   ASSERT_TRUE(decoded) << decoded.error();
-  const auto parsed = ixfr_parse(decoded.value());
+  const auto parsed = ixfr_parse_chain(decoded.value());
   ASSERT_TRUE(parsed) << parsed.error();
-  EXPECT_EQ(parsed.value().from_serial, diff.from_serial);
-  EXPECT_EQ(parsed.value().to_serial, diff.to_serial);
-  EXPECT_EQ(parsed.value().deletions, diff.deletions);
-  EXPECT_EQ(parsed.value().additions, diff.additions);
+  ASSERT_EQ(parsed.value().size(), 1u);
+  const ZoneDiff& delta = parsed.value().front();
+  EXPECT_EQ(delta.from_serial, diff.from_serial);
+  EXPECT_EQ(delta.to_serial, diff.to_serial);
+  EXPECT_EQ(delta.deletions, diff.deletions);
+  EXPECT_EQ(delta.additions, diff.additions);
 
   // The parsed diff applies cleanly.
-  const auto applied = apply_diff(v1, parsed.value());
+  const auto applied = apply_diff(v1, delta);
   ASSERT_TRUE(applied) << applied.error();
   EXPECT_EQ(applied.value().all_records(), v2.all_records());
 }
@@ -177,15 +179,16 @@ TEST(Ixfr, ParseRejectsMalformedBodies) {
   const Zone v1 = sample_zone(10);
   Zone v2 = sample_zone(11);
   v2.add(dns::make_a(DnsName::from("extra.ex.com"), Ipv4Addr(10, 2, 2, 2), 60));
-  auto message = ixfr_serialize(diff_zones(v1, v2), 1);
+  const ZoneDiff diff = diff_zones(v1, v2);
+  auto message = ixfr_serialize_chain(std::span(&diff, 1), 1);
 
   auto too_short = message;
   too_short.answers.resize(2);
-  EXPECT_FALSE(ixfr_parse(too_short));
+  EXPECT_FALSE(ixfr_parse_chain(too_short));
 
   auto bad_close = message;
   bad_close.answers.pop_back();
-  EXPECT_FALSE(ixfr_parse(bad_close));
+  EXPECT_FALSE(ixfr_parse_chain(bad_close));
 }
 
 TEST(Ixfr, DiffValidationThrows) {
