@@ -27,17 +27,20 @@ std::string DatapathReport::render() const {
     out += to_string(reason);
     out += ": " + std::to_string(drops[reason]) + "\n";
   }
-  out += "  answers: compiled=" + std::to_string(compiled_answers) +
-         " cached=" + std::to_string(cache_hits) +
-         " interpreted=" + std::to_string(interpreted_answers) + " (cache hit rate " +
-         std::to_string(cache_hit_rate() * 100.0) + "%" +
-         (cache_evictions ? ", evictions=" + std::to_string(cache_evictions) : "") +
-         (cache_invalidations ? ", invalidations=" + std::to_string(cache_invalidations) : "") +
+  out += "  answers: compiled=" + std::to_string(responder.compiled_answers) +
+         " cached=" + std::to_string(responder.cache_hits) +
+         " interpreted=" + std::to_string(responder.interpreted_answers) +
+         " (cache hit rate " + std::to_string(responder.cache_hit_rate() * 100.0) + "%" +
+         (answer_cache.evictions ? ", evictions=" + std::to_string(answer_cache.evictions)
+                                 : "") +
+         (answer_cache.invalidations
+              ? ", invalidations=" + std::to_string(answer_cache.invalidations)
+              : "") +
          ")\n";
-  out += "  publish: compiles=" + std::to_string(zone_compiles) +
-         " incremental=" + std::to_string(zone_incremental_compiles) +
-         " adopted=" + std::to_string(zone_snapshots_adopted) +
-         " compile_time=" + std::to_string(zone_compile_micros) + "us\n";
+  out += "  publish: compiles=" + std::to_string(compiles.compiles) +
+         " incremental=" + std::to_string(compiles.incremental_compiles) +
+         " adopted=" + std::to_string(compiles.adopted) +
+         " compile_time=" + std::to_string(compiles.total_micros) + "us\n";
   if (zone_sync.updates) {
     out += "  propagation: updates=" + std::to_string(zone_sync.updates) +
            " adopted=" + std::to_string(zone_sync.adopted) +
@@ -90,111 +93,59 @@ std::string DatapathReport::render() const {
 
 namespace {
 
-/// Highest numeric value of label `key` in family `name`, plus one — the
+/// Highest numeric value of label `key` in any family, plus one — the
 /// series are registered per lane/queue index, so this recovers the
 /// widest machine's lane count (resp. deepest queue set) from the
 /// snapshot alone.
-std::size_t indexed_label_width(const obs::MetricsSnapshot& snap, std::string_view name,
-                                std::string_view key) {
-  const auto* fam = snap.family(name);
-  if (!fam) return 0;
+std::size_t indexed_label_width(const obs::MetricsSnapshot& snap, std::string_view key) {
   std::size_t width = 0;
-  for (const auto& sample : fam->samples) {
-    for (const auto& label : sample.labels) {
-      if (label.key != key) continue;
-      width = std::max(width, static_cast<std::size_t>(std::stoull(label.value)) + 1);
+  for (const auto& fam : snap.families) {
+    for (const auto& sample : fam.samples) {
+      for (const auto& label : sample.labels) {
+        if (label.key != key) continue;
+        width = std::max(width, static_cast<std::size_t>(std::stoull(label.value)) + 1);
+      }
     }
   }
   return width;
 }
 
-void fill_drops(DropCounters& drops, const obs::MetricsSnapshot& snap, const char* family,
-                const obs::LabelSet& base) {
-  for (std::size_t i = 0; i < kDropReasonCount; ++i) {
-    const auto reason = static_cast<DropReason>(i);
-    const std::uint64_t n =
-        snap.sum(family, obs::with(base, "reason", std::string(to_string(reason))));
-    if (n) drops.add(reason, n);
-  }
+void fill_ledger(Ledger& out, const obs::MetricsSnapshot& snap, const obs::LabelSet& filter) {
+  const auto ns = obs::read_series<server::NameserverStats>(snap, filter);
+  // NIC-level losses never reach the nameserver, so arrivals are the
+  // datapath's packet counter plus those drops (the machine layer is the
+  // only writer of reason=nic-failure, under no lane label).
+  out.packets_received = ns.packets_received + ns.drops[DropReason::NicFailure];
+  out.responses_sent = ns.responses_sent;
+  out.pending = snap.sum("akadns_pending", filter);
+  out.drops = ns.drops;
+  obs::read_drop_counters(snap, defense::DefenseLaneStats::kDrops, filter, out.drops);
 }
 
 }  // namespace
 
 DatapathReport render_datapath(obs::MetricsSnapshot snapshot) {
   DatapathReport report;
-
-  // NIC-level losses never reach the nameserver, so the fleet's arrival
-  // count is the datapath's packet counter plus those drops (the machine
-  // layer is the only writer of reason=nic-failure).
-  const std::uint64_t nic_losses = snapshot.sum(
-      "akadns_drops_total",
-      obs::labels({{"reason", std::string(to_string(DropReason::NicFailure))}}));
-  report.packets_received = snapshot.sum("akadns_packets_total") + nic_losses;
-  report.responses_sent = snapshot.sum("akadns_responses_sent_total");
-  report.pending = snapshot.sum("akadns_pending");
-  // Each drop is counted once, by the layer that decided it: the
-  // nameserver and machine in akadns_drops_total, the defense engine in
-  // akadns_defense_drops_total. The taxonomy is the sum of both.
-  fill_drops(report.drops, snapshot, "akadns_drops_total", {});
-  fill_drops(report.drops, snapshot, "akadns_defense_drops_total", {});
-
+  fill_ledger(report, snapshot, {});
   // Per-lane conservation: lane i summed across every machine (the series
   // carry both machine and lane labels; filtering on lane alone folds the
   // fleet into the per-lane buckets the invariant is asserted over).
-  report.lanes.resize(indexed_label_width(snapshot, "akadns_packets_total", "lane"));
+  report.lanes.resize(indexed_label_width(snapshot, "lane"));
   for (std::size_t i = 0; i < report.lanes.size(); ++i) {
-    const obs::LabelSet lane_filter = obs::with({}, "lane", i);
-    auto& lane = report.lanes[i];
-    lane.packets_received = snapshot.sum("akadns_packets_total", lane_filter);
-    lane.responses_sent = snapshot.sum("akadns_responses_sent_total", lane_filter);
-    lane.pending = snapshot.sum("akadns_pending", lane_filter);
-    fill_drops(lane.drops, snapshot, "akadns_drops_total", lane_filter);
-    fill_drops(lane.drops, snapshot, "akadns_defense_drops_total", lane_filter);
+    fill_ledger(report.lanes[i], snapshot, obs::with({}, "lane", i));
   }
 
-  report.defense.scored = snapshot.sum("akadns_defense_scored_total");
-  report.defense.enqueued = snapshot.sum("akadns_defense_enqueued_total");
-  report.defense.released = snapshot.sum("akadns_defense_released_total");
-  fill_drops(report.defense.drops, snapshot, "akadns_defense_drops_total", {});
-  report.penalty_queue_depths.resize(
-      indexed_label_width(snapshot, "akadns_penalty_queue_depth", "queue"));
+  report.defense = obs::read_series<defense::DefenseLaneStats>(snapshot);
+  report.penalty_queue_depths.resize(indexed_label_width(snapshot, "queue"));
   for (std::size_t q = 0; q < report.penalty_queue_depths.size(); ++q) {
     report.penalty_queue_depths[q] = static_cast<std::size_t>(
         snapshot.sum("akadns_penalty_queue_depth", obs::with({}, "queue", q)));
   }
 
-  const auto path = [&](const char* name) {
-    return snapshot.sum("akadns_answer_path_total", obs::labels({{"path", name}}));
-  };
-  report.compiled_answers = path("compiled");
-  report.cache_hits = path("cache");
-  report.interpreted_answers = path("interpreted");
-  const auto cache_event = [&](const char* name) {
-    return snapshot.sum("akadns_answer_cache_total", obs::labels({{"event", name}}));
-  };
-  report.cache_evictions = cache_event("eviction");
-  report.cache_invalidations = cache_event("invalidation");
-
-  const auto compile_path = [&](const char* name) {
-    return snapshot.sum("akadns_zone_compile_total", obs::labels({{"path", name}}));
-  };
-  report.zone_compiles = compile_path("full");
-  report.zone_incremental_compiles = compile_path("incremental");
-  report.zone_snapshots_adopted = compile_path("adopted");
-  report.zone_compile_micros = snapshot.sum("akadns_zone_compile_micros_total");
-
-  const auto sync_event = [&](const char* name) {
-    return snapshot.sum("akadns_zone_sync_total", obs::labels({{"event", name}}));
-  };
-  report.zone_sync.updates = sync_event("update");
-  report.zone_sync.noops = sync_event("noop");
-  report.zone_sync.adopted = sync_event("adopted");
-  report.zone_sync.deltas_applied = sync_event("delta_applied");
-  report.zone_sync.incremental = sync_event("incremental");
-  report.zone_sync.full = sync_event("full");
-  report.zone_sync.last_latency_ns = snapshot.gauge_value("akadns_zone_sync_last_latency_ns");
-  report.zone_sync.max_latency_ns = snapshot.gauge_value("akadns_zone_sync_max_latency_ns");
-
+  report.responder = obs::read_series<server::ResponderStats>(snapshot);
+  report.answer_cache = obs::read_series<server::AnswerCache::Stats>(snapshot);
+  report.compiles = obs::read_series<zone::CompileStats>(snapshot);
+  report.zone_sync = obs::read_series<propagation::ZoneSyncStats>(snapshot);
   report.snapshot = std::move(snapshot);
   return report;
 }
@@ -211,7 +162,7 @@ DatapathReport collect_datapath(const std::vector<pop::Machine*>& fleet) {
     const zone::ZoneStore* store = &fleet[m]->zone_store();
     if (std::find(seen_stores.begin(), seen_stores.end(), store) == seen_stores.end()) {
       seen_stores.push_back(store);
-      store->compile_stats().register_into(reg, base);
+      obs::register_series(reg, base, store->compile_stats());
     }
     merged.merge(reg.snapshot());
   }

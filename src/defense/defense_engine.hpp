@@ -34,7 +34,7 @@
 #include "defense/firewall.hpp"
 #include "filters/filter.hpp"
 #include "filters/penalty_queues.hpp"
-#include "obs/registry.hpp"
+#include "obs/series.hpp"
 
 namespace akadns::defense {
 
@@ -69,18 +69,19 @@ struct DefenseLaneStats {
   obs::Counter released;  // dequeued for processing (budget granted)
   DropCounters drops;     // Firewall / IoOverload / ScoreDiscard / QueueFull / RestartFlush
 
-  void register_into(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
-    reg.counter("akadns_defense_scored_total", base, scored,
-                "queries run through the filter chain");
-    reg.counter("akadns_defense_enqueued_total", base, enqueued,
-                "queries admitted into a penalty queue");
-    reg.counter("akadns_defense_released_total", base, released,
-                "queries dequeued for processing");
-    // The engine's sheds have their own family; a transport's drop
-    // family holds only the reasons it decides, so conservation sums
-    // both families.
-    obs::register_drop_counters(reg, drops, base, "akadns_defense_drops_total");
-  }
+  /// The engine's sheds have their own family; a transport's drop family
+  /// holds only the reasons it decides, so conservation sums both.
+  static constexpr obs::FamilySpec kDrops{"akadns_defense_drops_total", "reason",
+                                          obs::kDropsFamily.help};
+  static constexpr obs::SeriesRow<DefenseLaneStats> kSeries[] = {
+      {{"akadns_defense_scored_total", "", "queries run through the filter chain"}, "",
+       &DefenseLaneStats::scored},
+      {{"akadns_defense_enqueued_total", "", "queries admitted into a penalty queue"}, "",
+       &DefenseLaneStats::enqueued},
+      {{"akadns_defense_released_total", "", "queries dequeued for processing"}, "",
+       &DefenseLaneStats::released},
+      {kDrops, "", &DefenseLaneStats::drops},
+  };
 
   bool operator==(const DefenseLaneStats&) const noexcept = default;
 };
@@ -337,7 +338,7 @@ class DefenseEngine {
   /// that the old stats() merge produced is now a registry sum.
   void register_metrics(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      lanes_[i].stats.register_into(reg, obs::with(base, "lane", i));
+      obs::register_series(reg, obs::with(base, "lane", i), lanes_[i].stats);
     }
     const std::size_t queues = config_.queue_config.max_scores.size();
     for (std::size_t q = 0; q < queues; ++q) {

@@ -9,8 +9,8 @@
 // lowest-penalty queue."
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -52,8 +52,11 @@ class PenaltyQueueSet {
   EnqueueOutcome enqueue(Item item, double score) {
     if (score >= config_.discard_score) return EnqueueOutcome::DiscardedByScore;
     const std::size_t idx = queue_index(score);
-    if (queues_[idx].size() >= config_.queue_capacity) return EnqueueOutcome::DroppedQueueFull;
-    queues_[idx].push_back(std::move(item));
+    Ring& q = queues_[idx];
+    if (q.count >= config_.queue_capacity) return EnqueueOutcome::DroppedQueueFull;
+    if (q.count == q.slots.size()) grow(q);
+    q.slots[q.wrap(q.head + q.count)] = std::move(item);
+    ++q.count;
     ++size_;
     if (idx < first_nonempty_) first_nonempty_ = idx;
     return EnqueueOutcome::Enqueued;
@@ -66,13 +69,14 @@ class PenaltyQueueSet {
   /// moves forward here and is pulled back by enqueue(), so a drain of n
   /// items costs O(n + queues), not O(n * queues).
   std::optional<Item> dequeue() {
-    while (first_nonempty_ < queues_.size() && queues_[first_nonempty_].empty()) {
+    while (first_nonempty_ < queues_.size() && queues_[first_nonempty_].count == 0) {
       ++first_nonempty_;
     }
     if (first_nonempty_ == queues_.size()) return std::nullopt;
-    auto& q = queues_[first_nonempty_];
-    Item item = std::move(q.front());
-    q.pop_front();
+    Ring& q = queues_[first_nonempty_];
+    Item item = std::move(q.slots[q.head]);
+    q.head = q.wrap(q.head + 1);
+    --q.count;
     --size_;
     return item;
   }
@@ -91,14 +95,38 @@ class PenaltyQueueSet {
 
   std::size_t size() const noexcept { return size_; }
 
-  std::size_t queue_depth(std::size_t i) const { return queues_.at(i).size(); }
+  std::size_t queue_depth(std::size_t i) const { return queues_.at(i).count; }
   std::size_t queue_count() const noexcept { return queues_.size(); }
 
   const PenaltyQueueConfig& config() const noexcept { return config_; }
 
  private:
+  /// One FIFO queue: a ring over slots that grow on demand, up to
+  /// queue_capacity, and are then reused — a queue that has reached its
+  /// working depth allocates nothing per item. Nothing is allocated
+  /// before the first enqueue, as fleets build a queue set per lane.
+  struct Ring {
+    std::vector<Item> slots;
+    std::size_t head = 0;
+    std::size_t count = 0;
+
+    std::size_t wrap(std::size_t i) const noexcept {
+      return i >= slots.size() ? i - slots.size() : i;
+    }
+  };
+
+  /// Doubles a full ring's slots (at least 16, at most queue_capacity),
+  /// moving its items to the front in FIFO order.
+  void grow(Ring& q) {
+    std::vector<Item> slots(
+        std::min(std::max<std::size_t>(2 * q.slots.size(), 16), config_.queue_capacity));
+    for (std::size_t i = 0; i < q.count; ++i) slots[i] = std::move(q.slots[q.wrap(q.head + i)]);
+    q.slots = std::move(slots);
+    q.head = 0;
+  }
+
   PenaltyQueueConfig config_;
-  std::vector<std::deque<Item>> queues_;
+  std::vector<Ring> queues_;
   /// Lowest index that may hold items; dequeue() resumes its scan here.
   std::size_t first_nonempty_ = 0;
   std::size_t size_ = 0;

@@ -16,6 +16,8 @@ namespace {
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
 constexpr std::int64_t kSweepNs = 1'000'000'000;
+/// Idle UDP flows older than this are swept.
+constexpr std::int64_t kFlowIdleNs = 30'000'000'000;
 
 // TCP chunks draw from their own direction streams so UDP and TCP
 // ordinals never interleave (each sequence replays in isolation).
@@ -174,27 +176,6 @@ struct AnycastFront::Delayed {
     return a.due_ns != b.due_ns ? a.due_ns > b.due_ns : a.seq > b.seq;
   }
 };
-
-void FrontStats::register_into(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
-  const auto event = [&](const char* name, const obs::Counter& c) {
-    reg.counter("akadns_chaos_total", obs::with(base, "event", name), c,
-                "relay and fault events");
-  };
-  event("forwarded_up", forwarded_up);
-  event("forwarded_down", forwarded_down);
-  event("dropped", dropped);
-  event("duplicated", duplicated);
-  event("reordered", reordered);
-  event("corrupted", corrupted);
-  event("delayed", delayed);
-  event("blackholed", blackholed);
-  event("flow_opened", flows_created);
-  event("flow_reaped", flows_expired);
-  event("tcp_accepted", tcp_connections);
-  event("tcp_reset", tcp_resets);
-  event("tcp_stalled", tcp_stalls);
-  event("tcp_refused", tcp_refused);
-}
 
 AnycastFront::AnycastFront(FrontConfig config)
     : config_(std::move(config)),
@@ -746,7 +727,7 @@ void AnycastFront::sweep(std::int64_t now) {
   for (std::uint32_t id = 0; id < flows_.size(); ++id) {
     Flow& flow = flows_[id];
     if (!flow.in_use) continue;
-    if (now - flow.last_active_ns > config_.flow_idle.count_nanos()) {
+    if (now - flow.last_active_ns > kFlowIdleNs) {
       close_flow(id);
       ++stats_.flows_expired;
     } else if (flow.retired.valid() && now - flow.retired_ns >= kSweepNs) {

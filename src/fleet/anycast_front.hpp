@@ -57,7 +57,7 @@
 #include "common/result.hpp"
 #include "common/sim_time.hpp"
 #include "net/socket.hpp"
-#include "obs/registry.hpp"
+#include "obs/series.hpp"
 
 namespace akadns::fleet {
 
@@ -69,8 +69,6 @@ struct FrontConfig {
   /// beyond it evicts the oldest-idle flow; a connection beyond it is
   /// closed on accept.
   std::size_t max_flows = 8192;
-  /// Idle UDP flows older than this are swept.
-  Duration flow_idle = Duration::seconds(30);
   /// TCP relays silent this long are closed (the relay must not become
   /// the slowloris it can simulate).
   Duration conn_idle = Duration::seconds(120);
@@ -121,8 +119,25 @@ struct FrontStats {
   obs::Counter tcp_stalls;  // stall fates in effect
   obs::Counter tcp_refused;  // accepts closed because of a blackhole
 
-  /// One akadns_chaos_total{event=...} series per relay event.
-  void register_into(obs::MetricRegistry& reg, const obs::LabelSet& base) const;
+  /// Exported relay events; the flow-table and upstream counters stay local.
+  static constexpr obs::FamilySpec kEvent{"akadns_chaos_total", "event",
+                                          "relay and fault events"};
+  static constexpr obs::SeriesRow<FrontStats> kSeries[] = {
+      {kEvent, "forwarded_up", &FrontStats::forwarded_up},
+      {kEvent, "forwarded_down", &FrontStats::forwarded_down},
+      {kEvent, "dropped", &FrontStats::dropped},
+      {kEvent, "duplicated", &FrontStats::duplicated},
+      {kEvent, "reordered", &FrontStats::reordered},
+      {kEvent, "corrupted", &FrontStats::corrupted},
+      {kEvent, "delayed", &FrontStats::delayed},
+      {kEvent, "blackholed", &FrontStats::blackholed},
+      {kEvent, "flow_opened", &FrontStats::flows_created},
+      {kEvent, "flow_reaped", &FrontStats::flows_expired},
+      {kEvent, "tcp_accepted", &FrontStats::tcp_connections},
+      {kEvent, "tcp_reset", &FrontStats::tcp_resets},
+      {kEvent, "tcp_stalled", &FrontStats::tcp_stalls},
+      {kEvent, "tcp_refused", &FrontStats::tcp_refused},
+  };
 };
 
 class AnycastFront {
@@ -156,7 +171,7 @@ class AnycastFront {
   std::vector<ReconvergeSample> samples() const;
   FrontStats counters() const { return stats_; }
   void register_metrics(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
-    stats_.register_into(reg, base);
+    obs::register_series(reg, base, stats_);
   }
 
  private:

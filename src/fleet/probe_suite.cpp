@@ -10,8 +10,8 @@
 
 #include "dns/message.hpp"
 #include "dns/wire.hpp"
+#include "net/server.hpp"
 #include "net/socket.hpp"
-#include "obs/exposition.hpp"
 #include "obs/stats_http.hpp"
 
 namespace akadns::fleet {
@@ -22,6 +22,9 @@ namespace {
 /// live server sees our real ephemeral source instead; responses do not
 /// depend on it (no mapping hook is installed on either side).
 const Endpoint kProbeClient{IpAddr(Ipv4Addr(127, 0, 0, 1)), 40000};
+
+/// Seeds the probe-name draws (and, mixed, the truncation-candidate scan).
+constexpr std::uint64_t kProbeSeed = 0x9ea7;
 
 server::ResponderConfig reference_config() {
   server::ResponderConfig config;
@@ -51,7 +54,7 @@ ProbeSuite::ProbeSuite(ProbeConfig config, const workload::HostedZones& zones,
       targets_fn_(std::move(targets_fn)),
       suspend_fn_(std::move(suspend_fn)),
       coordinator_(config.quota),
-      rng_(config.probe_seed) {
+      rng_(kProbeSeed) {
   find_truncation_candidate();
 }
 
@@ -62,7 +65,7 @@ void ProbeSuite::find_truncation_candidate() {
   // that probe proves the TC-retry path end to end — TC'd bytes over
   // UDP, full bytes over TCP. Small synthetic zones may not produce
   // one; the TCP probe then just replays a known answer over TCP.
-  Rng scan_rng(config_.probe_seed ^ 0x7c15);
+  Rng scan_rng(kProbeSeed ^ 0x7c15);
   const std::size_t zone_count = zones_.zone_count();
   for (std::size_t i = 0; i < std::min<std::size_t>(zone_count * 4, 256); ++i) {
     const std::size_t rank = scan_rng.next_below(zone_count);
@@ -242,15 +245,9 @@ void ProbeSuite::advisory_scrape(const ProbeTarget& target, MachineProbeState& s
     return;
   }
   try {
-    const auto exp = obs::Exposition::parse(rsp.body);
-    const double send_failures = exp.sum(
-        "akadns_frontend_total", obs::labels({{"event", "udp_send_failures"}}));
-    const double protocol_errors = exp.sum(
-        "akadns_frontend_total", obs::labels({{"event", "tcp_protocol_errors"}}));
-    const double udp_packets =
-        exp.sum("akadns_frontend_total", obs::labels({{"event", "udp_packets"}}));
-    if (send_failures > 0 || protocol_errors > 0 ||
-        udp_packets < static_cast<double>(config_.advisory_min_udp_packets)) {
+    const auto frontend =
+        obs::read_series<net::FrontendStats>(obs::Exposition::parse(rsp.body));
+    if (frontend.udp_send_failures > 0 || frontend.tcp_protocol_errors > 0) {
       ++st.advisory_anomalies;
     }
   } catch (const std::exception&) {

@@ -49,15 +49,13 @@ struct ProbeConfig {
   /// Background-thread round cadence (run_round() can also be driven
   /// manually — tests do).
   int interval_ms = 200;
-  /// Scrape /metrics every N rounds (0 = never). Advisory only.
+  /// Scrape /metrics every N rounds (0 = never). Advisory only: a scrape
+  /// that shows send failures or TCP protocol errors counts an anomaly,
+  /// and thresholds this naive are exactly why advisory signals don't
+  /// get suspension authority.
   int advisory_every = 5;
-  /// Queries-per-second floor under which a scrape flags an anomaly
-  /// (informational; thresholds this naive are exactly why advisory
-  /// signals don't get suspension authority).
-  std::uint64_t advisory_min_udp_packets = 0;
   /// The PoP-wide suspension quota.
   pop::SuspensionQuotaConfig quota{0.34, 1, 1};
-  std::uint64_t probe_seed = 0x9ea7;
 };
 
 /// One machine as the probe suite sees it. `alive` false (process down)

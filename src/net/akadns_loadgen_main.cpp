@@ -19,6 +19,7 @@
 
 #include "common/flags.hpp"
 #include "net/loadgen.hpp"
+#include "net/server.hpp"
 #include "obs/exposition.hpp"
 #include "obs/stats_http.hpp"
 #include "workload/population.hpp"
@@ -126,21 +127,13 @@ ServerScrape scrape_stats(const std::string& url) {
   }
   try {
     const auto exp = akadns::obs::Exposition::parse(rsp.body);
-    s.shed = static_cast<std::uint64_t>(exp.sum("akadns_defense_drops_total"));
-    const double cache =
-        exp.sum("akadns_answer_path_total", akadns::obs::labels({{"path", "cache"}}));
-    const double compiled =
-        exp.sum("akadns_answer_path_total", akadns::obs::labels({{"path", "compiled"}}));
-    s.cache_hit_rate = (cache + compiled) > 0.0 ? cache / (cache + compiled) : 0.0;
+    s.shed = akadns::obs::read_series<akadns::defense::DefenseLaneStats>(exp).drops.total();
+    s.cache_hit_rate =
+        akadns::obs::read_series<akadns::server::ResponderStats>(exp).cache_hit_rate();
     // Every worker reports its replica's generation; a healthy server
     // agrees across workers, so max == the served generation.
-    for (const auto& sample : exp.samples()) {
-      if (sample.name == "akadns_zone_generation") {
-        s.zone_generation = std::max(s.zone_generation, sample.value);
-      }
-    }
-    s.udp_packets = static_cast<std::uint64_t>(exp.sum(
-        "akadns_frontend_total", akadns::obs::labels({{"event", "udp_packets"}})));
+    s.zone_generation = exp.max("akadns_zone_generation");
+    s.udp_packets = akadns::obs::read_series<akadns::net::FrontendStats>(exp).udp_packets;
     s.ok = true;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "stats scrape did not parse: %s\n", e.what());

@@ -18,6 +18,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Requested socket buffer size (the kernel clamps to its limits).
+constexpr int kSocketBuffer = 1 << 22;
+
 std::int64_t now_ns(Clock::time_point epoch) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - epoch).count();
 }
@@ -56,7 +59,7 @@ struct SocketLane {
   ClassCounters& bucket(bool is_attack) { return is_attack ? attack : legit; }
 
   void run() {
-    auto opened = UdpSocket::open(Ipv4Addr(127, 0, 0, 1), 0, config.rcvbuf, config.sndbuf);
+    auto opened = UdpSocket::open(Ipv4Addr(127, 0, 0, 1), 0, kSocketBuffer, kSocketBuffer);
     if (!opened) {
       error = opened.error();
       return;

@@ -64,8 +64,6 @@ struct LoadgenConfig {
   /// Losses closer together than this merge into one outage window
   /// (see OutageTracker).
   Duration outage_gap = Duration::millis(500);
-  int rcvbuf = 1 << 22;
-  int sndbuf = 1 << 22;
 };
 
 /// A contiguous stretch of query loss against one target, in nanoseconds

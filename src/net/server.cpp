@@ -23,6 +23,22 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Requested UDP socket buffer size (the kernel clamps to its limits).
+constexpr int kUdpSocketBuffer = 1 << 22;
+/// TCP frames larger than this poison the connection (RFC 7766 §8). One
+/// such frame with its prefix is also the unsent output past which a
+/// connection stops being read until that output drains.
+constexpr std::size_t kTcpMaxFrame = 65535;
+/// Unsent TCP output past which a connection is paused: one maximum
+/// frame, so a client that pipelines without reading pins at most about
+/// that much of the worker's memory (RFC 7766 §6.2.1.1).
+constexpr std::size_t kOutputBound = kTcpMaxFrame + 2;
+/// Established connections a worker will hold; accepts beyond this are
+/// closed immediately (backpressure against connection floods).
+constexpr std::size_t kTcpMaxConnections = 1024;
+/// How long stop() lets workers flush in-flight TCP responses.
+constexpr Duration kDrainTimeout = Duration::seconds(5);
+
 /// One established TCP connection (truncation-fallback path).
 struct Conn {
   FdHandle fd;
@@ -88,8 +104,7 @@ struct Server::Worker {
             cfg.transfer),
         clock(epoch_tp),
         engine(worker_engine_config(cfg), clock),
-        queue_path(cfg.defense.enabled),
-        output_bound(cfg.tcp_max_frame + 2) {
+        queue_path(cfg.defense.enabled) {
     if (cfg.defense.enabled) {
       // Content-based chain: the NXDOMAIN filter discriminates by what
       // is asked, so it works even when all traffic shares a few source
@@ -139,10 +154,6 @@ struct Server::Worker {
   /// Queries go through the filters and penalty queues (defense on).
   /// Off: the inline fast path answers straight out of the receive batch.
   const bool queue_path;
-  /// Unsent TCP output past which a connection is paused: one maximum
-  /// frame, so a client that pipelines without reading pins at most
-  /// about that much of the worker's memory (RFC 7766 §6.2.1.1).
-  const std::size_t output_bound;
 
   FdHandle epoll;
   std::unordered_map<int, std::unique_ptr<Conn>> conns;
@@ -390,14 +401,14 @@ void Server::Worker::accept_loop() {
     sockaddr_storage peer_addr{};
     FdHandle conn_fd = listener.accept(peer_addr);
     if (!conn_fd.valid()) break;
-    if (conns.size() >= config.tcp_max_connections) {
+    if (conns.size() >= kTcpMaxConnections) {
       ++stats.tcp_rejected;
       continue;  // FdHandle closes it
     }
     auto conn = std::make_unique<Conn>();
     conn->peer = endpoint_from_sockaddr(peer_addr);
     conn->generation = ++conn_generation;
-    conn->decoder = FrameDecoder(config.tcp_max_frame);
+    conn->decoder = FrameDecoder(kTcpMaxFrame);
     conn->last_active = Clock::now();
     const int fd = conn_fd.get();
     conn->fd = std::move(conn_fd);
@@ -423,9 +434,9 @@ void Server::Worker::process_frames(Conn& conn) {
     // little, the client is not reading: stop reading and decoding it
     // until its output drains (RFC 7766 §6.2.1.1), so it pins about one
     // frame of the worker's memory.
-    if (conn.out.size() > output_bound) {
+    if (conn.out.size() > kOutputBound) {
       flush_conn(conn);
-      if (conn.out.size() > output_bound) {
+      if (conn.out.size() > kOutputBound) {
         conn.paused = true;
         ++stats.tcp_read_paused;
         return;
@@ -567,8 +578,8 @@ void Server::Worker::run() {
         std::uint64_t v = 0;
         [[maybe_unused]] const ssize_t r = ::read(stop_event.get(), &v, sizeof(v));
         draining = true;
-        drain_deadline = Clock::now() + std::chrono::nanoseconds(
-                                            config.drain_timeout.count_nanos());
+        drain_deadline =
+            Clock::now() + std::chrono::nanoseconds(kDrainTimeout.count_nanos());
         // Stop accepting: no new connections, and after one final sweep
         // of already-queued datagrams (answering whatever the defense
         // queues still hold), no new UDP either. Queued zone updates are
@@ -652,8 +663,8 @@ Result<bool> Server::start() {
   std::uint16_t udp_port = config_.port;
   std::uint16_t tcp_port = config_.port;
   for (std::size_t i = 0; i < workers_.size(); ++i) {
-    auto udp = UdpSocket::open(config_.bind_addr, udp_port, config_.udp_rcvbuf,
-                               config_.udp_sndbuf);
+    auto udp =
+        UdpSocket::open(config_.bind_addr, udp_port, kUdpSocketBuffer, kUdpSocketBuffer);
     if (!udp) return Error{"worker udp: " + udp.error()};
     workers_[i]->udp = std::move(udp).take();
     if (i == 0) {
@@ -698,13 +709,13 @@ Result<bool> Server::start() {
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     const Worker& w = *workers_[i];
     const obs::LabelSet base = obs::with({}, "worker", i);
-    w.stats.register_into(registry_, base);
-    w.core.responder().stats().register_into(registry_, base);
-    w.core.responder().answer_cache().stats().register_into(registry_, base);
+    obs::register_series(registry_, base, w.stats);
+    obs::register_series(registry_, base, w.core.responder().stats());
+    obs::register_series(registry_, base, w.core.responder().answer_cache().stats());
     w.engine.register_metrics(registry_, base);
-    w.sync.stats().register_into(registry_, base);
-    w.xfr.stats().register_into(registry_, base);
-    w.replica.compile_stats().register_into(registry_, base);
+    obs::register_series(registry_, base, w.sync.stats());
+    obs::register_series(registry_, base, w.xfr.stats());
+    obs::register_series(registry_, base, w.replica.compile_stats());
     registry_.gauge_fn("akadns_firewall_rules", base,
                        [&w] { return static_cast<double>(w.engine.firewall().rules().size()); },
                        obs::GaugeAgg::Max, "live query-of-death firewall rules");
@@ -741,150 +752,23 @@ void Server::stop() {
   stopped_ = true;
 }
 
-namespace {
-
-/// Every FrontendStats counter with its akadns_frontend_total event label.
-constexpr std::pair<const char*, obs::Counter FrontendStats::*> kFrontendEvents[] = {
-    {"udp_packets", &FrontendStats::udp_packets},
-    {"udp_responses", &FrontendStats::udp_responses},
-    {"udp_malformed", &FrontendStats::udp_malformed},
-    {"udp_send_failures", &FrontendStats::udp_send_failures},
-    {"udp_batches", &FrontendStats::udp_batches},
-    {"tcp_accepted", &FrontendStats::tcp_accepted},
-    {"tcp_rejected", &FrontendStats::tcp_rejected},
-    {"tcp_queries", &FrontendStats::tcp_queries},
-    {"tcp_responses", &FrontendStats::tcp_responses},
-    {"tcp_protocol_errors", &FrontendStats::tcp_protocol_errors},
-    {"tcp_closed_drops", &FrontendStats::tcp_closed_drops},
-    {"tcp_read_paused", &FrontendStats::tcp_read_paused},
-    {"drain_flushed", &FrontendStats::drain_flushed},
-    {"udp_notifies", &FrontendStats::udp_notifies},
-    {"tcp_transfers", &FrontendStats::tcp_transfers},
-    {"zone_update_wakes", &FrontendStats::zone_update_wakes},
-    {"tcp_idle_reaped", &FrontendStats::tcp_idle_reaped},
-    {"stale_served", &FrontendStats::stale_served},
-    {"expired_refused", &FrontendStats::expired_refused},
-};
-
-std::uint64_t event_sum(const obs::MetricsSnapshot& snap, const char* family,
-                        const char* key, std::string value,
-                        const obs::LabelSet& extra = {}) {
-  return snap.sum(family, obs::with(extra, key, std::move(value)));
-}
-
-}  // namespace
-
-void FrontendStats::register_into(obs::MetricRegistry& reg,
-                                  const obs::LabelSet& base) const {
-  for (const auto& [name, counter] : kFrontendEvents) {
-    reg.counter("akadns_frontend_total", obs::with(base, "event", name), this->*counter,
-                "socket-frontend I/O events");
-  }
-}
-
 ServerStats render_server_stats(const obs::MetricsSnapshot& snap, std::size_t workers,
                                 bool defense_enabled) {
   ServerStats out;
+  out.frontend = obs::read_series<FrontendStats>(snap);
+  out.responder = obs::read_series<server::ResponderStats>(snap);
   out.defense_enabled = defense_enabled;
-  for (const auto& [name, counter] : kFrontendEvents) {
-    out.frontend.*counter = event_sum(snap, "akadns_frontend_total", "event", name);
-  }
-
-  auto& r = out.responder;
-  r.responses = snap.sum("akadns_responses_total");
-  const auto rcode = [&](const char* name, const obs::LabelSet& extra = {}) {
-    return event_sum(snap, "akadns_responses_by_rcode_total", "rcode", name, extra);
-  };
-  r.noerror = rcode("noerror");
-  r.nxdomain = rcode("nxdomain");
-  r.refused = rcode("refused");
-  r.formerr = rcode("formerr");
-  r.notimp = rcode("notimp");
-  r.servfail = rcode("servfail");
-  const auto feature = [&](const char* name) {
-    return event_sum(snap, "akadns_answer_features_total", "kind", name);
-  };
-  r.nodata = feature("nodata");
-  r.referrals = feature("referral");
-  r.wildcard_answers = feature("wildcard");
-  r.cname_chases = feature("cname_chase");
-  r.mapped_answers = feature("mapped");
-  r.pushed_answers = feature("pushed");
-  const auto path = [&](const char* name) {
-    return event_sum(snap, "akadns_answer_path_total", "path", name);
-  };
-  r.compiled_answers = path("compiled");
-  r.cache_hits = path("cache");
-  r.interpreted_answers = path("interpreted");
-
-  auto& c = out.answer_cache;
-  const auto cache_event = [&](const char* name) {
-    return event_sum(snap, "akadns_answer_cache_total", "event", name);
-  };
-  c.hits = cache_event("hit");
-  c.misses = cache_event("miss");
-  c.insertions = cache_event("insertion");
-  c.evictions = cache_event("eviction");
-  c.expired = cache_event("expired");
-  c.invalidations = cache_event("invalidation");
-
-  const auto fill_defense = [&](defense::DefenseLaneStats& d, const obs::LabelSet& extra) {
-    d.scored = snap.sum("akadns_defense_scored_total", extra);
-    d.enqueued = snap.sum("akadns_defense_enqueued_total", extra);
-    d.released = snap.sum("akadns_defense_released_total", extra);
-    for (std::size_t i = 0; i < kDropReasonCount; ++i) {
-      const auto reason = static_cast<DropReason>(i);
-      d.drops.add(reason, event_sum(snap, "akadns_defense_drops_total", "reason",
-                                    std::string(to_string(reason)), extra));
-    }
-  };
-  fill_defense(out.defense, {});
-  out.per_worker_defense.resize(workers);
+  out.defense = obs::read_series<defense::DefenseLaneStats>(snap);
   out.per_worker_udp.resize(workers);
+  out.per_worker_defense.resize(workers);
   for (std::size_t i = 0; i < workers; ++i) {
-    const obs::LabelSet wl = obs::with({}, "worker", i);
-    fill_defense(out.per_worker_defense[i], wl);
-    out.per_worker_udp[i] = event_sum(snap, "akadns_frontend_total", "event",
-                                      "udp_packets", wl);
+    const obs::LabelSet worker = obs::with({}, "worker", i);
+    out.per_worker_udp[i] = obs::read_series<FrontendStats>(snap, worker).udp_packets;
+    out.per_worker_defense[i] = obs::read_series<defense::DefenseLaneStats>(snap, worker);
   }
-  out.firewall_rules =
-      static_cast<std::size_t>(snap.gauge_value("akadns_firewall_rules"));
-
-  auto& z = out.zone_sync;
-  const auto sync_event = [&](const char* name) {
-    return event_sum(snap, "akadns_zone_sync_total", "event", name);
-  };
-  z.updates = sync_event("update");
-  z.noops = sync_event("noop");
-  z.adopted = sync_event("adopted");
-  z.deltas_applied = sync_event("delta_applied");
-  z.incremental = sync_event("incremental");
-  z.full = sync_event("full");
-  z.last_latency_ns = snap.gauge_value("akadns_zone_sync_last_latency_ns");
-  z.max_latency_ns = snap.gauge_value("akadns_zone_sync_max_latency_ns");
-
-  auto& x = out.transfers;
-  const auto xfr_kind = [&](const char* name) {
-    return event_sum(snap, "akadns_zone_transfer_total", "kind", name);
-  };
-  x.axfr_served = xfr_kind("axfr");
-  x.ixfr_incremental = xfr_kind("ixfr_incremental");
-  x.ixfr_fallback = xfr_kind("ixfr_fallback");
-  x.up_to_date = xfr_kind("up_to_date");
-  x.refused = xfr_kind("refused");
-
-  auto& k = out.replica_compiles;
-  const auto compile_path = [&](const char* name) {
-    return event_sum(snap, "akadns_zone_compile_total", "path", name);
-  };
-  k.compiles = compile_path("full");
-  k.incremental_compiles = compile_path("incremental");
-  k.adopted = compile_path("adopted");
-  k.total_micros = snap.sum("akadns_zone_compile_micros_total");
-  k.last_micros = snap.gauge_value("akadns_zone_compile_last_micros");
-  k.last_nodes = snap.gauge_value("akadns_zone_compile_last_nodes");
-  k.last_fragments = snap.gauge_value("akadns_zone_compile_last_fragments");
-  k.last_reused_nodes = snap.gauge_value("akadns_zone_compile_last_reused_nodes");
+  out.firewall_rules = static_cast<std::size_t>(snap.gauge_value("akadns_firewall_rules"));
+  out.zone_sync = obs::read_series<propagation::ZoneSyncStats>(snap);
+  out.replica_compiles = obs::read_series<zone::CompileStats>(snap);
   return out;
 }
 

@@ -44,7 +44,7 @@
 #include "propagation/freshness.hpp"
 #include "propagation/transfer_service.hpp"
 #include "propagation/zone_publisher.hpp"
-#include "obs/registry.hpp"
+#include "obs/series.hpp"
 #include "propagation/zone_subscriber.hpp"
 #include "server/responder.hpp"
 #include "zone/zone_store.hpp"
@@ -59,9 +59,9 @@ namespace akadns::net {
 struct DefenseOptions {
   /// Routes queries through the filter chain + penalty queues. Off by
   /// default: the inline fast path answers straight out of the receive
-  /// batch (the firewall rule table is consulted either way). It makes
-  /// no heap allocation per query; the queued path makes about 0.5, the
-  /// penalty queue's deque chunks.
+  /// batch (the firewall rule table is consulted either way). Neither
+  /// path makes a heap allocation per query once the penalty queues'
+  /// rings have grown to their working depth.
   bool enabled = false;
   /// Server-wide compute metering (answers/sec the engine releases to
   /// the responders; split evenly across workers). <= 0: unmetered —
@@ -95,18 +95,6 @@ struct ServeConfig {
   std::size_t workers = 4;
   /// Datagrams per recvmmsg/sendmmsg syscall.
   std::size_t udp_batch = 32;
-  /// Requested socket buffer sizes (kernel clamps to its limits).
-  int udp_rcvbuf = 1 << 22;
-  int udp_sndbuf = 1 << 22;
-  /// TCP frames larger than this poison the connection (RFC 7766 §8).
-  /// One such frame with its prefix is also the unsent output past which
-  /// a connection stops being read until that output drains.
-  std::size_t tcp_max_frame = 65535;
-  /// Established connections a worker will hold; accepts beyond this are
-  /// closed immediately (backpressure against connection floods).
-  std::size_t tcp_max_connections = 1024;
-  /// How long stop() lets workers flush in-flight TCP responses.
-  Duration drain_timeout = Duration::seconds(5);
   /// Established TCP connections with no byte movement for this long are
   /// reaped (slowloris protection: a peer holding sockets open cannot pin
   /// a worker's connection slots). Zero disables the reaper.
@@ -153,8 +141,29 @@ struct FrontendStats {
   obs::Counter stale_served;       // answers served from a stale zone
   obs::Counter expired_refused;    // queries REFUSED: zone past SOA expire
 
-  /// One akadns_frontend_total{event=...} series per counter.
-  void register_into(obs::MetricRegistry& reg, const obs::LabelSet& base) const;
+  static constexpr obs::FamilySpec kEvents{"akadns_frontend_total", "event",
+                                           "socket-frontend I/O events"};
+  static constexpr obs::SeriesRow<FrontendStats> kSeries[] = {
+      {kEvents, "udp_packets", &FrontendStats::udp_packets},
+      {kEvents, "udp_responses", &FrontendStats::udp_responses},
+      {kEvents, "udp_malformed", &FrontendStats::udp_malformed},
+      {kEvents, "udp_send_failures", &FrontendStats::udp_send_failures},
+      {kEvents, "udp_batches", &FrontendStats::udp_batches},
+      {kEvents, "tcp_accepted", &FrontendStats::tcp_accepted},
+      {kEvents, "tcp_rejected", &FrontendStats::tcp_rejected},
+      {kEvents, "tcp_queries", &FrontendStats::tcp_queries},
+      {kEvents, "tcp_responses", &FrontendStats::tcp_responses},
+      {kEvents, "tcp_protocol_errors", &FrontendStats::tcp_protocol_errors},
+      {kEvents, "tcp_closed_drops", &FrontendStats::tcp_closed_drops},
+      {kEvents, "tcp_read_paused", &FrontendStats::tcp_read_paused},
+      {kEvents, "drain_flushed", &FrontendStats::drain_flushed},
+      {kEvents, "udp_notifies", &FrontendStats::udp_notifies},
+      {kEvents, "tcp_transfers", &FrontendStats::tcp_transfers},
+      {kEvents, "zone_update_wakes", &FrontendStats::zone_update_wakes},
+      {kEvents, "tcp_idle_reaped", &FrontendStats::tcp_idle_reaped},
+      {kEvents, "stale_served", &FrontendStats::stale_served},
+      {kEvents, "expired_refused", &FrontendStats::expired_refused},
+  };
 };
 
 /// Whole-server summary, rendered from a metrics snapshot (stats() /
@@ -164,7 +173,6 @@ struct FrontendStats {
 struct ServerStats {
   FrontendStats frontend;
   server::ResponderStats responder;
-  server::AnswerCache::Stats answer_cache;
   /// Per-worker UDP packet counts — the observable shard balance the
   /// kernel's RSS hash produced.
   std::vector<std::uint64_t> per_worker_udp;
@@ -178,10 +186,8 @@ struct ServerStats {
   /// tables are identical by construction; worker 0 reported).
   std::size_t firewall_rules = 0;
   /// Propagation: how worker replicas absorbed published zone versions
-  /// (merged across workers), transfer-service counters (TCP AXFR/IXFR),
-  /// and the replicas' compile accounting.
+  /// and their compile accounting, merged across workers.
   propagation::ZoneSyncStats zone_sync;
-  propagation::TransferStats transfers;
   zone::CompileStats replica_compiles;
 };
 

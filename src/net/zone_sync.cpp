@@ -29,6 +29,12 @@ using propagation::SyncOp;
 using propagation::TransferReject;
 using propagation::TransferService;
 
+// Failure backoff: base * 2^level with +/-20% deterministic jitter,
+// clamped to [base, min(cap, the zone's SOA retry)].
+constexpr Duration kBackoffBase = Duration::millis(500);
+constexpr Duration kBackoffCap = Duration::seconds(30);
+constexpr std::uint64_t kJitterSeed = 1;
+
 std::int64_t now_ns() noexcept {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -257,7 +263,7 @@ bool SecondarySync::degraded() const {
 
 void SecondarySync::register_metrics(obs::MetricRegistry& reg,
                                      const obs::LabelSet& base) const {
-  stats_.register_into(reg, base);
+  obs::register_series(reg, base, stats_);
   reg.gauge_fn(
       "akadns_zone_staleness_seconds", base,
       [this] { return freshness_->staleness_seconds(now_ns()); }, obs::GaugeAgg::Max,
@@ -312,9 +318,18 @@ bool SecondarySync::hook_fate(propagation::SyncOp op) {
   return fate.fail;
 }
 
+obs::Counter SecondaryStats::*SecondaryStats::rejected(TransferReject reason) noexcept {
+  for (const auto& row : kSeries) {
+    if (row.family.name == kRejected.name && row.value == to_string(reason)) {
+      return std::get<obs::Counter SecondaryStats::*>(row.member);
+    }
+  }
+  return &SecondaryStats::rejected_io;  // unreachable: every reason has a row
+}
+
 void SecondarySync::note_reject(TransferReject reason) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.rejected[static_cast<std::size_t>(reason)];
+  ++(stats_.*SecondaryStats::rejected(reason));
 }
 
 std::uint16_t SecondarySync::next_transaction_id() {
@@ -335,8 +350,8 @@ Duration SecondarySync::effective_refresh(const std::optional<SoaRecord>& soa) c
 
 Duration SecondarySync::backoff_delay(const dns::DnsName& apex, int level,
                                       const std::optional<SoaRecord>& soa) const {
-  const std::int64_t base = std::max<std::int64_t>(config_.backoff_base.count_nanos(), 1);
-  std::int64_t cap = config_.backoff_cap.count_nanos();
+  const std::int64_t base = kBackoffBase.count_nanos();
+  std::int64_t cap = kBackoffCap.count_nanos();
   // The zone owner's SOA retry bounds how long we may sulk between
   // attempts; it tightens the configured cap, never widens it.
   if (soa && soa->retry > 0) {
@@ -347,7 +362,7 @@ Duration SecondarySync::backoff_delay(const dns::DnsName& apex, int level,
   const double raw = static_cast<double>(base) * std::ldexp(1.0, shift);
   // Deterministic +/-20% jitter: a fleet of secondaries losing the same
   // primary must not re-converge on the same retry instant.
-  SplitMix64 rng(config_.jitter_seed ^ apex.hash() ^
+  SplitMix64 rng(kJitterSeed ^ apex.hash() ^
                  (static_cast<std::uint64_t>(level) * 0x9e3779b97f4a7c15ULL));
   const double unit = static_cast<double>(rng.next() >> 11) * 0x1.0p-53;
   const double jittered = raw * (0.8 + 0.4 * unit);

@@ -24,7 +24,6 @@
 //     on — stale zones keep serving, expired zones flip it to 503.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -39,7 +38,7 @@
 #include "common/sim_time.hpp"
 #include "dns/name.hpp"
 #include "net/socket.hpp"
-#include "obs/registry.hpp"
+#include "obs/series.hpp"
 #include "propagation/fault_hooks.hpp"
 #include "propagation/freshness.hpp"
 #include "propagation/transfer_guard.hpp"
@@ -64,12 +63,6 @@ struct SecondaryConfig {
   /// trickling bytes can exhaust per-op timeouts forever; this cannot be
   /// exhausted.
   Duration transfer_deadline = Duration::seconds(15);
-  /// Failure backoff: base * 2^level with +/-20% jitter, clamped to
-  /// [base, min(backoff_cap, the zone's SOA retry)].
-  Duration backoff_base = Duration::millis(500);
-  Duration backoff_cap = Duration::seconds(30);
-  /// Seed for the deterministic backoff jitter.
-  std::uint64_t jitter_seed = 1;
   /// Byte/record ceilings a transfer may not exceed (reason: oversize).
   propagation::TransferLimits limits;
   /// Operational caps on SOA refresh/expire for the freshness ladder
@@ -91,36 +84,43 @@ struct SecondaryStats {
   obs::Counter failures;        // probe/transfer/apply errors
   obs::Counter notify_kicks;    // refresh passes triggered by NOTIFY
   obs::Counter retries;         // backoff-scheduled retry attempts
-  /// Transfers rejected before publish, indexed by TransferReject.
-  std::array<obs::Counter, 8> rejected;
+  // Transfers rejected before publish, one per TransferReject.
+  obs::Counter rejected_io;
+  obs::Counter rejected_refused;
+  obs::Counter rejected_truncated;
+  obs::Counter rejected_corrupt;
+  obs::Counter rejected_serial_regression;
+  obs::Counter rejected_oversize;
+  obs::Counter rejected_deadline;
+  obs::Counter rejected_empty;
 
-  /// One akadns_secondary_total{event=...} series per counter, plus
-  /// akadns_transfer_rejected_total{reason=...}.
-  void register_into(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
-    const auto event = [&](const char* name, const obs::Counter& c) {
-      reg.counter("akadns_secondary_total", obs::with(base, "event", name), c,
-                  "secondary-sync refresh events");
-    };
-    event("soa_check", soa_checks);
-    event("up_to_date", up_to_date);
-    event("ixfr_applied", ixfr_applied);
-    event("axfr_applied", axfr_applied);
-    event("fallback", fallbacks);
-    event("failure", failures);
-    event("notify_kick", notify_kicks);
-    event("retry", retries);
-    for (std::size_t i = 0; i < rejected.size(); ++i) {
-      reg.counter("akadns_transfer_rejected_total",
-                  obs::with(base, "reason",
-                            propagation::to_string(
-                                static_cast<propagation::TransferReject>(i))),
-                  rejected[i], "zone transfers rejected before publish");
-    }
-  }
+  static constexpr obs::FamilySpec kEvent{"akadns_secondary_total", "event",
+                                          "secondary-sync refresh events"};
+  static constexpr obs::FamilySpec kRejected{"akadns_transfer_rejected_total", "reason",
+                                             "zone transfers rejected before publish"};
+  using Reject = propagation::TransferReject;
+  static constexpr obs::SeriesRow<SecondaryStats> kSeries[] = {
+      {kEvent, "soa_check", &SecondaryStats::soa_checks},
+      {kEvent, "up_to_date", &SecondaryStats::up_to_date},
+      {kEvent, "ixfr_applied", &SecondaryStats::ixfr_applied},
+      {kEvent, "axfr_applied", &SecondaryStats::axfr_applied},
+      {kEvent, "fallback", &SecondaryStats::fallbacks},
+      {kEvent, "failure", &SecondaryStats::failures},
+      {kEvent, "notify_kick", &SecondaryStats::notify_kicks},
+      {kEvent, "retry", &SecondaryStats::retries},
+      {kRejected, to_string(Reject::Io), &SecondaryStats::rejected_io},
+      {kRejected, to_string(Reject::Refused), &SecondaryStats::rejected_refused},
+      {kRejected, to_string(Reject::Truncated), &SecondaryStats::rejected_truncated},
+      {kRejected, to_string(Reject::Corrupt), &SecondaryStats::rejected_corrupt},
+      {kRejected, to_string(Reject::SerialRegression),
+       &SecondaryStats::rejected_serial_regression},
+      {kRejected, to_string(Reject::Oversize), &SecondaryStats::rejected_oversize},
+      {kRejected, to_string(Reject::Deadline), &SecondaryStats::rejected_deadline},
+      {kRejected, to_string(Reject::Empty), &SecondaryStats::rejected_empty},
+  };
 
-  std::uint64_t rejected_for(propagation::TransferReject reason) const noexcept {
-    return rejected[static_cast<std::size_t>(reason)].value();
-  }
+  /// The counter of one reject reason: the kRejected row labelled with it.
+  static obs::Counter SecondaryStats::*rejected(propagation::TransferReject reason) noexcept;
 };
 
 /// Periodically pulls zone versions from a primary into `publisher`.

@@ -272,21 +272,34 @@ double Exposition::value(std::string_view name, const LabelSet& ls) const {
   throw std::out_of_range("no sample " + std::string(name));
 }
 
+namespace {
+
+bool matches(const ParsedSample& sample, std::string_view name, const LabelSet& filter) {
+  if (sample.name != name) return false;
+  return std::all_of(filter.begin(), filter.end(), [&](const Label& want) {
+    return std::find(sample.labels.begin(), sample.labels.end(), want) != sample.labels.end();
+  });
+}
+
+}  // namespace
+
 double Exposition::sum(std::string_view name, const LabelSet& filter) const noexcept {
   double total = 0.0;
   for (const auto& sample : samples_) {
-    if (sample.name != name) continue;
-    bool match = true;
-    for (const auto& want : filter) {
-      if (std::find(sample.labels.begin(), sample.labels.end(), want) ==
-          sample.labels.end()) {
-        match = false;
-        break;
-      }
-    }
-    if (match) total += sample.value;
+    if (matches(sample, name, filter)) total += sample.value;
   }
   return total;
+}
+
+double Exposition::max(std::string_view name, const LabelSet& filter) const noexcept {
+  double out = 0.0;
+  bool seeded = false;
+  for (const auto& sample : samples_) {
+    if (!matches(sample, name, filter)) continue;
+    out = seeded ? std::max(out, sample.value) : sample.value;
+    seeded = true;
+  }
+  return out;
 }
 
 }  // namespace akadns::obs

@@ -44,6 +44,8 @@ class Exposition {
   double value(std::string_view name, const LabelSet& ls = {}) const;
   /// Sum over samples of `name` whose labels include every filter entry.
   double sum(std::string_view name, const LabelSet& filter = {}) const noexcept;
+  /// Largest value over the same samples (0.0 when none match).
+  double max(std::string_view name, const LabelSet& filter = {}) const noexcept;
 
   const std::vector<ParsedSample>& samples() const noexcept { return samples_; }
   /// Family names seen in # TYPE comments (checker cross-reference).

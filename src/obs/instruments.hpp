@@ -16,7 +16,9 @@
 // There is exactly one way to add a metric: put a Counter / Gauge /
 // Histogram on the owning subsystem's stats struct and register it into
 // the MetricRegistry (registry.hpp) under the small static label model
-// (subsystem, stage, lane/worker, machine, reason, rcode).
+// (subsystem, stage, lane/worker, machine, reason, rcode). A counter or
+// gauge is one row of its struct's kSeries table (series.hpp), which
+// registers it and reads it back.
 #pragma once
 
 #include <atomic>

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/drop_reason.hpp"
-
 namespace akadns::obs {
 
 // ---------------------------------------------------------------------------
@@ -322,10 +320,6 @@ const MetricFamily* MetricsSnapshot::family(std::string_view name) const noexcep
   return nullptr;
 }
 
-std::uint64_t MetricsSnapshot::sum(std::string_view name) const noexcept {
-  return sum(name, {});
-}
-
 std::uint64_t MetricsSnapshot::sum(std::string_view name,
                                    const LabelSet& filter) const noexcept {
   const MetricFamily* fam = family(name);
@@ -339,31 +333,20 @@ std::uint64_t MetricsSnapshot::sum(std::string_view name,
   return total;
 }
 
-std::uint64_t MetricsSnapshot::counter_value(std::string_view name,
-                                             const LabelSet& ls) const noexcept {
+double MetricsSnapshot::gauge_value(std::string_view name,
+                                    const LabelSet& filter) const noexcept {
   const MetricFamily* fam = family(name);
-  if (!fam) return 0;
-  LabelSet sorted = ls;
-  normalize(sorted);
+  if (!fam) return 0.0;
+  double out = 0.0;
+  bool seeded = false;
   for (const auto& sample : fam->samples) {
-    if (sample.labels == sorted) return sample.counter;
-  }
-  return 0;
-}
-
-double MetricsSnapshot::gauge_value(std::string_view name) const noexcept {
-  const MetricFamily* fam = family(name);
-  if (!fam || fam->samples.empty()) return 0.0;
-  double out = fam->samples.front().gauge;
-  for (std::size_t i = 1; i < fam->samples.size(); ++i) {
-    out = fam->agg == GaugeAgg::Max ? std::max(out, fam->samples[i].gauge)
-                                    : out + fam->samples[i].gauge;
+    if (!contains_all(sample.labels, filter)) continue;
+    out = !seeded ? sample.gauge
+          : fam->agg == GaugeAgg::Max ? std::max(out, sample.gauge)
+                                      : out + sample.gauge;
+    seeded = true;
   }
   return out;
-}
-
-LogHistogram MetricsSnapshot::merged_histogram(std::string_view name) const {
-  return merged_histogram(name, {});
 }
 
 LogHistogram MetricsSnapshot::merged_histogram(std::string_view name,
@@ -382,15 +365,6 @@ LogHistogram MetricsSnapshot::merged_histogram(std::string_view name,
     }
   }
   return merged;
-}
-
-void register_drop_counters(MetricRegistry& reg, const DropCounters& drops,
-                            LabelSet base, const char* family) {
-  for (std::size_t i = 0; i < kDropReasonCount; ++i) {
-    const auto reason = static_cast<DropReason>(i);
-    reg.counter(family, with(base, "reason", std::string(to_string(reason))),
-                drops.counter(reason), "packets dropped, by taxonomy reason");
-  }
 }
 
 }  // namespace akadns::obs

@@ -9,8 +9,10 @@
 // produces a MetricsSnapshot: plain, copyable data that can be merged
 // across workers/machines (the "merge only at scrape/report time"
 // contract), rendered as Prometheus-style text exposition or JSON, or
-// queried by name for report rendering (control/reporting's
-// DatapathReport and net::Server::stats() are both renderers over this).
+// read back into stats structs through their tables (obs/series.hpp):
+// net::render_server_stats for a socket server, control::render_datapath
+// for sim machines — two renderers, as the two transports count their
+// packets in different families.
 //
 // Label model (small and static by design):
 //   subsystem  producing stage ("udp", "defense", "responder", ...)
@@ -29,10 +31,6 @@
 
 #include "common/stats.hpp"
 #include "obs/instruments.hpp"
-
-namespace akadns {
-class DropCounters;
-}
 
 namespace akadns::obs {
 
@@ -85,20 +83,17 @@ class MetricsSnapshot {
 
   const MetricFamily* family(std::string_view name) const noexcept;
 
-  /// Sum of a counter family across all samples (0 when absent).
-  std::uint64_t sum(std::string_view name) const noexcept;
-  /// Sum across samples whose labels include every entry of `filter`.
-  std::uint64_t sum(std::string_view name, const LabelSet& filter) const noexcept;
-  /// Exact-label-set lookup (0 / 0.0 when absent).
-  std::uint64_t counter_value(std::string_view name, const LabelSet& ls) const noexcept;
-  /// Gauge family aggregated across samples per its GaugeAgg.
-  double gauge_value(std::string_view name) const noexcept;
-  /// All samples of one histogram family merged into one distribution.
-  /// Returns an empty default-axis histogram when the family is absent.
-  LogHistogram merged_histogram(std::string_view name) const;
-  /// Same, restricted to samples whose labels include every entry of
-  /// `filter` (e.g. one stage of akadns_stage_latency_ns).
-  LogHistogram merged_histogram(std::string_view name, const LabelSet& filter) const;
+  /// Sum across the samples whose labels include every entry of
+  /// `filter` (0 when none match).
+  std::uint64_t sum(std::string_view name, const LabelSet& filter = {}) const noexcept;
+  /// Gauge family aggregated per its GaugeAgg across the samples whose
+  /// labels include every entry of `filter` (0.0 when none match).
+  double gauge_value(std::string_view name, const LabelSet& filter = {}) const noexcept;
+  /// The samples of one histogram family whose labels include every
+  /// entry of `filter` (e.g. one stage of akadns_stage_latency_ns),
+  /// merged into one distribution. Returns an empty default-axis
+  /// histogram when the family is absent.
+  LogHistogram merged_histogram(std::string_view name, const LabelSet& filter = {}) const;
 
   std::vector<MetricFamily> families;  // sorted by name
 };
@@ -144,16 +139,5 @@ class MetricRegistry {
   mutable std::mutex mutex_;
   std::vector<Family> families_;
 };
-
-/// Registers one `family{reason=...}` series per DropReason of `drops`,
-/// each extending `base` (e.g. worker/machine labels). Every lost packet
-/// increments exactly one series, in the family of the layer that
-/// decided its fate: akadns_drops_total (the default) for the sim
-/// nameserver's and the machine's reasons, akadns_defense_drops_total for
-/// the defense engine's. The conservation check sums both families via
-/// MetricsSnapshot::sum.
-void register_drop_counters(MetricRegistry& reg, const DropCounters& drops,
-                            LabelSet base = {},
-                            const char* family = "akadns_drops_total");
 
 }  // namespace akadns::obs

@@ -37,13 +37,12 @@ struct MachineStats {
   obs::Counter delivered;  // packets handed to the nameserver
   DropCounters drops;      // NicFailure: lost below the stack
 
-  /// Machine-level delivery counter plus the below-the-stack drop
-  /// reasons, labelled like every other drop series.
-  void register_into(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
-    reg.counter("akadns_machine_delivered_total", base, delivered,
-                "packets handed to the nameserver by the (simulated) NIC");
-    obs::register_drop_counters(reg, drops, base);
-  }
+  static constexpr obs::SeriesRow<MachineStats> kSeries[] = {
+      {{"akadns_machine_delivered_total", "",
+        "packets handed to the nameserver by the (simulated) NIC"},
+       "", &MachineStats::delivered},
+      {obs::kDropsFamily, "", &MachineStats::drops},
+  };
 };
 
 class Machine {
@@ -124,8 +123,8 @@ class Machine {
   /// by the machines pointing at them.
   void register_metrics(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
     nameserver_.register_metrics(reg, base);
-    stats_.register_into(reg, base);
-    if (zone_sync_) zone_sync_->stats().register_into(reg, base);
+    obs::register_series(reg, base, stats_);
+    if (zone_sync_) obs::register_series(reg, base, zone_sync_->stats());
   }
 
   // ---- failure injection ----------------------------------------------------

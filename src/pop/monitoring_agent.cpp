@@ -46,14 +46,15 @@ void MonitoringAgent::schedule_next() {
 
 MonitoringAgent::Window MonitoringAgent::sample_window() const {
   const auto snap = registry_.snapshot();
+  const auto ns = obs::read_series<server::NameserverStats>(snap);
+  const auto responder = obs::read_series<server::ResponderStats>(snap);
   Window w;
-  w.packets = snap.sum("akadns_packets_total");
-  w.drops = snap.sum("akadns_drops_total") + snap.sum("akadns_defense_drops_total");
-  w.responses = snap.sum("akadns_responses_total");
-  w.nxdomain =
-      snap.sum("akadns_responses_by_rcode_total", obs::labels({{"rcode", "nxdomain"}}));
-  w.sync_events = snap.sum("akadns_zone_sync_total");
-  w.has_sync = snap.family("akadns_zone_sync_total") != nullptr;
+  w.packets = ns.packets_received;
+  w.drops = ns.drops.total() +
+            obs::read_series<defense::DefenseLaneStats>(snap).drops.total();
+  w.responses = responder.responses;
+  w.nxdomain = responder.nxdomain;
+  w.sync_updates = obs::read_series<propagation::ZoneSyncStats>(snap).updates;
   return w;
 }
 
@@ -72,9 +73,12 @@ void MonitoringAgent::derive_anomalies(SimTime now) {
   sig.drop_rate = packets ? static_cast<double>(drops) / static_cast<double>(packets) : 0.0;
   sig.drop_spike =
       packets >= config_.min_window_packets && sig.drop_rate >= config_.drop_rate_threshold;
-  if (cur.sync_events != prev_window_.sync_events) last_sync_progress_ = now;
-  sig.zone_sync_age = cur.has_sync ? now - last_sync_progress_ : Duration::zero();
-  sig.stale_zone = cur.has_sync && sig.zone_sync_age > config_.stale_zone_age;
+  // Every apply counts an update, so the update count moves whenever
+  // the replica's sync does.
+  const bool has_sync = machine_.zone_sync_stats() != nullptr;
+  if (cur.sync_updates != prev_window_.sync_updates) last_sync_progress_ = now;
+  sig.zone_sync_age = has_sync ? now - last_sync_progress_ : Duration::zero();
+  sig.stale_zone = has_sync && sig.zone_sync_age > config_.stale_zone_age;
 
   if (sig.nxdomain_spike) ++stats_.nxdomain_spikes;
   if (sig.drop_spike) ++stats_.drop_spikes;

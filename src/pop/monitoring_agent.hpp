@@ -112,8 +112,7 @@ class MonitoringAgent {
     std::uint64_t drops = 0;
     std::uint64_t responses = 0;
     std::uint64_t nxdomain = 0;
-    std::uint64_t sync_events = 0;
-    bool has_sync = false;  // the machine registered zone-sync series
+    std::uint64_t sync_updates = 0;  // 0 when the machine has no replica
   };
 
   /// Test suite: a SOA probe per hosted zone + regression questions +

@@ -24,7 +24,7 @@
 
 #include "common/result.hpp"
 #include "dns/message.hpp"
-#include "obs/registry.hpp"
+#include "obs/series.hpp"
 #include "propagation/fault_hooks.hpp"
 #include "zone/zone_store.hpp"
 #include "zone/zone_transfer.hpp"
@@ -55,18 +55,15 @@ struct TransferStats {
   obs::Counter up_to_date;        // single-SOA "you are current" replies
   obs::Counter refused;           // unknown zone / malformed request
 
-  /// One akadns_zone_transfer_total{kind=...} series per counter.
-  void register_into(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
-    const auto kind = [&](const char* name, const obs::Counter& c) {
-      reg.counter("akadns_zone_transfer_total", obs::with(base, "kind", name), c,
-                  "zone transfer responses served");
-    };
-    kind("axfr", axfr_served);
-    kind("ixfr_incremental", ixfr_incremental);
-    kind("ixfr_fallback", ixfr_fallback);
-    kind("up_to_date", up_to_date);
-    kind("refused", refused);
-  }
+  static constexpr obs::FamilySpec kKind{"akadns_zone_transfer_total", "kind",
+                                         "zone transfer responses served"};
+  static constexpr obs::SeriesRow<TransferStats> kSeries[] = {
+      {kKind, "axfr", &TransferStats::axfr_served},
+      {kKind, "ixfr_incremental", &TransferStats::ixfr_incremental},
+      {kKind, "ixfr_fallback", &TransferStats::ixfr_fallback},
+      {kKind, "up_to_date", &TransferStats::up_to_date},
+      {kKind, "refused", &TransferStats::refused},
+  };
 };
 
 /// What a transfer response resolved to on the client side.

@@ -23,7 +23,7 @@
 #include <optional>
 #include <vector>
 
-#include "obs/registry.hpp"
+#include "obs/series.hpp"
 #include "zone/zone_transfer.hpp"
 
 namespace akadns::propagation {
@@ -42,18 +42,15 @@ struct JournalStats {
   obs::Counter chain_hits;
   obs::Counter chain_misses;
 
-  /// One akadns_zone_journal_total{event=...} series per counter.
-  void register_into(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
-    const auto event = [&](const char* name, const obs::Counter& c) {
-      reg.counter("akadns_zone_journal_total", obs::with(base, "event", name), c,
-                  "zone delta-journal events");
-    };
-    event("appended", appended);
-    event("evicted", evicted);
-    event("reset", resets);
-    event("chain_hit", chain_hits);
-    event("chain_miss", chain_misses);
-  }
+  static constexpr obs::FamilySpec kEvent{"akadns_zone_journal_total", "event",
+                                          "zone delta-journal events"};
+  static constexpr obs::SeriesRow<JournalStats> kSeries[] = {
+      {kEvent, "appended", &JournalStats::appended},
+      {kEvent, "evicted", &JournalStats::evicted},
+      {kEvent, "reset", &JournalStats::resets},
+      {kEvent, "chain_hit", &JournalStats::chain_hits},
+      {kEvent, "chain_miss", &JournalStats::chain_misses},
+  };
 };
 
 class ZoneJournal {

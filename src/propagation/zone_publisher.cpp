@@ -10,6 +10,9 @@ using zone::Zone;
 using zone::ZoneDiff;
 using zone::ZonePtr;
 
+/// Max journal-tail deltas attached to each ZoneUpdate.
+constexpr std::size_t kDeltasPerUpdate = 16;
+
 // ---------------------------------------------------------------------------
 // Subscription
 // ---------------------------------------------------------------------------
@@ -174,7 +177,7 @@ ZoneUpdatePtr ZonePublisher::make_update_locked(CompiledZonePtr compiled, bool i
   auto update = std::make_shared<ZoneUpdate>();
   update->seq = next_seq_++;
   update->zone = compiled->source();
-  update->deltas = journal_.tail(compiled->apex(), config_.deltas_per_update);
+  update->deltas = journal_.tail(compiled->apex(), kDeltasPerUpdate);
   update->compiled = std::move(compiled);
   update->incremental = incremental;
   update->published_at = clock_.now();
@@ -236,9 +239,9 @@ JournalStats ZonePublisher::journal_stats() const {
 
 void ZonePublisher::register_metrics(obs::MetricRegistry& reg,
                                      const obs::LabelSet& base) const {
-  stats_.register_into(reg, base);
-  journal_.stats().register_into(reg, base);
-  master_.compile_stats().register_into(reg, base);
+  obs::register_series(reg, base, stats_);
+  obs::register_series(reg, base, journal_.stats());
+  obs::register_series(reg, base, master_.compile_stats());
 }
 
 }  // namespace akadns::propagation

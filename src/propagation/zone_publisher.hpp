@@ -45,7 +45,7 @@
 
 #include "common/clock.hpp"
 #include "common/result.hpp"
-#include "obs/registry.hpp"
+#include "obs/series.hpp"
 #include "propagation/zone_journal.hpp"
 #include "zone/zone_store.hpp"
 
@@ -65,8 +65,6 @@ using ZoneUpdatePtr = std::shared_ptr<const ZoneUpdate>;
 
 struct PublisherConfig {
   JournalConfig journal;
-  /// Max journal-tail deltas attached to each ZoneUpdate.
-  std::size_t deltas_per_update = 16;
 };
 
 struct PublisherStats {
@@ -77,19 +75,16 @@ struct PublisherStats {
   obs::Counter soa_drift_fallbacks; // SOA-rdata-only change forced full path
   obs::Counter chains_applied;      // apply_chain() ingests
 
-  /// One akadns_zone_publish_total{event=...} series per counter.
-  void register_into(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
-    const auto event = [&](const char* name, const obs::Counter& c) {
-      reg.counter("akadns_zone_publish_total", obs::with(base, "event", name), c,
-                  "zone publisher events");
-    };
-    event("published", published);
-    event("incremental", incremental);
-    event("full", full);
-    event("rejected_serial", rejected_serial);
-    event("soa_drift_fallback", soa_drift_fallbacks);
-    event("chain_applied", chains_applied);
-  }
+  static constexpr obs::FamilySpec kEvent{"akadns_zone_publish_total", "event",
+                                          "zone publisher events"};
+  static constexpr obs::SeriesRow<PublisherStats> kSeries[] = {
+      {kEvent, "published", &PublisherStats::published},
+      {kEvent, "incremental", &PublisherStats::incremental},
+      {kEvent, "full", &PublisherStats::full},
+      {kEvent, "rejected_serial", &PublisherStats::rejected_serial},
+      {kEvent, "soa_drift_fallback", &PublisherStats::soa_drift_fallbacks},
+      {kEvent, "chain_applied", &PublisherStats::chains_applied},
+  };
 };
 
 /// A subscription's inbound queue. Handed out as a shared_ptr so a
@@ -117,7 +112,7 @@ using SubscriptionPtr = std::shared_ptr<Subscription>;
 class ZonePublisher {
  public:
   explicit ZonePublisher(const Clock& clock, PublisherConfig config = {})
-      : config_(config), clock_(clock), journal_(config.journal) {}
+      : clock_(clock), journal_(config.journal) {}
 
   ZonePublisher(const ZonePublisher&) = delete;
   ZonePublisher& operator=(const ZonePublisher&) = delete;
@@ -176,7 +171,6 @@ class ZonePublisher {
   ZoneUpdatePtr make_update_locked(zone::CompiledZonePtr compiled, bool incremental);
   void fanout(const ZoneUpdatePtr& update);
 
-  PublisherConfig config_;
   const Clock& clock_;
   mutable std::mutex mutex_;
   zone::ZoneStore master_;

@@ -22,7 +22,7 @@
 #include <functional>
 
 #include "common/clock.hpp"
-#include "obs/registry.hpp"
+#include "obs/series.hpp"
 #include "propagation/zone_publisher.hpp"
 #include "zone/zone_store.hpp"
 
@@ -39,25 +39,22 @@ struct ZoneSyncStats {
   obs::Gauge last_latency_ns;   // publish -> applied, publisher clock
   obs::Gauge max_latency_ns;
 
-  /// One akadns_zone_sync_total{event=...} series per counter plus the
-  /// two latency gauges. Cross-subscriber aggregation happens on registry
-  /// snapshots (counters sum; max_latency aggregates with Max).
-  void register_into(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
-    const auto event = [&](const char* name, const obs::Counter& c) {
-      reg.counter("akadns_zone_sync_total", obs::with(base, "event", name), c,
-                  "zone propagation apply events");
-    };
-    event("update", updates);
-    event("noop", noops);
-    event("adopted", adopted);
-    event("delta_applied", deltas_applied);
-    event("incremental", incremental);
-    event("full", full);
-    reg.gauge("akadns_zone_sync_last_latency_ns", base, last_latency_ns,
-              obs::GaugeAgg::Max, "publish-to-applied latency of the newest update");
-    reg.gauge("akadns_zone_sync_max_latency_ns", base, max_latency_ns,
-              obs::GaugeAgg::Max, "worst publish-to-applied latency seen");
-  }
+  static constexpr obs::FamilySpec kEvent{"akadns_zone_sync_total", "event",
+                                          "zone propagation apply events"};
+  static constexpr obs::SeriesRow<ZoneSyncStats> kSeries[] = {
+      {kEvent, "update", &ZoneSyncStats::updates},
+      {kEvent, "noop", &ZoneSyncStats::noops},
+      {kEvent, "adopted", &ZoneSyncStats::adopted},
+      {kEvent, "delta_applied", &ZoneSyncStats::deltas_applied},
+      {kEvent, "incremental", &ZoneSyncStats::incremental},
+      {kEvent, "full", &ZoneSyncStats::full},
+      {{"akadns_zone_sync_last_latency_ns", "",
+        "publish-to-applied latency of the newest update", obs::GaugeAgg::Max},
+       "", &ZoneSyncStats::last_latency_ns},
+      {{"akadns_zone_sync_max_latency_ns", "", "worst publish-to-applied latency seen",
+        obs::GaugeAgg::Max},
+       "", &ZoneSyncStats::max_latency_ns},
+  };
 };
 
 struct SubscriberOptions {

@@ -26,7 +26,7 @@
 #include "common/ip.hpp"
 #include "common/sim_time.hpp"
 #include "dns/message.hpp"
-#include "obs/registry.hpp"
+#include "obs/series.hpp"
 
 namespace akadns::server {
 
@@ -51,19 +51,16 @@ class AnswerCache {
     obs::Counter expired;        // hits refused because the TTL ran out
     obs::Counter invalidations;  // whole-cache clears on generation change
 
-    /// One akadns_answer_cache_total{event=...} series per counter.
-    void register_into(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
-      const auto event = [&](const char* name, const obs::Counter& c) {
-        reg.counter("akadns_answer_cache_total", obs::with(base, "event", name), c,
-                    "answer-cache events");
-      };
-      event("hit", hits);
-      event("miss", misses);
-      event("insertion", insertions);
-      event("eviction", evictions);
-      event("expired", expired);
-      event("invalidation", invalidations);
-    }
+    static constexpr obs::FamilySpec kEvent{"akadns_answer_cache_total", "event",
+                                            "answer-cache events"};
+    static constexpr obs::SeriesRow<Stats> kSeries[] = {
+        {kEvent, "hit", &Stats::hits},
+        {kEvent, "miss", &Stats::misses},
+        {kEvent, "insertion", &Stats::insertions},
+        {kEvent, "eviction", &Stats::evictions},
+        {kEvent, "expired", &Stats::expired},
+        {kEvent, "invalidation", &Stats::invalidations},
+    };
   };
 
   explicit AnswerCache(std::size_t max_entries) : max_entries_(max_entries) {}

@@ -45,8 +45,8 @@
 //                       + Σ akadns_defense_drops_total + pending
 // holds exactly per lane; each stage records its latency into the owning
 // lane's DatapathTelemetry. The machine view is the registry sum over
-// the lane label (register_metrics + snapshot().sum), never a second
-// struct.
+// the lane label (register_metrics, then obs::read_series on the
+// snapshot), never a second struct.
 //
 // Failure model:
 //   - a crash predicate marks queries-of-death (§4.2.4); processing one
@@ -130,17 +130,14 @@ struct NameserverStats {
   /// engine's sheds live in its DefenseLaneStats.
   DropCounters drops;
 
-  /// Registers the packet-conservation counters under `base` (typically
-  /// lane labels): akadns_packets_total, akadns_responses_sent_total,
-  /// akadns_drops_total{reason}, plus the crash count.
-  void register_into(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
-    reg.counter("akadns_packets_total", base, packets_received,
-                "packets handed to the datapath");
-    reg.counter("akadns_responses_sent_total", base, responses_sent,
-                "responses flushed to the transport");
-    reg.counter("akadns_crashes_total", base, crashes, "query-of-death crashes");
-    obs::register_drop_counters(reg, drops, base);
-  }
+  static constexpr obs::SeriesRow<NameserverStats> kSeries[] = {
+      {{"akadns_packets_total", "", "packets handed to the datapath"}, "",
+       &NameserverStats::packets_received},
+      {{"akadns_responses_sent_total", "", "responses flushed to the transport"}, "",
+       &NameserverStats::responses_sent},
+      {{"akadns_crashes_total", "", "query-of-death crashes"}, "", &NameserverStats::crashes},
+      {obs::kDropsFamily, "", &NameserverStats::drops},
+  };
 };
 
 class Nameserver {
@@ -315,10 +312,11 @@ class Nameserver {
   void register_metrics(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
       const obs::LabelSet lane_labels = obs::with(base, "lane", i);
-      lanes_[i].stats.register_into(reg, lane_labels);
+      obs::register_series(reg, lane_labels, lanes_[i].stats);
       lanes_[i].telemetry.register_into(reg, lane_labels);
-      lanes_[i].core.responder().stats().register_into(reg, lane_labels);
-      lanes_[i].core.responder().answer_cache().stats().register_into(reg, lane_labels);
+      obs::register_series(reg, lane_labels, lanes_[i].core.responder().stats());
+      obs::register_series(reg, lane_labels,
+                           lanes_[i].core.responder().answer_cache().stats());
       reg.gauge_fn(
           "akadns_pending", lane_labels,
           [this, i] { return static_cast<double>(engine_.lane_pending(i)); },

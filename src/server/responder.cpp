@@ -342,52 +342,14 @@ void Responder::respond_view_into(std::span<const std::uint8_t> wire, dns::Query
   dns::encode_into(response, {.max_size = max_size}, out);
 }
 
-std::vector<std::uint8_t> Responder::respond_view(std::span<const std::uint8_t> wire,
-                                                  dns::QueryView& view, const Endpoint& client,
-                                                  SimTime now, std::size_t wire_size_limit) {
-  std::vector<std::uint8_t> out;
-  respond_view_into(wire, view, client, now, out, wire_size_limit);
-  return out;
-}
-
 std::optional<std::vector<std::uint8_t>> Responder::respond_wire(
     std::span<const std::uint8_t> wire, const Endpoint& client, SimTime now,
     std::size_t wire_size_limit) {
   auto view = dns::decode_query_view(wire);
   if (!view) return std::nullopt;
-  return respond_view(wire, view.value(), client, now, wire_size_limit);
-}
-
-void ResponderStats::register_into(obs::MetricRegistry& reg,
-                                   const obs::LabelSet& base) const {
-  reg.counter("akadns_responses_total", base, responses, "wire responses produced");
-  const auto rcode = [&](const char* name, const obs::Counter& c) {
-    reg.counter("akadns_responses_by_rcode_total", obs::with(base, "rcode", name), c,
-                "responses split by rcode");
-  };
-  rcode("noerror", noerror);
-  rcode("nxdomain", nxdomain);
-  rcode("refused", refused);
-  rcode("formerr", formerr);
-  rcode("notimp", notimp);
-  rcode("servfail", servfail);
-  const auto feature = [&](const char* name, const obs::Counter& c) {
-    reg.counter("akadns_answer_features_total", obs::with(base, "kind", name), c,
-                "answer-construction features exercised");
-  };
-  feature("nodata", nodata);
-  feature("referral", referrals);
-  feature("wildcard", wildcard_answers);
-  feature("cname_chase", cname_chases);
-  feature("mapped", mapped_answers);
-  feature("pushed", pushed_answers);
-  const auto path = [&](const char* name, const obs::Counter& c) {
-    reg.counter("akadns_answer_path_total", obs::with(base, "path", name), c,
-                "which datapath produced each response");
-  };
-  path("compiled", compiled_answers);
-  path("cache", cache_hits);
-  path("interpreted", interpreted_answers);
+  std::vector<std::uint8_t> out;
+  respond_view_into(wire, view.value(), client, now, out, wire_size_limit);
+  return out;
 }
 
 }  // namespace akadns::server

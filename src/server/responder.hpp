@@ -27,7 +27,7 @@
 #include "common/sim_time.hpp"
 #include "dns/message.hpp"
 #include "dns/wire.hpp"
-#include "obs/registry.hpp"
+#include "obs/series.hpp"
 #include "server/answer_cache.hpp"
 #include "zone/zone_store.hpp"
 
@@ -51,8 +51,6 @@ using MappingHook = std::function<std::optional<MappedAnswer>(
 struct ResponderConfig {
   /// Maximum CNAME links chased within hosted zones.
   int max_cname_chain = 8;
-  /// Answer size cap for UDP responses without EDNS.
-  std::size_t udp_payload_default = 512;
   /// Ceiling applied to the client's advertised EDNS UDP payload size
   /// (DNS Flag Day 2020: 1232 avoids IP fragmentation on virtually every
   /// path). Clients advertise arbitrary values — a spoofed-source flood
@@ -95,9 +93,37 @@ struct ResponderStats {
   obs::Counter cache_hits;           // replayed from the answer cache
   obs::Counter interpreted_answers;  // built via the Message encoder
 
-  /// Registers every counter as an rcode/kind-labelled series under
-  /// `base` (typically worker/lane labels).
-  void register_into(obs::MetricRegistry& reg, const obs::LabelSet& base) const;
+  static constexpr obs::FamilySpec kRcode{"akadns_responses_by_rcode_total", "rcode",
+                                          "responses split by rcode"};
+  static constexpr obs::FamilySpec kFeature{"akadns_answer_features_total", "kind",
+                                            "answer-construction features exercised"};
+  static constexpr obs::FamilySpec kPath{"akadns_answer_path_total", "path",
+                                         "which datapath produced each response"};
+  static constexpr obs::SeriesRow<ResponderStats> kSeries[] = {
+      {{"akadns_responses_total", "", "wire responses produced"}, "",
+       &ResponderStats::responses},
+      {kRcode, "noerror", &ResponderStats::noerror},
+      {kRcode, "nxdomain", &ResponderStats::nxdomain},
+      {kRcode, "refused", &ResponderStats::refused},
+      {kRcode, "formerr", &ResponderStats::formerr},
+      {kRcode, "notimp", &ResponderStats::notimp},
+      {kRcode, "servfail", &ResponderStats::servfail},
+      {kFeature, "nodata", &ResponderStats::nodata},
+      {kFeature, "referral", &ResponderStats::referrals},
+      {kFeature, "wildcard", &ResponderStats::wildcard_answers},
+      {kFeature, "cname_chase", &ResponderStats::cname_chases},
+      {kFeature, "mapped", &ResponderStats::mapped_answers},
+      {kFeature, "pushed", &ResponderStats::pushed_answers},
+      {kPath, "compiled", &ResponderStats::compiled_answers},
+      {kPath, "cache", &ResponderStats::cache_hits},
+      {kPath, "interpreted", &ResponderStats::interpreted_answers},
+  };
+
+  /// Fraction of fast-path responses served straight from the cache.
+  double cache_hit_rate() const noexcept {
+    const std::uint64_t fast = cache_hits + compiled_answers;
+    return fast ? static_cast<double>(cache_hits) / static_cast<double>(fast) : 0.0;
+  }
 };
 
 class Responder {
@@ -120,27 +146,24 @@ class Responder {
                                                         std::size_t wire_size_limit = 0);
 
   /// The pipeline's zero-reparse path: answers from a QueryView decoded
-  /// once at receive(), completing the EDNS walk in place. Never
-  /// re-parses the header or question; a mangled record tail degrades to
-  /// the FORMERR salvage answer. Always produces response bytes.
-  std::vector<std::uint8_t> respond_view(std::span<const std::uint8_t> wire,
-                                         dns::QueryView& view, const Endpoint& client,
-                                         SimTime now = SimTime::origin(),
-                                         std::size_t wire_size_limit = 0);
-
-  /// Like respond_view() but emits into `out` (reused capacity — the
-  /// zero-allocation per-query form the nameserver drives).
+  /// once at receive(), completing the EDNS walk in place, into `out`
+  /// (reused capacity — the zero-allocation per-query form the
+  /// nameserver drives). Never re-parses the header or question; a
+  /// mangled record tail degrades to the FORMERR salvage answer. Always
+  /// produces response bytes.
   void respond_view_into(std::span<const std::uint8_t> wire, dns::QueryView& view,
                          const Endpoint& client, SimTime now, std::vector<std::uint8_t>& out,
                          std::size_t wire_size_limit = 0);
 
   /// The truncation limit a UDP response to `edns` gets: the advertised
-  /// payload size clamped to [512, edns_udp_payload_max], or
-  /// udp_payload_default without EDNS. Exposed so transports and tests
-  /// agree on one definition.
+  /// payload size clamped to [512, edns_udp_payload_max], or RFC 1035's
+  /// 512 without EDNS. Exposed so transports and tests agree on one
+  /// definition.
   std::size_t effective_udp_payload(const std::optional<dns::Edns>& edns) const noexcept {
-    if (!edns) return config_.udp_payload_default;
-    return std::clamp<std::size_t>(edns->udp_payload_size, 512, config_.edns_udp_payload_max);
+    constexpr std::size_t kRfc1035Payload = 512;
+    if (!edns) return kRfc1035Payload;
+    return std::clamp<std::size_t>(edns->udp_payload_size, kRfc1035Payload,
+                                   config_.edns_udp_payload_max);
   }
 
   void set_mapping_hook(MappingHook hook) { mapping_hook_ = std::move(hook); }

@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "common/result.hpp"
-#include "obs/registry.hpp"
+#include "obs/series.hpp"
 #include "zone/compiled_zone.hpp"
 #include "zone/zone.hpp"
 #include "zone/zone_transfer.hpp"
@@ -46,27 +46,29 @@ struct CompileStats {
   /// compile — the work the delta path avoided redoing.
   obs::Gauge last_reused_nodes;
 
-  /// akadns_zone_compile_total{path=...} counters plus last-compile
-  /// gauges (Max across machines: "the worst latest compile").
-  void register_into(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
-    const auto path = [&](const char* name, const obs::Counter& c) {
-      reg.counter("akadns_zone_compile_total", obs::with(base, "path", name), c,
-                  "publish-time zone compiles by path");
-    };
-    path("full", compiles);
-    path("incremental", incremental_compiles);
-    path("adopted", adopted);
-    reg.counter("akadns_zone_compile_micros_total", base, total_micros,
-                "cumulative publish-time compile cost");
-    reg.gauge("akadns_zone_compile_last_micros", base, last_micros,
-              obs::GaugeAgg::Max, "cost of the most recent compile");
-    reg.gauge("akadns_zone_compile_last_nodes", base, last_nodes,
-              obs::GaugeAgg::Max, "nodes in the most recent compiled snapshot");
-    reg.gauge("akadns_zone_compile_last_fragments", base, last_fragments,
-              obs::GaugeAgg::Max, "fragments in the most recent compiled snapshot");
-    reg.gauge("akadns_zone_compile_last_reused_nodes", base, last_reused_nodes,
-              obs::GaugeAgg::Max, "nodes the last incremental compile reused");
-  }
+  /// Compiles by path plus last-compile gauges (Max across machines:
+  /// "the worst latest compile").
+  static constexpr obs::FamilySpec kPath{"akadns_zone_compile_total", "path",
+                                         "publish-time zone compiles by path"};
+  static constexpr obs::SeriesRow<CompileStats> kSeries[] = {
+      {kPath, "full", &CompileStats::compiles},
+      {kPath, "incremental", &CompileStats::incremental_compiles},
+      {kPath, "adopted", &CompileStats::adopted},
+      {{"akadns_zone_compile_micros_total", "", "cumulative publish-time compile cost"}, "",
+       &CompileStats::total_micros},
+      {{"akadns_zone_compile_last_micros", "", "cost of the most recent compile",
+        obs::GaugeAgg::Max},
+       "", &CompileStats::last_micros},
+      {{"akadns_zone_compile_last_nodes", "", "nodes in the most recent compiled snapshot",
+        obs::GaugeAgg::Max},
+       "", &CompileStats::last_nodes},
+      {{"akadns_zone_compile_last_fragments", "",
+        "fragments in the most recent compiled snapshot", obs::GaugeAgg::Max},
+       "", &CompileStats::last_fragments},
+      {{"akadns_zone_compile_last_reused_nodes", "",
+        "nodes the last incremental compile reused", obs::GaugeAgg::Max},
+       "", &CompileStats::last_reused_nodes},
+  };
 };
 
 class ZoneStore {

@@ -175,7 +175,7 @@ struct FleetRunResult {
   std::uint64_t responses_sent = 0;
   std::uint64_t pending = 0;
   std::uint64_t drops_total = 0;
-  std::vector<control::DatapathReport::LaneReport> lanes;
+  std::vector<control::Ledger> lanes;
   bool conservative = false;
 
   bool operator==(const FleetRunResult&) const = default;

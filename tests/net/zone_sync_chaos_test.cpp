@@ -29,7 +29,6 @@ namespace {
 
 using dns::DnsName;
 using propagation::SyncOp;
-using propagation::TransferReject;
 
 const DnsName kApex = DnsName::from("sync.example");
 
@@ -164,7 +163,7 @@ TEST(ZoneSyncChaos, TransferDeadlineCutsAStalledStream) {
 
   EXPECT_EQ(sync.sync_once(), 0u);
   auto stats = sync.stats();
-  EXPECT_EQ(stats.rejected_for(TransferReject::Deadline), 1u);
+  EXPECT_EQ(stats.rejected_deadline, 1u);
   EXPECT_EQ(stats.failures.value(), 1u);
   // The stall never produced a partial publish.
   EXPECT_EQ(local.snapshot(kApex), nullptr);
@@ -205,7 +204,7 @@ TEST(ZoneSyncChaos, TruncatedWireStreamNeverTouchesTheHeldZone) {
 
   EXPECT_EQ(sync.sync_once(), 0u);
   auto stats = sync.stats();
-  EXPECT_EQ(stats.rejected_for(TransferReject::Truncated), 1u)
+  EXPECT_EQ(stats.rejected_truncated, 1u)
       << "an early close mid-body must count as truncated";
   EXPECT_EQ(local_serial(local), 1u) << "a partial transfer replaced the held zone";
 

@@ -62,7 +62,7 @@ TEST(Registry, CounterFamiliesSumAcrossLabels) {
 
   const MetricsSnapshot snap = reg.snapshot();
   EXPECT_EQ(snap.sum("akadns_udp_packets_total"), 12u);
-  EXPECT_EQ(snap.counter_value("akadns_udp_packets_total", labels({{"worker", "1"}})), 5u);
+  EXPECT_EQ(snap.sum("akadns_udp_packets_total", labels({{"worker", "1"}})), 5u);
   EXPECT_EQ(snap.sum("akadns_udp_packets_total", labels({{"worker", "0"}})), 7u);
   EXPECT_EQ(snap.sum("no_such_family"), 0u);
   ASSERT_NE(snap.family("akadns_udp_packets_total"), nullptr);
@@ -161,7 +161,7 @@ TEST(Snapshot, MergeSumsCountersAndRespectsGaugeAgg) {
   // Merging a snapshot with identical labels sums counters sample-wise.
   MetricsSnapshot doubled = reg0.snapshot();
   doubled.merge(reg0.snapshot());
-  EXPECT_EQ(doubled.counter_value("akadns_q_total", labels({{"machine", "0"}})), 20u);
+  EXPECT_EQ(doubled.sum("akadns_q_total", labels({{"machine", "0"}})), 20u);
 }
 
 TEST(Snapshot, MergedHistogramFoldsAllSamples) {
