@@ -5,10 +5,10 @@
 // change in a 100k-record zone should cost the delta, not the zone.
 // (2) The publisher pipeline: diff + journal + incremental compile per
 // publish, sustained over a long serial chain. (3) Publish-to-visible
-// latency at a subscriber, for both the in-process adoption path and
-// the wire-style delta-replay path. (4) The heap per hosted zone of the
-// benchmark's zone population (HostedZones, 5000 zones, seed 1), split
-// into the interpreted Zone, its CompiledZone and the rest. (5) An
+// latency at an in-process subscriber, which adopts each compiled
+// snapshot. (4) The heap per hosted zone of the benchmark's zone
+// population (HostedZones, 5000 zones, seed 1), split into the
+// interpreted Zone, its CompiledZone and the rest. (5) An
 // apex-count sweep over the zone store (10^3..10^5 small zones):
 // building it one publish at a time, seeding a replica, republishing one
 // apex, lookup cost, and RSS and heap per apex. Loading n zones must
@@ -150,28 +150,25 @@ void visibility_section() {
   bench::subheading("publish -> subscriber-visible latency");
   MonotonicClock clock;
 
-  for (const bool adopt : {true, false}) {
-    propagation::ZonePublisher publisher(clock);
-    if (!publisher.publish(make_zone(10'000, 1, 16)).ok()) return;
+  propagation::ZonePublisher publisher(clock);
+  if (!publisher.publish(make_zone(10'000, 1, 16)).ok()) return;
 
-    zone::ZoneStore replica;
-    propagation::ZoneSubscriber subscriber(replica, {.adopt_compiled = adopt});
-    subscriber.attach(publisher);
+  zone::ZoneStore replica;
+  propagation::ZoneSubscriber subscriber(replica);
+  subscriber.attach(publisher);
 
-    constexpr std::uint32_t kPublishes = 32;
-    for (std::uint32_t serial = 2; serial <= 1 + kPublishes; ++serial) {
-      if (!publisher.publish(make_zone(10'000, serial, 16)).ok()) return;
-      subscriber.poll(clock.now());
-    }
-
-    const auto& stats = subscriber.stats();
-    const char* path = adopt ? "adopt (in-process)" : "delta replay (wire-style)";
-    bench::print_row((std::string(path) + ": last latency").c_str(),
-                     static_cast<double>(stats.last_latency_ns) / 1e3, "us");
-    bench::print_row((std::string(path) + ": max latency").c_str(),
-                     static_cast<double>(stats.max_latency_ns) / 1e3, "us");
-    bench::print_count_row((std::string(path) + ": updates applied").c_str(), stats.updates);
+  constexpr std::uint32_t kPublishes = 32;
+  for (std::uint32_t serial = 2; serial <= 1 + kPublishes; ++serial) {
+    if (!publisher.publish(make_zone(10'000, serial, 16)).ok()) return;
+    subscriber.poll(clock.now());
   }
+
+  const auto& stats = subscriber.stats();
+  bench::print_row("adopt (in-process): last latency",
+                   static_cast<double>(stats.last_latency_ns) / 1e3, "us");
+  bench::print_row("adopt (in-process): max latency",
+                   static_cast<double>(stats.max_latency_ns) / 1e3, "us");
+  bench::print_count_row("adopt (in-process): updates applied", stats.updates);
 }
 
 std::size_t rss_bytes() {

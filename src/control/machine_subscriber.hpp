@@ -5,8 +5,8 @@
 // a ZonePublisher — which diffs, incrementally recompiles, and journals
 // it exactly as the socket frontend's publisher does — and then carries
 // the resulting ZoneUpdate across the simulated control plane as a
-// metadata payload. On delivery, the machine's own ZoneSubscriber picks
-// the cheapest correct application path and refreshes the staleness
+// metadata payload. On delivery, the machine's own ZoneSubscriber adopts
+// the update's compiled snapshot and the machine refreshes its staleness
 // clock. Input-delayed machines subscribe with the 1-hour artificial
 // delay and can be frozen ("stop receiving any new inputs upon use",
 // §4.2.3).

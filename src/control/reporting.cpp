@@ -44,8 +44,6 @@ std::string DatapathReport::render() const {
   if (zone_sync.updates) {
     out += "  propagation: updates=" + std::to_string(zone_sync.updates) +
            " adopted=" + std::to_string(zone_sync.adopted) +
-           " incremental=" + std::to_string(zone_sync.incremental) +
-           " full=" + std::to_string(zone_sync.full) +
            " noops=" + std::to_string(zone_sync.noops) +
            " max_latency=" +
            std::to_string(static_cast<std::uint64_t>(zone_sync.max_latency_ns.value()) / 1000) +

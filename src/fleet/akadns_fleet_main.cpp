@@ -306,15 +306,10 @@ int main(int argc, char** argv) {
   registry.gauge_fn("akadns_fleet_suspended", {},
                     [&] { return static_cast<double>(probes.quota_view().suspended); },
                     obs::GaugeAgg::Sum, "machines holding a suspension grant");
-  registry.gauge_fn("akadns_fleet_flows", {},
-                    [&] { return front.counters().live_flows.value(); },
-                    obs::GaugeAgg::Sum, "live steering flows");
-  registry.gauge_fn("akadns_fleet_flows_moved_total", {},
-                    [&] { return static_cast<double>(front.counters().flows_moved); },
-                    obs::GaugeAgg::Sum, "flows re-pinned by catchment changes");
   registry.gauge_fn("akadns_fleet_probe_rounds_total", {},
                     [&] { return static_cast<double>(probes.rounds_completed()); },
                     obs::GaugeAgg::Sum, "probe rounds completed");
+  front.register_metrics(registry, obs::labels({{"subsystem", "front"}}));
   for (std::size_t i = 0; i < chaos_hops.size(); ++i) {
     chaos_hops[i]->register_metrics(registry,
                                     obs::labels({{"machine", "m" + std::to_string(i)}}));

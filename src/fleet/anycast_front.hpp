@@ -119,7 +119,8 @@ struct FrontStats {
   obs::Counter tcp_stalls;  // stall fates in effect
   obs::Counter tcp_refused;  // accepts closed because of a blackhole
 
-  /// Exported relay events; the flow-table and upstream counters stay local.
+  /// Exported: relay and flow events and the live flow count; the
+  /// datagram and upstream-error counters stay local.
   static constexpr obs::FamilySpec kEvent{"akadns_chaos_total", "event",
                                           "relay and fault events"};
   static constexpr obs::SeriesRow<FrontStats> kSeries[] = {
@@ -133,10 +134,12 @@ struct FrontStats {
       {kEvent, "blackholed", &FrontStats::blackholed},
       {kEvent, "flow_opened", &FrontStats::flows_created},
       {kEvent, "flow_reaped", &FrontStats::flows_expired},
+      {kEvent, "flow_moved", &FrontStats::flows_moved},
       {kEvent, "tcp_accepted", &FrontStats::tcp_connections},
       {kEvent, "tcp_reset", &FrontStats::tcp_resets},
       {kEvent, "tcp_stalled", &FrontStats::tcp_stalls},
       {kEvent, "tcp_refused", &FrontStats::tcp_refused},
+      {{"akadns_chaos_live_flows", "", "live steering flows"}, "", &FrontStats::live_flows},
   };
 };
 

@@ -127,7 +127,7 @@ std::optional<akadns::dns::DnsName> publish_zone_file(
     return std::nullopt;
   }
   std::fprintf(stderr, "published %s serial=%u from %s%s\n", apex_text.c_str(), serial,
-               path.c_str(), published.value()->incremental ? " (incremental)" : "");
+               path.c_str(), published.value()->compiled->incremental() ? " (incremental)" : "");
   return apex;
 }
 

@@ -6,9 +6,9 @@
 // storage (receive buffers, response buffers, mmsghdr/iovec/sockaddr
 // arrays) is allocated once at construction and reused for every batch,
 // so batching itself allocates nothing per query. Neither does the
-// inline query path (a short qname decodes into the name's inline
-// buffer); with the defense queues on it makes about 0.5 heap
-// allocations per query, the penalty queue's deque chunks.
+// query path (a short qname decodes into the name's inline buffer),
+// inline or through the defense queues once their rings have grown to
+// their working depth.
 #pragma once
 
 #include <sys/socket.h>

@@ -59,11 +59,11 @@ class Machine {
   /// The private replica (nullptr for shared-store machines).
   zone::ZoneStore* local_store() noexcept { return owned_store_.get(); }
 
-  /// Applies one published zone version to the private replica through
-  /// the propagation subscriber (pointer-adopt fast path, delta replay,
-  /// or full publish — whichever is the cheapest correct one) and
-  /// refreshes the staleness clock. Only valid on replica-owning
-  /// machines; shared-store machines receive zones out of band.
+  /// Adopts one published zone version's compiled snapshot into the
+  /// private replica through the propagation subscriber (no compile on
+  /// the machine) and refreshes the staleness clock. Only valid on
+  /// replica-owning machines; shared-store machines receive zones out of
+  /// band.
   void apply_zone_update(const propagation::ZoneUpdate& update, SimTime now);
 
   /// Propagation telemetry for the private replica (nullptr when the

@@ -66,14 +66,6 @@ std::optional<std::vector<ZoneDiff>> ZoneJournal::chain(const dns::DnsName& apex
   return miss();
 }
 
-std::vector<ZoneDiff> ZoneJournal::tail(const dns::DnsName& apex, std::size_t max_deltas) const {
-  auto it = logs_.find(apex);
-  if (it == logs_.end() || max_deltas == 0) return {};
-  const auto& deltas = it->second.deltas;
-  const std::size_t n = std::min(max_deltas, deltas.size());
-  return std::vector<ZoneDiff>(deltas.end() - static_cast<std::ptrdiff_t>(n), deltas.end());
-}
-
 std::size_t ZoneJournal::delta_count(const dns::DnsName& apex) const {
   auto it = logs_.find(apex);
   return it == logs_.end() ? 0 : it->second.deltas.size();

@@ -1,7 +1,7 @@
 // Serial-ordered IXFR delta log, one bounded window per zone apex.
 //
 // The journal is the memory between publishes: every accepted delta is
-// appended in serial order, and a subscriber that is N versions behind
+// appended in serial order, and a secondary that is N versions behind
 // can be caught up with the contiguous sub-chain covering its serial —
 // the RFC 1995 incremental path. Everything the journal cannot answer
 // (a gap where old deltas were evicted, a serial regression after a
@@ -12,7 +12,7 @@
 //
 // Bounded by delta count and total record count per apex (old entries
 // evicted front-first), so a chatty zone cannot grow the log without
-// limit; eviction only widens the set of subscribers that need AXFR.
+// limit; eviction only widens the set of secondaries that need AXFR.
 // Not internally synchronized — the owning ZonePublisher serializes
 // access under its own lock.
 #pragma once
@@ -76,10 +76,6 @@ class ZoneJournal {
   std::optional<std::vector<zone::ZoneDiff>> chain(const dns::DnsName& apex,
                                                    std::uint32_t from_serial,
                                                    std::uint32_t to_serial) const;
-
-  /// The newest `max_deltas` deltas of an apex (all of them when fewer) —
-  /// the window a ZoneUpdate carries for laggard subscribers.
-  std::vector<zone::ZoneDiff> tail(const dns::DnsName& apex, std::size_t max_deltas) const;
 
   std::size_t delta_count(const dns::DnsName& apex) const;
   std::size_t record_count(const dns::DnsName& apex) const;

@@ -4,14 +4,10 @@
 
 namespace akadns::propagation {
 
-using zone::CompiledZone;
 using zone::CompiledZonePtr;
 using zone::Zone;
 using zone::ZoneDiff;
 using zone::ZonePtr;
-
-/// Max journal-tail deltas attached to each ZoneUpdate.
-constexpr std::size_t kDeltasPerUpdate = 16;
 
 // ---------------------------------------------------------------------------
 // Subscription
@@ -89,7 +85,7 @@ Result<ZoneUpdatePtr> ZonePublisher::publish_locked(ZonePtr zone) {
         journal_.append(std::move(diff));
         ++stats_.published;
         ++stats_.incremental;
-        return make_update_locked(std::move(applied).take(), /*incremental=*/true);
+        return make_update(std::move(applied).take());
       }
       // The diff came from the stored base, so failure here means the
       // base itself is inconsistent — the full path below still works.
@@ -107,7 +103,7 @@ Result<ZoneUpdatePtr> ZonePublisher::publish_locked(ZonePtr zone) {
   journal_.reset(apex);
   ++stats_.published;
   ++stats_.full;
-  return make_update_locked(master_.find_compiled(apex), /*incremental=*/false);
+  return make_update(master_.find_compiled(apex));
 }
 
 Result<ZoneUpdatePtr> ZonePublisher::apply_chain(std::span<const ZoneDiff> chain) {
@@ -117,38 +113,22 @@ Result<ZoneUpdatePtr> ZonePublisher::apply_chain(std::span<const ZoneDiff> chain
 
   Result<ZoneUpdatePtr> result = [&]() -> Result<ZoneUpdatePtr> {
     std::lock_guard lock(mutex_);
-    CompiledZonePtr work = master_.find_compiled(apex);
-    if (!work) return fail("no zone at " + apex.to_string() + " (fall back to AXFR)");
+    const CompiledZonePtr held = master_.find_compiled(apex);
+    if (!held) return fail("no zone at " + apex.to_string() + " (fall back to AXFR)");
 
     // Journal tails overlap what we already hold; skip the covered prefix.
     std::size_t start = 0;
-    while (start < chain.size() && chain[start].to_serial <= work->serial()) ++start;
+    while (start < chain.size() && chain[start].to_serial <= held->serial()) ++start;
     if (start == chain.size()) return ZoneUpdatePtr{};  // already current: no-op
 
-    // Build the whole chain off to the side; the store is only touched
-    // once every delta has applied, so any failure is side-effect free.
-    std::vector<ZoneDiff> applied;
-    for (std::size_t i = start; i < chain.size(); ++i) {
-      const ZoneDiff& delta = chain[i];
-      if (!(delta.apex == apex)) return fail("delta chain mixes apexes");
-      if (delta.from_serial != work->serial()) {
-        return fail("chain gap at " + apex.to_string() + ": have " +
-                    std::to_string(work->serial()) + ", delta from " +
-                    std::to_string(delta.from_serial) + " (fall back to AXFR)");
-      }
-      auto next = zone::apply_diff(work->zone(), delta);
-      if (!next) return fail(next.error());
-      work = CompiledZone::compile_incremental(
-          *work, std::make_shared<const Zone>(std::move(next).take()), delta);
-      applied.push_back(delta);
-    }
-
-    master_.publish_compiled(work);
-    for (ZoneDiff& delta : applied) journal_.append(std::move(delta));
+    const std::span<const ZoneDiff> rest = chain.subspan(start);
+    auto applied = master_.apply_chain(rest);
+    if (!applied) return fail(applied.error());
+    for (const ZoneDiff& delta : rest) journal_.append(delta);
     ++stats_.published;
     ++stats_.chains_applied;
-    stats_.incremental += applied.size();
-    return make_update_locked(std::move(work), /*incremental=*/true);
+    stats_.incremental += rest.size();
+    return make_update(std::move(applied).take());
   }();
 
   if (result.ok() && result.value()) fanout(result.value());
@@ -173,15 +153,8 @@ void ZonePublisher::seed(zone::ZoneStore& replica) const {
   replica.adopt(master_);
 }
 
-ZoneUpdatePtr ZonePublisher::make_update_locked(CompiledZonePtr compiled, bool incremental) {
-  auto update = std::make_shared<ZoneUpdate>();
-  update->seq = next_seq_++;
-  update->zone = compiled->source();
-  update->deltas = journal_.tail(compiled->apex(), kDeltasPerUpdate);
-  update->compiled = std::move(compiled);
-  update->incremental = incremental;
-  update->published_at = clock_.now();
-  return ZoneUpdatePtr(std::move(update));
+ZoneUpdatePtr ZonePublisher::make_update(CompiledZonePtr compiled) const {
+  return std::make_shared<const ZoneUpdate>(ZoneUpdate{std::move(compiled), clock_.now()});
 }
 
 void ZonePublisher::fanout(const ZoneUpdatePtr& update) {

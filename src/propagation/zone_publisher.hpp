@@ -11,22 +11,21 @@
 // both sit on this one pipeline — they differ only in how the ZoneUpdate
 // crosses the transport (shared pointer vs. IXFR bytes over TCP).
 //
-// A ZoneUpdate carries three ways to reach the new version, cheapest
-// first:
-//   - `compiled`: the already-compiled snapshot. In-process subscribers
-//     (sim machines, serve workers) just swap the pointer — zero
-//     recompilation, byte-identical by construction.
-//   - `deltas`: the journal tail. A subscriber a few serials behind
-//     applies the contiguous sub-chain incrementally.
-//   - `zone`: the full snapshot, for subscribers too far behind (or any
-//     delta-path failure) — the AXFR analogue, always correct.
+// A version reaches a replica one of two ways. A ZoneUpdate carries the
+// already-compiled snapshot, and in-process subscribers (sim machines,
+// serve workers) adopt it — a pointer swap, zero recompilation,
+// byte-identical by construction. Across a wire, TransferService serves
+// the journal's delta chain (IXFR) or the snapshot (AXFR) and the
+// secondary's own publisher takes them through apply_chain() or
+// publish().
 //
 // Byte-identity note: on the incremental path the publisher stores the
 // zone produced by apply_diff(prev, delta), not the caller's object, so
-// a master and a delta-applying replica hold identical record orderings
-// and compile to identical wire bytes. diff_zones() excludes the SOA, so
-// a publish whose only change is SOA rdata drift (mname/refresh edits)
-// is detected by comparing SOAs and routed down the full-publish path.
+// a master and a secondary that applied the same chain hold identical
+// record orderings and compile to identical wire bytes. diff_zones()
+// excludes the SOA, so a publish whose only change is SOA rdata drift
+// (mname/refresh edits) is detected by comparing SOAs and routed down
+// the full-publish path.
 //
 // Thread model: publish/apply_chain/subscribe serialize on one mutex;
 // Subscription::drain() uses its own lock so slow subscribers never
@@ -53,12 +52,8 @@ namespace akadns::propagation {
 
 /// One published zone version, fanned out to every subscription.
 struct ZoneUpdate {
-  std::uint64_t seq = 0;             // publisher-global sequence number
-  zone::ZonePtr zone;                // full snapshot (always present)
-  zone::CompiledZonePtr compiled;    // answer-ready snapshot (always present)
-  std::vector<zone::ZoneDiff> deltas;  // journal tail ending at this serial
-  bool incremental = false;          // produced by the delta path
-  Timepoint published_at{};          // publisher clock at fanout
+  zone::CompiledZonePtr compiled;  // answer-ready snapshot (source() is the zone)
+  Timepoint published_at{};        // publisher clock at fanout
 };
 
 using ZoneUpdatePtr = std::shared_ptr<const ZoneUpdate>;
@@ -126,10 +121,10 @@ class ZonePublisher {
   Result<ZoneUpdatePtr> publish(zone::ZonePtr zone);
 
   /// Ingests a received IXFR delta chain (secondary side of a zone
-  /// transfer). Applies each delta in order through the incremental
-  /// compile path and fans out one update for the final serial. Any
-  /// mismatch fails without side effects — the caller falls back to
-  /// requesting AXFR.
+  /// transfer). Skips the deltas the held version already covers,
+  /// applies the rest through ZoneStore::apply_chain and fans out one
+  /// update for the final serial. Any mismatch fails without side
+  /// effects — the caller falls back to requesting AXFR.
   Result<ZoneUpdatePtr> apply_chain(std::span<const zone::ZoneDiff> chain);
 
   /// Seeds the master from already-compiled snapshots (no journal
@@ -168,7 +163,7 @@ class ZonePublisher {
 
  private:
   Result<ZoneUpdatePtr> publish_locked(zone::ZonePtr zone);
-  ZoneUpdatePtr make_update_locked(zone::CompiledZonePtr compiled, bool incremental);
+  ZoneUpdatePtr make_update(zone::CompiledZonePtr compiled) const;
   void fanout(const ZoneUpdatePtr& update);
 
   const Clock& clock_;
@@ -177,7 +172,6 @@ class ZonePublisher {
   ZoneJournal journal_;
   std::vector<std::weak_ptr<Subscription>> subs_;
   PublisherStats stats_;
-  std::uint64_t next_seq_ = 1;
 };
 
 }  // namespace akadns::propagation

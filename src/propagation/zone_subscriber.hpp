@@ -1,16 +1,14 @@
-// The consuming end of the propagation pipeline: applies ZoneUpdates to
-// a replica ZoneStore, choosing the cheapest correct path per update.
+// The consuming end of the propagation pipeline: installs ZoneUpdates
+// into a replica ZoneStore.
 //
 // In-process subscribers (sim machines, serve workers) adopt the
 // publisher's compiled snapshot — a pointer swap, byte-identical by
-// construction. With adoption disabled (the secondary-sync and
-// differential-test configuration, standing in for a subscriber on the
-// far side of a wire) the update's delta window is replayed through the
-// replica's own incremental compiler; a gap or mismatch falls back to a
-// full publish of the carried zone snapshot. Every applied update bumps
-// the replica's generation, which the AnswerCache already polls per
-// query — so cache invalidation rides the normal publish signal and a
-// flipped zone can never serve stale-serial answers.
+// construction, with no compile on the replica. (A replica on the far
+// side of a wire is a secondary's own publisher, fed IXFR or AXFR
+// through ZonePublisher::apply_chain and publish.) Every applied update
+// bumps the replica's generation, which the AnswerCache already polls
+// per query — so cache invalidation rides the normal publish signal and
+// a flipped zone can never serve stale-serial answers.
 //
 // Not internally synchronized: a subscriber belongs to one consumer
 // thread (a worker lane, a sim machine), which calls poll()/apply()
@@ -30,13 +28,10 @@ namespace akadns::propagation {
 
 /// Per-subscriber propagation telemetry.
 struct ZoneSyncStats {
-  obs::Counter updates;         // updates seen by apply()
-  obs::Counter noops;           // replica already at/past the serial
-  obs::Counter adopted;         // compiled-snapshot pointer swaps
-  obs::Counter deltas_applied;  // individual deltas replayed
-  obs::Counter incremental;     // updates absorbed via the delta path
-  obs::Counter full;            // updates absorbed via full publish
-  obs::Gauge last_latency_ns;   // publish -> applied, publisher clock
+  obs::Counter updates;        // updates seen by apply()
+  obs::Counter noops;          // replica already at/past the serial
+  obs::Counter adopted;        // compiled-snapshot pointer swaps
+  obs::Gauge last_latency_ns;  // publish -> applied, publisher clock
   obs::Gauge max_latency_ns;
 
   static constexpr obs::FamilySpec kEvent{"akadns_zone_sync_total", "event",
@@ -45,9 +40,6 @@ struct ZoneSyncStats {
       {kEvent, "update", &ZoneSyncStats::updates},
       {kEvent, "noop", &ZoneSyncStats::noops},
       {kEvent, "adopted", &ZoneSyncStats::adopted},
-      {kEvent, "delta_applied", &ZoneSyncStats::deltas_applied},
-      {kEvent, "incremental", &ZoneSyncStats::incremental},
-      {kEvent, "full", &ZoneSyncStats::full},
       {{"akadns_zone_sync_last_latency_ns", "",
         "publish-to-applied latency of the newest update", obs::GaugeAgg::Max},
        "", &ZoneSyncStats::last_latency_ns},
@@ -57,17 +49,9 @@ struct ZoneSyncStats {
   };
 };
 
-struct SubscriberOptions {
-  /// Adopt the publisher's compiled snapshot when the update carries one
-  /// (in-process fast path). Disable to force the delta/full paths — what
-  /// a cross-machine subscriber would do.
-  bool adopt_compiled = true;
-};
-
 class ZoneSubscriber {
  public:
-  explicit ZoneSubscriber(zone::ZoneStore& replica, SubscriberOptions options = {})
-      : replica_(replica), options_(options) {}
+  explicit ZoneSubscriber(zone::ZoneStore& replica) : replica_(replica) {}
 
   ZoneSubscriber(const ZoneSubscriber&) = delete;
   ZoneSubscriber& operator=(const ZoneSubscriber&) = delete;
@@ -84,15 +68,15 @@ class ZoneSubscriber {
   /// measured on one axis.
   std::size_t poll(Timepoint now);
 
-  /// Applies one update to the replica (exposed for transports that
-  /// carry updates themselves, e.g. the secondary-sync wire path).
+  /// Adopts one update's snapshot into the replica unless it already
+  /// holds that serial or a newer one (exposed for transports that carry
+  /// updates themselves, e.g. the sim control plane).
   void apply(const ZoneUpdate& update, Timepoint now);
 
   const ZoneSyncStats& stats() const noexcept { return stats_; }
 
  private:
   zone::ZoneStore& replica_;
-  SubscriberOptions options_;
   SubscriptionPtr subscription_;
   ZoneSyncStats stats_;
 };

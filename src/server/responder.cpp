@@ -16,10 +16,12 @@ using dns::RecordType;
 
 namespace {
 
-/// Fast-path bound on CNAME chain pins (stack arrays of zone snapshots
-/// and answer spans). Configs chasing deeper fall back to the
-/// interpreted path.
-constexpr std::size_t kMaxChainPins = 16;
+/// CNAME links chased within hosted zones; a longer chain (or a loop)
+/// answers SERVFAIL.
+constexpr int kMaxCnameChain = 8;
+/// One zone snapshot and one answer span per link on the compiled path
+/// (stack arrays).
+constexpr std::size_t kMaxChainPins = kMaxCnameChain + 1;
 
 }  // namespace
 
@@ -59,7 +61,7 @@ Rcode Responder::resolve(const Question& question, const Endpoint& client,
 
   DnsName qname = question.name;
   Rcode rcode = Rcode::NoError;
-  for (int link = 0; link <= config_.max_cname_chain; ++link) {
+  for (int link = 0; link <= kMaxCnameChain; ++link) {
     const zone::ZonePtr zone = store_.find_best_zone(qname);
     if (!zone) {
       // Not ours. For the original qname that means REFUSED; mid-chain it
@@ -157,11 +159,6 @@ bool Responder::try_compiled(const Question& question, const dns::Header& query_
                              const std::optional<dns::Edns>& edns, SimTime now,
                              std::size_t max_size, bool use_cache,
                              std::vector<std::uint8_t>& out) {
-  if (config_.max_cname_chain < 0 ||
-      static_cast<std::size_t>(config_.max_cname_chain) + 1 > kMaxChainPins) {
-    return false;
-  }
-
   // 1. Answer cache: a hit replays the finished wire (id patched) and the
   //    stat delta its miss counted, so cached and uncached queries are
   //    indistinguishable in every counter.
@@ -196,7 +193,7 @@ bool Responder::try_compiled(const Question& question, const dns::Header& query_
   Rcode rcode = Rcode::NoError;
 
   const DnsName* qname = &question.name;
-  for (int link = 0; !done && link <= config_.max_cname_chain; ++link) {
+  for (int link = 0; !done && link <= kMaxCnameChain; ++link) {
     zone::CompiledZonePtr zone = store_.find_best_compiled(*qname);
     if (!zone) {
       if (link == 0) {
@@ -327,8 +324,8 @@ void Responder::respond_view_into(std::span<const std::uint8_t> wire, dns::Query
                                 config_.enable_answer_cache && udp_semantics, out)) {
       return;
     }
-    // Fallback (mapped answer, referral push, deep chain): interpreted
-    // path, with the hook outcome handed over so it is not re-consulted.
+    // Fallback (mapped answer, referral push): interpreted path, with the
+    // hook outcome handed over so it is not re-consulted.
     ++stats_.interpreted_answers;
     const Message response = respond_core(view.header, view.qdcount, &view.question, view.edns,
                                           client, &mapped);

@@ -49,8 +49,6 @@ using MappingHook = std::function<std::optional<MappedAnswer>(
     const std::optional<dns::ClientSubnet>& ecs)>;
 
 struct ResponderConfig {
-  /// Maximum CNAME links chased within hosted zones.
-  int max_cname_chain = 8;
   /// Ceiling applied to the client's advertised EDNS UDP payload size
   /// (DNS Flag Day 2020: 1232 avoids IP fragmentation on virtually every
   /// path). Clients advertise arbitrary values — a spoofed-source flood
@@ -195,10 +193,10 @@ class Responder {
 
   /// Compiled fast path: cache probe, then fragment-stitched resolution.
   /// Returns false — having emitted nothing and counted nothing — when
-  /// the query needs the interpreted path (referral push hook, CNAME
-  /// chain deeper than the fast path pins). `max_size` is the already-
-  /// computed truncation limit; `use_cache` is false for transports the
-  /// cache keys cannot distinguish (TCP).
+  /// the query needs the interpreted path (a referral with the push hook
+  /// set). `max_size` is the already-computed truncation limit;
+  /// `use_cache` is false for transports the cache keys cannot
+  /// distinguish (TCP).
   bool try_compiled(const dns::Question& question, const dns::Header& query_header,
                     const std::optional<dns::Edns>& edns, SimTime now, std::size_t max_size,
                     bool use_cache, std::vector<std::uint8_t>& out);

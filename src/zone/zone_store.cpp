@@ -47,25 +47,26 @@ void ZoneStore::force_publish(Zone zone) {
 
 void ZoneStore::force_publish(ZonePtr zone) { store(std::move(zone)); }
 
-Result<CompiledZonePtr> ZoneStore::apply_delta(const ZoneDiff& diff) {
+Result<CompiledZonePtr> ZoneStore::apply_chain(std::span<const ZoneDiff> chain) {
   auto fail = [](std::string what) { return Result<CompiledZonePtr>::failure(std::move(what)); };
-  auto it = zones_.find(exact(diff.apex));
+  if (chain.empty()) return fail("empty delta chain");
+  auto it = zones_.find(exact(chain.front().apex));
   if (it == zones_.end()) {
-    return fail("no zone at " + diff.apex.to_string() + " (fall back to AXFR)");
+    return fail("no zone at " + chain.front().apex.to_string() + " (fall back to AXFR)");
   }
-  const CompiledZonePtr& current = it->second;
-  if (current->serial() != diff.from_serial) {
-    return fail("serial mismatch: have " + std::to_string(current->serial()) + ", diff from " +
-                std::to_string(diff.from_serial) + " (fall back to AXFR)");
+  // Compile the whole chain off to the side; the store is only touched
+  // once every delta has applied. apply_diff checks apex and serial.
+  CompiledZonePtr work = it->second;
+  for (const ZoneDiff& diff : chain) {
+    auto next = apply_diff(work->zone(), diff);
+    if (!next) return fail(next.error());
+    work = CompiledZone::compile_incremental(
+        *work, std::make_shared<const Zone>(std::move(next).take()), diff);
+    ++compile_stats_.incremental_compiles;
+    note_compile(*work);
   }
-  auto next = apply_diff(current->zone(), diff);
-  if (!next) return fail(next.error());
-  CompiledZonePtr compiled = CompiledZone::compile_incremental(
-      *current, std::make_shared<const Zone>(std::move(next).take()), diff);
-  ++compile_stats_.incremental_compiles;
-  note_compile(*compiled);
-  install(compiled);
-  return compiled;
+  install(work);
+  return work;
 }
 
 bool ZoneStore::publish_compiled(CompiledZonePtr compiled, bool force) {

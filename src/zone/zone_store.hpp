@@ -9,8 +9,8 @@
 // (answer-ready node table + wire fragments) before the swap, so the hot
 // read path only ever sees fully-built snapshots. Three publish shapes
 // exist, cheapest first: publish_compiled() installs an already-compiled
-// snapshot shared with another store (replica seeding), apply_delta()
-// incrementally recompiles only the nodes a ZoneDiff touches, and
+// snapshot shared with another store (replica seeding), apply_chain()
+// incrementally recompiles only the nodes each ZoneDiff touches, and
 // publish() compiles from scratch. All snapshots sit in one hash map
 // keyed by apex and hashed by its suffix hash, so the map is itself the
 // longest-suffix index: an install is one insert-or-assign, O(1) in the
@@ -22,6 +22,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -84,13 +85,15 @@ class ZoneStore {
   void force_publish(Zone zone);
   void force_publish(ZonePtr zone);
 
-  /// Applies an IXFR delta to the stored snapshot, incrementally
-  /// recompiling only the nodes the diff touches. Fails — leaving the
-  /// store untouched — when no zone exists at the diff's apex, the stored
-  /// serial does not match diff.from_serial, or the diff names a record
-  /// the base does not hold: the RFC 1995 "fall back to AXFR" cases.
-  /// Returns the newly installed snapshot on success.
-  Result<CompiledZonePtr> apply_delta(const ZoneDiff& diff);
+  /// Applies an IXFR delta chain to the stored snapshot, incrementally
+  /// recompiling only the nodes each diff touches, and installs the last
+  /// result. All or nothing: fails — installing nothing — when no zone
+  /// exists at the chain's apex, a diff's from_serial is not the serial
+  /// reached so far, or a diff names another apex or a record its base
+  /// does not hold: the RFC 1995 "fall back to AXFR" cases. Returns the
+  /// newly installed snapshot on success.
+  Result<CompiledZonePtr> apply_chain(std::span<const ZoneDiff> chain);
+  Result<CompiledZonePtr> apply_delta(const ZoneDiff& diff) { return apply_chain({&diff, 1}); }
 
   /// Installs an already-compiled snapshot (shared with the compiling
   /// store — no recompilation, just the swap). Serial rules apply unless

@@ -52,6 +52,9 @@ TEST(MachineSubscriber, UpdateReplacesZoneVersion) {
   const auto* set = zone->find(DnsName::from("www.example.com"), RecordType::A);
   ASSERT_NE(set, nullptr);
   EXPECT_EQ(std::get<dns::ARecord>(set->records[0].rdata).address.to_string(), "10.0.0.99");
+  // The replica holds the publisher's own snapshot, not a copy.
+  EXPECT_EQ(machine.local_store()->find_compiled(DnsName::from("example.com")).get(),
+            publisher.snapshot(DnsName::from("example.com")).get());
 }
 
 TEST(MachineSubscriber, DeliveryRefreshesMetadataTimestamp) {

@@ -121,6 +121,11 @@ TEST(LiveReloadLoopback, MidRunPublishFlipsAnswersWithoutDrops) {
   EXPECT_EQ(stats.frontend.udp_malformed, 0u);
   // At least this flow's worker replica absorbed the published update.
   EXPECT_GE(stats.zone_sync.updates, 1u);
+  // Replicas adopt the publisher's snapshot: every update is adopted or
+  // a no-op, and no worker compiles.
+  EXPECT_EQ(stats.zone_sync.adopted + stats.zone_sync.noops, stats.zone_sync.updates);
+  EXPECT_EQ(stats.replica_compiles.compiles, 0u);
+  EXPECT_EQ(stats.replica_compiles.incremental_compiles, 0u);
 }
 
 // akadns-serve's flip drill publishes the evolved zones one at a time, so

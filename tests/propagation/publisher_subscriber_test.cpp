@@ -28,7 +28,7 @@ TEST(ZonePublisher, FirstPublishCompilesFromScratch) {
   ZonePublisher publisher(clock);
   auto result = publisher.publish(version(1));
   ASSERT_TRUE(result.ok()) << result.error();
-  EXPECT_FALSE(result.value()->incremental);
+  EXPECT_FALSE(result.value()->compiled->incremental());
   EXPECT_EQ(result.value()->compiled->serial(), 1u);
   EXPECT_EQ(publisher.stats().full, 1u);
   EXPECT_EQ(publisher.zone_count(), 1u);
@@ -40,9 +40,10 @@ TEST(ZonePublisher, SecondPublishTakesTheIncrementalPath) {
   ASSERT_TRUE(publisher.publish(version(1)).ok());
   auto result = publisher.publish(version(2));
   ASSERT_TRUE(result.ok()) << result.error();
-  EXPECT_TRUE(result.value()->incremental);
-  ASSERT_FALSE(result.value()->deltas.empty());
-  EXPECT_EQ(result.value()->deltas.back().to_serial, 2u);
+  EXPECT_TRUE(result.value()->compiled->incremental());
+  const auto journaled = publisher.chain(kApex, 1, 2);
+  ASSERT_TRUE(journaled.has_value());
+  EXPECT_EQ(journaled->back().to_serial, 2u);
   EXPECT_EQ(publisher.stats().incremental, 1u);
   // The incremental result answers identically to a from-scratch compile.
   const auto scratch = zone::CompiledZone::compile(std::make_shared<const Zone>(version(2)));
@@ -73,7 +74,7 @@ TEST(ZonePublisher, SoaRdataDriftForcesTheFullPath) {
   drifted.a("www", "192.0.2.3");
   auto result = publisher.publish(drifted.build());
   ASSERT_TRUE(result.ok()) << result.error();
-  EXPECT_FALSE(result.value()->incremental);
+  EXPECT_FALSE(result.value()->compiled->incremental());
   EXPECT_EQ(publisher.stats().soa_drift_fallbacks, 1u);
   const auto soa = publisher.snapshot(kApex)->zone().soa();
   ASSERT_TRUE(soa.has_value());
@@ -138,6 +139,13 @@ TEST(ZonePublisher, ApplyChainIngestsAReceivedDeltaChain) {
   EXPECT_EQ(secondary.snapshot(kApex)->serial(), 4u);
   EXPECT_EQ(secondary.snapshot(kApex)->content_hash(), source.snapshot(kApex)->content_hash());
   EXPECT_EQ(secondary.stats().chains_applied, 1u);
+  // The chain's deltas are compiled on the secondary, one by one.
+  obs::MetricRegistry reg;
+  secondary.register_metrics(reg, {});
+  const auto compiles = obs::read_series<zone::CompileStats>(reg.snapshot());
+  EXPECT_EQ(compiles.compiles, 1u);  // the seed publish
+  EXPECT_EQ(compiles.incremental_compiles, 3u);
+  EXPECT_EQ(compiles.adopted, 0u);
 }
 
 TEST(ZonePublisher, ApplyChainSkipsTheAlreadyHeldPrefix) {
@@ -198,29 +206,6 @@ TEST(ZoneSubscriber, PollAdoptsTheCompiledSnapshot) {
   EXPECT_EQ(replica.find_compiled(kApex).get(), publisher.snapshot(kApex).get());
   EXPECT_GT(replica.generation(), generation_before);
   EXPECT_EQ(subscriber.stats().adopted, 1u);
-}
-
-TEST(ZoneSubscriber, DeltaReplayMatchesAdoptionByteForByte) {
-  ManualClock clock;
-  ZonePublisher publisher(clock);
-  ASSERT_TRUE(publisher.publish(version(1)).ok());
-
-  // The wire-style subscriber replays deltas through its own incremental
-  // compiler instead of swapping pointers.
-  zone::ZoneStore replica;
-  ZoneSubscriber subscriber(replica, {.adopt_compiled = false});
-  subscriber.attach(publisher);
-
-  for (std::uint32_t serial = 2; serial <= 5; ++serial) {
-    ASSERT_TRUE(publisher.publish(version(serial)).ok());
-  }
-  subscriber.poll(clock.now());
-  ASSERT_NE(replica.find_compiled(kApex), nullptr);
-  EXPECT_EQ(replica.find_compiled(kApex)->serial(), 5u);
-  EXPECT_NE(replica.find_compiled(kApex).get(), publisher.snapshot(kApex).get());
-  EXPECT_EQ(replica.find_compiled(kApex)->content_hash(),
-            publisher.snapshot(kApex)->content_hash());
-  EXPECT_GT(subscriber.stats().incremental + subscriber.stats().full, 0u);
 }
 
 TEST(ZoneSubscriber, StaleUpdatesAreNoops) {

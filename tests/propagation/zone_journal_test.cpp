@@ -115,19 +115,6 @@ TEST(ZoneJournal, RemoveDropsTheApex) {
   EXPECT_EQ(journal.record_count(kApex), 0u);
 }
 
-TEST(ZoneJournal, TailReturnsNewestDeltas) {
-  ZoneJournal journal;
-  for (std::uint32_t s = 1; s <= 4; ++s) journal.append(step(s, s + 1));
-
-  const auto newest = journal.tail(kApex, 2);
-  ASSERT_EQ(newest.size(), 2u);
-  EXPECT_EQ(newest.front().from_serial, 3u);
-  EXPECT_EQ(newest.back().to_serial, 5u);
-
-  EXPECT_EQ(journal.tail(kApex, 10).size(), 4u);
-  EXPECT_TRUE(journal.tail(DnsName::from("other.example"), 2).empty());
-}
-
 TEST(ZoneJournal, ApexLogsAreIndependent) {
   ZoneJournal journal;
   journal.append(step(1, 2));
