@@ -1,62 +1,18 @@
-// FaultHooks implementations: the in-process face of a FaultPlan.
-//
-// PlanInjector drives propagation's fault seam from the same FaultPlan
-// the relay executes on sockets — sends draw from the `up` spec, reads
-// from `down`, and every operation class gets its own ordinal space, so
-// a unit test reproduces "the third transfer read fails" as
-// deterministically as the relay reproduces "the third datagram drops".
-//
-// ScriptedInjector is the directed-test face: enqueue exact fates per
-// operation ("fail the second StreamMessage") and the default (no
-// fault) applies once the script runs out.
+// ScriptedInjector: the in-process FaultHooks for directed tests.
+// Enqueue exact fates per operation ("fail the second StreamMessage",
+// "stall the first TransferRead for 600 ms"); the default (no fault)
+// applies once the script runs out. The FaultPlan is the other face of
+// chaos and acts only on sockets, in the relay (fleet::AnycastFront).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <optional>
 
-#include "chaos/fault_plan.hpp"
-#include "chaos/fault_stream.hpp"
 #include "propagation/fault_hooks.hpp"
 
 namespace akadns::chaos {
-
-class PlanInjector : public propagation::FaultHooks {
- public:
-  explicit PlanInjector(const FaultPlan& plan) {
-    for (std::size_t i = 0; i < kOps; ++i) {
-      const auto op = static_cast<propagation::SyncOp>(i);
-      const bool upward = op == propagation::SyncOp::ProbeSend ||
-                          op == propagation::SyncOp::TransferConnect ||
-                          op == propagation::SyncOp::TransferWrite;
-      const std::uint64_t tag =
-          (upward ? kDirUp : kDirDown) ^ ((i + 1) * 0x100000001b3ULL);
-      streams_[i].emplace(upward ? plan.up : plan.down, plan.seed, tag);
-    }
-  }
-
-  propagation::OpFate on_op(propagation::SyncOp op) override {
-    const auto i = static_cast<std::size_t>(op);
-    std::uint64_t index;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      index = indices_[i]++;
-    }
-    const PacketFate fate = streams_[i]->fate(index);
-    propagation::OpFate out;
-    out.fail = fate.drop;
-    out.delay = fate.delay;
-    return out;
-  }
-
- private:
-  static constexpr std::size_t kOps = 6;
-  std::array<std::optional<FaultStream>, kOps> streams_;
-  std::mutex mutex_;
-  std::array<std::uint64_t, kOps> indices_{};
-};
 
 class ScriptedInjector : public propagation::FaultHooks {
  public:

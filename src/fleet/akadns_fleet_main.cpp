@@ -300,15 +300,11 @@ int main(int argc, char** argv) {
   registry.gauge_fn("akadns_fleet_machines_up", {},
                     [&] { return static_cast<double>(supervisor.up_count()); },
                     obs::GaugeAgg::Sum, "machines currently serving");
-  registry.gauge_fn("akadns_fleet_restarts_total", {},
-                    [&] { return static_cast<double>(supervisor.total_restarts()); },
-                    obs::GaugeAgg::Sum, "machine restarts");
   registry.gauge_fn("akadns_fleet_suspended", {},
                     [&] { return static_cast<double>(probes.quota_view().suspended); },
                     obs::GaugeAgg::Sum, "machines holding a suspension grant");
-  registry.gauge_fn("akadns_fleet_probe_rounds_total", {},
-                    [&] { return static_cast<double>(probes.rounds_completed()); },
-                    obs::GaugeAgg::Sum, "probe rounds completed");
+  supervisor.register_metrics(registry, {});
+  probes.register_metrics(registry, {});
   front.register_metrics(registry, obs::labels({{"subsystem", "front"}}));
   for (std::size_t i = 0; i < chaos_hops.size(); ++i) {
     chaos_hops[i]->register_metrics(registry,

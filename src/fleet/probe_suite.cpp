@@ -1,17 +1,13 @@
 #include "fleet/probe_suite.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
+#include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <span>
 
 #include "dns/message.hpp"
 #include "dns/wire.hpp"
 #include "net/server.hpp"
-#include "net/socket.hpp"
+#include "net/stub_client.hpp"
 #include "obs/stats_http.hpp"
 
 namespace akadns::fleet {
@@ -36,12 +32,11 @@ bool tc_bit(const std::vector<std::uint8_t>& wire) {
   return wire.size() > 2 && (wire[2] & 0x02) != 0;
 }
 
-/// Byte comparison, transaction id (bytes 0-1) excluded; the id echo is
-/// checked separately against what was sent.
-bool bytes_match(const std::uint8_t* got, std::size_t got_len,
-                 const std::vector<std::uint8_t>& want) {
-  return got_len == want.size() && got_len >= 2 &&
-         std::memcmp(got + 2, want.data() + 2, got_len - 2) == 0;
+/// Byte comparison, transaction id (bytes 0-1) excluded; the stub
+/// client returns only a reply that echoes the id sent.
+bool bytes_match(std::span<const std::uint8_t> got, const std::vector<std::uint8_t>& want) {
+  return got.size() == want.size() && got.size() >= 2 &&
+         std::equal(got.begin() + 2, got.end(), want.begin() + 2);
 }
 
 }  // namespace
@@ -86,45 +81,34 @@ void ProbeSuite::find_truncation_candidate() {
 std::vector<ProbeSuite::ProbeQuery> ProbeSuite::build_round_queries() {
   std::vector<ProbeQuery> probes;
   const std::size_t zone_count = zones_.zone_count();
+  const auto existing = [&] {
+    return zones_.sample_valid_name(rng_.next_below(zone_count), rng_);
+  };
+  // One A query for `name`, with the reference responder's answer.
+  const auto add = [&](const dns::DnsName& name, bool edns, bool over_tcp) {
+    auto query = dns::make_query(0, name, dns::RecordType::A);
+    if (edns) {
+      query.edns.emplace();
+      query.edns->udp_payload_size = 1232;
+    }
+    const auto wire = dns::encode(query);
+    auto expected = reference_.respond_wire(wire, kProbeClient, SimTime::origin(),
+                                            over_tcp ? dns::kMaxMessageSize : 0);
+    if (expected) probes.push_back(ProbeQuery{wire, std::move(*expected), over_tcp});
+  };
 
   // 1. Known answer: an existing name must come back byte-exact.
-  {
-    const std::size_t rank = rng_.next_below(zone_count);
-    const auto name = zones_.sample_valid_name(rank, rng_);
-    const auto wire = dns::encode(dns::make_query(0, name, dns::RecordType::A));
-    auto expected = reference_.respond_wire(wire, kProbeClient);
-    if (expected) probes.push_back(ProbeQuery{wire, std::move(*expected), false});
-  }
+  add(existing(), false, false);
   // 2. NXDOMAIN: a random subdomain must be denied with the right SOA.
-  {
-    const std::size_t rank = rng_.next_below(zone_count);
-    const auto name = zones_.random_subdomain(rank, rng_);
-    const auto wire = dns::encode(dns::make_query(0, name, dns::RecordType::A));
-    auto expected = reference_.respond_wire(wire, kProbeClient);
-    if (expected) probes.push_back(ProbeQuery{wire, std::move(*expected), false});
-  }
+  add(zones_.random_subdomain(rng_.next_below(zone_count), rng_), false, false);
   // 3. EDNS: an OPT-bearing query must round-trip the negotiation.
-  {
-    const std::size_t rank = rng_.next_below(zone_count);
-    const auto name = zones_.sample_valid_name(rank, rng_);
-    auto query = dns::make_query(0, name, dns::RecordType::A);
-    query.edns.emplace();
-    query.edns->udp_payload_size = 1232;
-    const auto wire = dns::encode(query);
-    auto expected = reference_.respond_wire(wire, kProbeClient);
-    if (expected) probes.push_back(ProbeQuery{wire, std::move(*expected), false});
-  }
+  add(existing(), true, false);
   // 4. TCP (and the TC-retry pair when the zone set produces one).
   if (tc_udp_probe_ && tc_tcp_probe_) {
     probes.push_back(*tc_udp_probe_);
     probes.push_back(*tc_tcp_probe_);
   } else {
-    const std::size_t rank = rng_.next_below(zone_count);
-    const auto name = zones_.sample_valid_name(rank, rng_);
-    const auto wire = dns::encode(dns::make_query(0, name, dns::RecordType::A));
-    auto expected = reference_.respond_wire(wire, kProbeClient, SimTime::origin(),
-                                            dns::kMaxMessageSize);
-    if (expected) probes.push_back(ProbeQuery{wire, std::move(*expected), true});
+    add(existing(), false, true);
   }
   return probes;
 }
@@ -139,97 +123,25 @@ std::optional<std::string> ProbeSuite::run_probe(const ProbeTarget& target,
   wire[0] = static_cast<std::uint8_t>(id >> 8);
   wire[1] = static_cast<std::uint8_t>(id & 0xff);
 
-  std::uint8_t rx[65536];
-  std::size_t rx_len = 0;
-
-  if (!probe.over_tcp) {
-    auto opened = net::UdpSocket::open(Ipv4Addr(127, 0, 0, 1), 0);
-    if (!opened) {
-      ++st.probe_failures;
-      return "udp open: " + opened.error();
-    }
-    net::UdpSocket sock = std::move(opened).take();
-    sockaddr_storage sa{};
-    const Endpoint ep{IpAddr(target.addr), target.dns_port};
-    const socklen_t sa_len = net::sockaddr_from_endpoint(ep, sa);
-    if (::connect(sock.fd(), reinterpret_cast<const sockaddr*>(&sa), sa_len) != 0 ||
-        ::send(sock.fd(), wire.data(), wire.size(), 0) < 0) {
-      ++st.probe_failures;
-      return net::errno_message("udp probe send");
-    }
-    pollfd pfd{sock.fd(), POLLIN, 0};
-    if (::poll(&pfd, 1, config_.timeout_ms) <= 0) {
-      ++st.probe_failures;
-      return "udp probe timeout";
-    }
-    const ssize_t n = ::recv(sock.fd(), rx, sizeof(rx), 0);
-    if (n < 2) {
-      ++st.probe_failures;
-      return "udp probe recv failed";
-    }
-    rx_len = static_cast<std::size_t>(n);
-  } else {
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) {
-      ++st.probe_failures;
-      return net::errno_message("tcp socket");
-    }
-    net::FdHandle handle(fd);
-    timeval tv{config_.timeout_ms / 1000, (config_.timeout_ms % 1000) * 1000};
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    sockaddr_storage sa{};
-    const Endpoint ep{IpAddr(target.addr), target.dns_port};
-    const socklen_t sa_len = net::sockaddr_from_endpoint(ep, sa);
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&sa), sa_len) != 0) {
-      ++st.probe_failures;
-      return net::errno_message("tcp probe connect");
-    }
-    std::vector<std::uint8_t> framed;
-    framed.reserve(wire.size() + 2);
-    framed.push_back(static_cast<std::uint8_t>(wire.size() >> 8));
-    framed.push_back(static_cast<std::uint8_t>(wire.size() & 0xff));
-    framed.insert(framed.end(), wire.begin(), wire.end());
-    if (::send(fd, framed.data(), framed.size(), MSG_NOSIGNAL) !=
-        static_cast<ssize_t>(framed.size())) {
-      ++st.probe_failures;
-      return net::errno_message("tcp probe send");
-    }
-    std::uint8_t header[2];
-    std::size_t got = 0;
-    while (got < 2) {
-      const ssize_t n = ::recv(fd, header + got, 2 - got, 0);
-      if (n <= 0) {
-        ++st.probe_failures;
-        return "tcp probe: short frame header";
-      }
-      got += static_cast<std::size_t>(n);
-    }
-    const std::size_t frame_len = (static_cast<std::size_t>(header[0]) << 8) | header[1];
-    if (frame_len < 2 || frame_len > sizeof(rx)) {
-      ++st.probe_failures;
-      return "tcp probe: bad frame length";
-    }
-    got = 0;
-    while (got < frame_len) {
-      const ssize_t n = ::recv(fd, rx + got, frame_len - got, 0);
-      if (n <= 0) {
-        ++st.probe_failures;
-        return "tcp probe: short frame body";
-      }
-      got += static_cast<std::size_t>(n);
-    }
-    rx_len = frame_len;
-  }
-
-  const std::uint16_t rx_id = static_cast<std::uint16_t>((rx[0] << 8) | rx[1]);
-  if (rx_id != id) {
+  // One deadline for the whole probe: connect, send and the reply.
+  const std::string what = probe.over_tcp ? "tcp probe: " : "udp probe: ";
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(config_.timeout_ms);
+  auto opened = net::StubClient::open(Endpoint{IpAddr(target.addr), target.dns_port},
+                                      probe.over_tcp ? net::Transport::Tcp : net::Transport::Udp,
+                                      deadline);
+  if (!opened) {
     ++st.probe_failures;
-    return "probe: transaction id mismatch";
+    return what + opened.error();
   }
-  if (!bytes_match(rx, rx_len, probe.expected)) {
+  const net::StubResult reply = opened.value().ask(wire, deadline);
+  if (!reply) {
+    ++st.probe_failures;
+    return what + reply.error;
+  }
+  if (!bytes_match(reply.reply, probe.expected)) {
     ++st.byte_mismatches;
-    return probe.over_tcp ? "tcp probe: byte mismatch" : "udp probe: byte mismatch";
+    return what + "byte mismatch";
   }
   return std::nullopt;
 }
@@ -259,7 +171,8 @@ void ProbeSuite::advisory_scrape(const ProbeTarget& target, MachineProbeState& s
 
 void ProbeSuite::run_round() {
   const auto targets = targets_fn_ ? targets_fn_() : std::vector<ProbeTarget>{};
-  const std::uint64_t round = rounds_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  ++stats_.rounds;
+  const std::uint64_t round = stats_.rounds.value();
   const bool scrape_round = config_.advisory_every > 0 &&
                             round % static_cast<std::uint64_t>(config_.advisory_every) == 0;
   const auto probes = build_round_queries();

@@ -33,6 +33,7 @@
 
 #include "common/ip.hpp"
 #include "common/rng.hpp"
+#include "obs/series.hpp"
 #include "pop/suspension.hpp"
 #include "server/responder.hpp"
 #include "workload/zones.hpp"
@@ -89,6 +90,16 @@ struct MachineProbeState {
   std::string last_error;
 };
 
+/// The probe suite's counters; the probing thread is their one writer.
+struct ProbeSuiteStats {
+  obs::Counter rounds;  // probe rounds completed
+
+  static constexpr obs::SeriesRow<ProbeSuiteStats> kSeries[] = {
+      {{"akadns_fleet_probe_rounds_total", "", "probe rounds completed"}, "",
+       &ProbeSuiteStats::rounds},
+  };
+};
+
 struct ProbeQuotaView {
   std::size_t fleet_size = 0;
   std::size_t suspended = 0;
@@ -125,8 +136,8 @@ class ProbeSuite {
   std::vector<MachineProbeState> states() const;
   std::optional<MachineProbeState> state_of(const std::string& id) const;
   ProbeQuotaView quota_view() const;
-  std::uint64_t rounds_completed() const noexcept {
-    return rounds_.load(std::memory_order_acquire);
+  void register_metrics(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
+    obs::register_series(reg, base, stats_);
   }
 
  private:
@@ -159,7 +170,7 @@ class ProbeSuite {
   mutable std::mutex mu_;
   std::unordered_map<std::string, MachineProbeState> states_;
   std::unordered_map<std::string, bool> injected_failures_;
-  std::atomic<std::uint64_t> rounds_{0};
+  ProbeSuiteStats stats_;
 
   std::thread thread_;
   std::atomic<bool> running_{false};

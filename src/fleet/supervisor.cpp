@@ -111,6 +111,7 @@ void Supervisor::poll() {
             slot.respawn_at_ms = -1;
             slot.announced_up = false;
             ++slot.restarts;
+            ++stats_.restarts;
             slot.proc = MachineProcess(spec_for(i));
             (void)slot.proc.spawn();  // a failed spawn re-enters via Exited/Idle
             if (slot.proc.state() == MachineProcess::State::Idle) {
@@ -214,13 +215,6 @@ std::size_t Supervisor::up_count() const {
   for (const auto& slot : slots_) {
     if (slot.proc.state() == MachineProcess::State::Ready) ++n;
   }
-  return n;
-}
-
-std::uint64_t Supervisor::total_restarts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t n = 0;
-  for (const auto& slot : slots_) n += slot.restarts;
   return n;
 }
 

@@ -12,7 +12,8 @@
 // Everything runs off a single poll() the owner calls from its main
 // loop; no thread per child, no signals consumed in the parent. Other
 // threads (the probe suite, a stats exporter) observe the fleet through
-// snapshot()/up_count()/total_restarts() and poke it through
+// snapshot()/up_count() (and the lock-free counters register_metrics()
+// exports) and poke it through
 // signal_machine() — those entry points and poll() share one internal
 // mutex, so a respawn in poll() can never race a reader mid
 // move-assignment of the slot's MachineProcess.
@@ -26,8 +27,18 @@
 
 #include "common/result.hpp"
 #include "fleet/machine_process.hpp"
+#include "obs/series.hpp"
 
 namespace akadns::fleet {
+
+/// The supervisor's counters; poll() is their one writer.
+struct SupervisorStats {
+  obs::Counter restarts;  // machines respawned, over every slot
+
+  static constexpr obs::SeriesRow<SupervisorStats> kSeries[] = {
+      {{"akadns_fleet_restarts_total", "", "machine restarts"}, "", &SupervisorStats::restarts},
+  };
+};
 
 struct SupervisorConfig {
   std::string serve_binary;
@@ -114,7 +125,9 @@ class Supervisor {
   std::size_t restarts(std::size_t index) const;
   /// Machines currently in the Ready state.
   std::size_t up_count() const;
-  std::uint64_t total_restarts() const;
+  void register_metrics(obs::MetricRegistry& reg, const obs::LabelSet& base) const {
+    obs::register_series(reg, base, stats_);
+  }
 
  private:
   struct Slot {
@@ -137,6 +150,7 @@ class Supervisor {
   mutable std::mutex mu_;
   std::vector<Slot> slots_;
   bool stopping_ = false;
+  SupervisorStats stats_;
 };
 
 }  // namespace akadns::fleet

@@ -18,7 +18,6 @@
 // byte-for-byte without any side channel — including the deterministic
 // --flip-after-ms evolution (workload::evolved_zone).
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -39,6 +38,7 @@
 #include "dns/wire.hpp"
 #include "net/ready_line.hpp"
 #include "net/server.hpp"
+#include "net/stub_client.hpp"
 #include "net/zone_sync.hpp"
 #include "obs/exposition.hpp"
 #include "obs/registry.hpp"
@@ -131,29 +131,22 @@ std::optional<akadns::dns::DnsName> publish_zone_file(
   return apex;
 }
 
-/// Fire-and-forget NOTIFY datagram (RFC 1996). The secondary's refresh
+/// Fire-and-forget NOTIFY datagrams (RFC 1996). The secondary's refresh
 /// loop is the reliability mechanism; the NOTIFY only shortens the wait.
-void send_notify(const akadns::Endpoint& target, const akadns::dns::DnsName& apex,
-                 std::uint32_t serial, std::uint16_t id) {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return;
-  sockaddr_storage dst{};
-  const socklen_t len = akadns::net::sockaddr_from_endpoint(target, dst);
-  const auto wire =
-      akadns::dns::encode(akadns::propagation::TransferService::make_notify(apex, serial, id));
-  (void)::sendto(fd, wire.data(), wire.size(), MSG_NOSIGNAL,
-                 reinterpret_cast<const sockaddr*>(&dst), len);
-  ::close(fd);
-}
-
 void notify_all(const std::vector<akadns::Endpoint>& targets,
                 akadns::propagation::ZonePublisher& publisher,
                 const akadns::dns::DnsName& apex, std::uint16_t& next_id) {
+  using akadns::net::StubClient;
   if (targets.empty()) return;
   const auto compiled = publisher.snapshot(apex);
   if (!compiled) return;
+  // A deadline of now: a datagram goes if the socket takes it at once.
+  const auto now = StubClient::Deadline::clock::now();
   for (const auto& target : targets) {
-    send_notify(target, apex, compiled->source()->serial(), next_id++);
+    const auto wire = akadns::dns::encode(akadns::propagation::TransferService::make_notify(
+        apex, compiled->source()->serial(), next_id++));
+    auto client = StubClient::open(target, akadns::net::Transport::Udp, now);
+    if (client) (void)client.value().send(wire, now);
   }
 }
 

@@ -1,21 +1,15 @@
 #include "net/zone_sync.hpp"
 
-#include <poll.h>
 #include <sys/eventfd.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstring>
-#include <limits>
 
 #include "common/rng.hpp"
 #include "dns/wire.hpp"
-#include "net/tcp_framing.hpp"
-#include "propagation/transfer_service.hpp"
+#include "net/stub_client.hpp"
 
 namespace akadns::net {
 
@@ -70,12 +64,12 @@ bool stream_complete(const std::vector<Message>& stream, std::uint32_t client_se
 }  // namespace
 
 SecondarySync::SecondarySync(SecondaryConfig config, propagation::ZonePublisher& publisher)
-    : config_(std::move(config)), publisher_(publisher) {
+    : config_(std::move(config)),
+      publisher_(publisher),
+      stop_event_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
   freshness_ = config_.freshness
                    ? config_.freshness
                    : std::make_shared<propagation::FreshnessTracker>(config_.freshness_caps);
-  const int efd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  stop_event_ = FdHandle(efd);
 }
 
 void SecondarySync::start() {
@@ -98,8 +92,9 @@ void SecondarySync::stop() {
     if (!running_) return;
     stop_requested_ = true;
   }
-  // Two wake paths: the condvar for a thread between passes, the eventfd
-  // for one blocked in poll() against an unresponsive primary.
+  // Two wake paths: the condvar for a thread between passes or in a
+  // fault-hook delay, the eventfd (the stub client's stop fd) for one
+  // waiting on an unresponsive primary.
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n = ::write(stop_event_.get(), &one, sizeof(one));
   wake_.notify_all();
@@ -274,41 +269,10 @@ void SecondarySync::register_metrics(obs::MetricRegistry& reg,
       obs::GaugeAgg::Max, "deepest per-apex refresh backoff level (0 = healthy)");
 }
 
-// ---------------------------------------------------------------------------
-// interruptible socket plumbing
-// ---------------------------------------------------------------------------
-
-SecondarySync::IoWait SecondarySync::wait_io(int fd, short events, std::int64_t deadline_ns) {
-  while (true) {
-    const std::int64_t now = now_ns();
-    if (now >= deadline_ns) return IoWait::Timeout;
-    pollfd fds[2] = {{fd, events, 0}, {stop_event_.get(), POLLIN, 0}};
-    const auto timeout_ms =
-        static_cast<int>(std::min<std::int64_t>((deadline_ns - now + 999'999) / 1'000'000,
-                                                std::numeric_limits<int>::max()));
-    const int n = ::poll(fds, 2, timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return IoWait::Timeout;
-    }
-    if (n == 0) return IoWait::Timeout;
-    if (fds[1].revents != 0) return IoWait::Stopped;
-    if (fds[0].revents != 0) return IoWait::Ready;
-  }
-}
-
 bool SecondarySync::interruptible_sleep(Duration d) {
-  const std::int64_t deadline = now_ns() + d.count_nanos();
-  while (true) {
-    const std::int64_t now = now_ns();
-    if (now >= deadline) return false;
-    pollfd fds[1] = {{stop_event_.get(), POLLIN, 0}};
-    const auto timeout_ms = static_cast<int>((deadline - now + 999'999) / 1'000'000);
-    const int n = ::poll(fds, 1, timeout_ms);
-    if (n < 0 && errno == EINTR) continue;
-    if (n > 0) return true;
-    if (n == 0) return false;
-  }
+  std::unique_lock<std::mutex> lock(mutex_);
+  return wake_.wait_for(lock, std::chrono::nanoseconds(d.count_nanos()),
+                        [this] { return stop_requested_; });
 }
 
 bool SecondarySync::hook_fate(propagation::SyncOp op) {
@@ -385,82 +349,39 @@ std::optional<SoaRecord> SecondarySync::held_soa(const dns::DnsName& apex) const
 
 Result<SoaRecord> SecondarySync::probe_soa(const dns::DnsName& apex) {
   if (hook_fate(SyncOp::ProbeSend)) return Error{"probe send faulted"};
-  const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) return Error{errno_message("socket")};
-  const FdHandle handle(fd);
-  sockaddr_storage primary{};
-  const socklen_t len = sockaddr_from_endpoint(
-      Endpoint{IpAddr(config_.primary_addr), config_.primary_port}, primary);
-  // connect() scopes recv() to the primary — stray datagrams from other
-  // sources never reach the decoder.
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&primary), len) != 0) {
-    return Error{errno_message("connect")};
-  }
+  const auto deadline = StubClient::deadline_in(config_.io_timeout);
+  auto opened = StubClient::open(primary(), Transport::Udp, deadline, stop_event_.get());
+  if (!opened) return Error{opened.error()};
+  StubClient& client = opened.value();
 
   const std::uint16_t id = next_transaction_id();
-  const auto wire = dns::encode(TransferService::make_soa_query(apex, id));
-  if (::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL) < 0) {
-    return Error{errno_message("send")};
-  }
+  const StubResult sent =
+      client.send(dns::encode(TransferService::make_soa_query(apex, id)), deadline);
+  if (!sent) return Error{"SOA probe send: " + sent.error};
   if (hook_fate(SyncOp::ProbeRecv)) return Error{"probe recv faulted"};
 
-  const std::int64_t deadline = now_ns() + config_.io_timeout.count_nanos();
-  std::vector<std::uint8_t> buffer(64 * 1024);
-  while (true) {
-    switch (wait_io(fd, POLLIN, deadline)) {
-      case IoWait::Timeout:
-        return Error{"SOA probe timed out for " + apex.to_string()};
-      case IoWait::Stopped:
-        return Error{"stopping"};
-      case IoWait::Ready:
-        break;
-    }
-    const ssize_t n = ::recv(fd, buffer.data(), buffer.size(), 0);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return Error{errno_message("recv")};
-    }
-    auto response = dns::decode({buffer.data(), static_cast<std::size_t>(n)});
-    if (!response) continue;                        // junk datagram
-    if (response.value().header.id != id) continue; // stale reply
-    if (response.value().header.rcode != dns::Rcode::NoError) {
-      return Error{"SOA probe refused for " + apex.to_string()};
-    }
-    for (const ResourceRecord& rr : response.value().answers) {
-      if (rr.type() == RecordType::SOA) return std::get<SoaRecord>(rr.rdata);
-    }
-    return Error{"SOA probe reply carried no SOA for " + apex.to_string()};
+  const StubResult got = client.await_reply(id, deadline);
+  if (!got) return Error{"SOA probe for " + apex.to_string() + ": " + got.error};
+  const auto response = dns::decode(got.reply);
+  if (!response) return Error{"SOA probe reply for " + apex.to_string() + ": " + response.error()};
+  if (response.value().header.rcode != dns::Rcode::NoError) {
+    return Error{"SOA probe refused for " + apex.to_string()};
   }
+  for (const ResourceRecord& rr : response.value().answers) {
+    if (rr.type() == RecordType::SOA) return std::get<SoaRecord>(rr.rdata);
+  }
+  return Error{"SOA probe reply carried no SOA for " + apex.to_string()};
 }
 
 Result<bool> SecondarySync::transfer(const dns::DnsName& apex, std::uint32_t have_serial,
                                      bool have_zone) {
   const std::uint16_t id = next_transaction_id();
   const std::uint32_t client_serial = have_zone ? have_serial : 0;
-  const Message query = have_zone ? TransferService::make_ixfr_query(apex, have_serial, id)
-                                  : TransferService::make_axfr_query(apex, id);
-
-  TransferReject reject = TransferReject::Io;
-  auto stream = exchange(query, client_serial, reject);
-  if (!stream) {
-    note_reject(reject);
-    return Error{std::move(stream).error()};
-  }
-  // The integrity gate: a truncated, regressive, or corrupt stream is
-  // counted and dropped here — the publisher never sees it, the held
-  // zone and generation stay untouched.
-  if (const auto bad =
-          propagation::validate_stream(stream.value(), client_serial, config_.limits)) {
-    note_reject(*bad);
-    return Error{"transfer for " + apex.to_string() +
-                 " rejected: " + propagation::to_string(*bad)};
-  }
-  auto payload = TransferService::parse_transfer_response(stream.value(), client_serial);
-  if (!payload) {
-    note_reject(TransferReject::Corrupt);
-    return Error{std::move(payload).error()};
-  }
-
+  auto payload = fetch(apex,
+                       have_zone ? TransferService::make_ixfr_query(apex, have_serial, id)
+                                 : TransferService::make_axfr_query(apex, id),
+                       client_serial);
+  if (!payload) return Error{payload.error()};
   if (payload.value().up_to_date) return false;
 
   if (!payload.value().deltas.empty()) {
@@ -477,22 +398,8 @@ Result<bool> SecondarySync::transfer(const dns::DnsName& apex, std::uint32_t hav
       const std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.fallbacks;
     }
-    reject = TransferReject::Io;
-    auto full_stream = exchange(TransferService::make_axfr_query(apex, id), 0, reject);
-    if (!full_stream) {
-      note_reject(reject);
-      return Error{std::move(full_stream).error()};
-    }
-    if (const auto bad = propagation::validate_stream(full_stream.value(), 0, config_.limits)) {
-      note_reject(*bad);
-      return Error{"transfer for " + apex.to_string() +
-                   " rejected: " + propagation::to_string(*bad)};
-    }
-    payload = TransferService::parse_transfer_response(full_stream.value(), 0);
-    if (!payload) {
-      note_reject(TransferReject::Corrupt);
-      return Error{std::move(payload).error()};
-    }
+    payload = fetch(apex, TransferService::make_axfr_query(apex, id), 0);
+    if (!payload) return Error{payload.error()};
   }
 
   if (!payload.value().full) return Error{"transfer for " + apex.to_string() + " had no body"};
@@ -503,114 +410,79 @@ Result<bool> SecondarySync::transfer(const dns::DnsName& apex, std::uint32_t hav
   return true;
 }
 
-Result<std::vector<Message>> SecondarySync::exchange(const Message& query,
-                                                     std::uint32_t client_serial,
-                                                     TransferReject& reject) {
-  reject = TransferReject::Io;
-  if (hook_fate(SyncOp::TransferConnect)) return Error{"transfer connect faulted"};
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) return Error{errno_message("socket")};
-  const FdHandle handle(fd);
-  sockaddr_storage primary{};
-  const socklen_t len = sockaddr_from_endpoint(
-      Endpoint{IpAddr(config_.primary_addr), config_.primary_port}, primary);
+Result<propagation::TransferPayload> SecondarySync::fetch(const dns::DnsName& apex,
+                                                          const Message& query,
+                                                          std::uint32_t client_serial) {
+  const auto reject = [this](TransferReject reason, std::string why) {
+    note_reject(reason);
+    return Error{std::move(why)};
+  };
+  if (hook_fate(SyncOp::TransferConnect)) {
+    return reject(TransferReject::Io, "transfer connect faulted");
+  }
   // The whole-transfer deadline starts at connect: a peer trickling one
   // byte per io_timeout can stretch each *operation* but not the sum.
-  const std::int64_t transfer_deadline = now_ns() + config_.transfer_deadline.count_nanos();
+  const auto transfer_deadline = StubClient::deadline_in(config_.transfer_deadline);
   const auto op_deadline = [&] {
-    return std::min(now_ns() + config_.io_timeout.count_nanos(), transfer_deadline);
+    return std::min(StubClient::deadline_in(config_.io_timeout), transfer_deadline);
   };
+  auto opened = StubClient::open(primary(), Transport::Tcp, op_deadline(), stop_event_.get());
+  if (!opened) return reject(TransferReject::Io, "transfer " + opened.error());
+  StubClient& client = opened.value();
 
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&primary), len) != 0) {
-    if (errno != EINPROGRESS) return Error{errno_message("connect")};
-    switch (wait_io(fd, POLLOUT, op_deadline())) {
-      case IoWait::Timeout:
-        return Error{"transfer connect timed out"};
-      case IoWait::Stopped:
-        return Error{"stopping"};
-      case IoWait::Ready:
-        break;
-    }
-    int err = 0;
-    socklen_t err_len = sizeof(err);
-    ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len);
-    if (err != 0) {
-      errno = err;
-      return Error{errno_message("connect")};
-    }
+  if (hook_fate(SyncOp::TransferWrite)) {
+    return reject(TransferReject::Io, "transfer write faulted");
+  }
+  const StubResult sent =
+      client.send(dns::encode(query, {.max_size = dns::kMaxMessageSize}), op_deadline());
+  if (!sent) {
+    return reject(sent.failure == StubFailure::Timeout ? TransferReject::Deadline
+                                                       : TransferReject::Io,
+                  "transfer write: " + sent.error);
   }
 
-  if (hook_fate(SyncOp::TransferWrite)) return Error{"transfer write faulted"};
-  const auto wire = dns::encode(query, {.max_size = dns::kMaxMessageSize});
-  const auto prefix = frame_prefix(wire.size());
-  std::vector<std::uint8_t> framed(prefix.begin(), prefix.end());
-  framed.insert(framed.end(), wire.begin(), wire.end());
-  std::size_t off = 0;
-  while (off < framed.size()) {
-    const ssize_t n = ::send(fd, framed.data() + off, framed.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        switch (wait_io(fd, POLLOUT, op_deadline())) {
-          case IoWait::Timeout:
-            reject = TransferReject::Deadline;
-            return Error{"transfer write deadline exceeded"};
-          case IoWait::Stopped:
-            return Error{"stopping"};
-          case IoWait::Ready:
-            continue;
-        }
-      }
-      return Error{errno_message("send")};
-    }
-    off += static_cast<std::size_t>(n);
-  }
-
-  FrameDecoder decoder(65535);
   std::vector<Message> stream;
-  std::vector<std::uint8_t> buffer(64 * 1024);
   std::size_t total_bytes = 0;
-  while (true) {
-    if (hook_fate(SyncOp::TransferRead)) return Error{"transfer read faulted"};
-    switch (wait_io(fd, POLLIN, op_deadline())) {
-      case IoWait::Timeout:
-        reject = TransferReject::Deadline;
-        return Error{now_ns() >= transfer_deadline ? "transfer deadline exceeded"
-                                                   : "transfer read deadline exceeded"};
-      case IoWait::Stopped:
-        return Error{"stopping"};
-      case IoWait::Ready:
+  while (!stream_complete(stream, client_serial)) {
+    if (hook_fate(SyncOp::TransferRead)) {
+      return reject(TransferReject::Io, "transfer read faulted");
+    }
+    const StubResult got = client.receive(op_deadline());
+    switch (got.failure) {
+      case StubFailure::None:
         break;
+      case StubFailure::Timeout:
+        return reject(TransferReject::Deadline,
+                      std::chrono::steady_clock::now() >= transfer_deadline
+                          ? "transfer deadline exceeded"
+                          : "transfer read deadline exceeded");
+      case StubFailure::Closed:  // the primary closed the connection mid-body
+        return reject(TransferReject::Truncated, "transfer stream ended mid-body");
+      case StubFailure::BadFrame:
+        return reject(TransferReject::Oversize, "bad transfer frame: " + got.error);
+      case StubFailure::Stopped:
+      case StubFailure::Io:
+        return reject(TransferReject::Io, "transfer read: " + got.error);
     }
-    const ssize_t n = ::recv(fd, buffer.data(), buffer.size(), 0);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return Error{errno_message("recv")};
-    }
-    if (n == 0) break;  // primary closed the connection
-    total_bytes += static_cast<std::size_t>(n);
+    total_bytes += got.reply.size() + 2;  // with the length prefix
     if (total_bytes > config_.limits.max_bytes) {
-      reject = TransferReject::Oversize;
-      return Error{"transfer exceeded the byte budget"};
+      return reject(TransferReject::Oversize, "transfer exceeded the byte budget");
     }
-    decoder.feed({buffer.data(), static_cast<std::size_t>(n)});
-    while (auto frame = decoder.next()) {
-      auto message = dns::decode(*frame);
-      if (!message) {
-        reject = TransferReject::Corrupt;
-        return Error{"bad transfer frame: " + message.error()};
-      }
-      stream.push_back(std::move(message).take());
-    }
-    if (decoder.poisoned()) {
-      reject = TransferReject::Oversize;
-      return Error{"oversized transfer frame"};
-    }
-    if (stream_complete(stream, client_serial)) return stream;
+    auto message = dns::decode(got.reply);
+    if (!message) return reject(TransferReject::Corrupt, "bad transfer frame: " + message.error());
+    stream.push_back(std::move(message).take());
   }
-  if (stream_complete(stream, client_serial)) return stream;
-  reject = TransferReject::Truncated;
-  return Error{"transfer stream ended mid-body"};
+
+  // The integrity gate: a truncated, regressive, or corrupt stream is
+  // counted and dropped here — the publisher never sees it, the held
+  // zone and generation stay untouched.
+  if (const auto bad = propagation::validate_stream(stream, client_serial, config_.limits)) {
+    return reject(*bad, "transfer for " + apex.to_string() +
+                            " rejected: " + propagation::to_string(*bad));
+  }
+  auto payload = TransferService::parse_transfer_response(stream, client_serial);
+  if (!payload) return reject(TransferReject::Corrupt, payload.error());
+  return payload;
 }
 
 SecondaryStats SecondarySync::stats() const {

@@ -7,9 +7,10 @@
 // notify_kick()) collapse the refresh interval to "now".
 //
 // Hardened for a hostile network (the degradation ladder):
-//   * Every socket operation is nonblocking and polled together with a
-//     stop eventfd, so stop() interrupts a probe or transfer stalled on
-//     a blackholed primary immediately instead of waiting out SO_RCVTIMEO.
+//   * Probes and transfers ask through the one StubClient
+//     (net/stub_client.hpp) with the stop eventfd as its stop fd, so
+//     stop() interrupts a probe or transfer stalled on a blackholed
+//     primary immediately instead of waiting out its deadline.
 //   * Failures back off per apex: exponential with +/-20% deterministic
 //     jitter, clamped by the zone's own SOA retry. A NOTIFY collapses
 //     the backoff — the primary just told us it has news.
@@ -42,6 +43,7 @@
 #include "propagation/fault_hooks.hpp"
 #include "propagation/freshness.hpp"
 #include "propagation/transfer_guard.hpp"
+#include "propagation/transfer_service.hpp"
 #include "propagation/zone_publisher.hpp"
 
 namespace akadns::net {
@@ -195,15 +197,13 @@ class SecondarySync {
   Result<bool> transfer(const dns::DnsName& apex, std::uint32_t have_serial, bool have_zone);
   /// One framed TCP exchange under the transfer deadline and byte
   /// budget: sends `query`, reads messages until the SOA-delimited
-  /// stream is complete. On failure `reject` carries the taxonomy
-  /// reason (io / deadline / oversize / ...).
-  Result<std::vector<dns::Message>> exchange(const dns::Message& query,
-                                             std::uint32_t client_serial,
-                                             propagation::TransferReject& reject);
+  /// stream is complete, vets it (transfer_guard) and parses it. A
+  /// failure is counted under its reject reason (io / deadline / ...).
+  Result<propagation::TransferPayload> fetch(const dns::DnsName& apex,
+                                             const dns::Message& query,
+                                             std::uint32_t client_serial);
 
-  enum class IoWait { Ready, Timeout, Stopped };
-  /// Polls `fd` for `events` together with the stop eventfd.
-  IoWait wait_io(int fd, short events, std::int64_t deadline_ns);
+  Endpoint primary() const { return {IpAddr(config_.primary_addr), config_.primary_port}; }
   /// Sleeps `d`, interruptible by stop(). True if stop was requested.
   bool interruptible_sleep(Duration d);
   /// Consults the fault hook for `op`; true means "fail this op".

@@ -7,8 +7,9 @@
 // past the deadline. FaultHooks is the seam — ZoneSync and
 // TransferService consult it before each operation and honor whatever
 // fate it returns. Production leaves the pointer null (checked once,
-// no overhead); tests install chaos::PlanInjector (plan-driven, same
-// SplitMix64 determinism as the relay) or a hand-scripted hook.
+// no overhead); tests install chaos::ScriptedInjector, which replays
+// the exact fates a test scripts. A FaultPlan does not drive these
+// hooks: it acts only on sockets, in the relay.
 //
 // This header is dependency-free on purpose: chaos/ links against
 // propagation-level code, so the interface must live below it to keep

@@ -17,7 +17,6 @@
 namespace akadns::chaos {
 namespace {
 
-using propagation::OpFate;
 using propagation::SyncOp;
 
 FaultSpec everything_spec() {
@@ -144,49 +143,6 @@ TEST(FaultStream, ResetWinsOverStallAndCorruptMaskIsNeverZero) {
     ASSERT_GE(fate.corrupt_offset, 0) << i;
     // An XOR mask of zero would be a no-op "corruption".
     ASSERT_NE(fate.corrupt_mask, 0) << i;
-  }
-}
-
-TEST(PlanInjector, SamePlanReproducesTheSameFateSequence) {
-  FaultPlan plan;
-  plan.up.loss = 0.4;
-  plan.up.delay = Duration::millis(2);
-  plan.down.loss = 0.25;
-  plan.seed = 1234;
-
-  PlanInjector a(plan);
-  PlanInjector b(plan);
-  for (int i = 0; i < 256; ++i) {
-    for (const SyncOp op : {SyncOp::ProbeSend, SyncOp::ProbeRecv, SyncOp::TransferRead}) {
-      const OpFate fa = a.on_op(op);
-      const OpFate fb = b.on_op(op);
-      ASSERT_EQ(fa.fail, fb.fail) << i;
-      ASSERT_EQ(fa.delay.count_nanos(), fb.delay.count_nanos()) << i;
-    }
-  }
-}
-
-TEST(PlanInjector, EachOperationClassHasItsOwnOrdinalSpace) {
-  // Interleaving ops must not perturb any single op's fate sequence:
-  // "the third transfer read fails" holds no matter what the probes did
-  // in between.
-  FaultPlan plan;
-  plan.up.loss = 0.5;
-  plan.down.loss = 0.5;
-  plan.seed = 99;
-
-  PlanInjector interleaved(plan);
-  std::vector<bool> reads_a;
-  for (int i = 0; i < 64; ++i) {
-    interleaved.on_op(SyncOp::ProbeSend);
-    reads_a.push_back(interleaved.on_op(SyncOp::TransferRead).fail);
-    interleaved.on_op(SyncOp::ProbeRecv);
-  }
-
-  PlanInjector alone(plan);
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_EQ(alone.on_op(SyncOp::TransferRead).fail, reads_a[static_cast<std::size_t>(i)])
-        << i;
   }
 }
 

@@ -10,7 +10,6 @@
 // nonzero shed counters, not absolute rates) so the test holds under
 // sanitizers and loaded CI machines.
 
-#include <poll.h>
 #include <sys/socket.h>
 
 #include <gtest/gtest.h>
@@ -23,6 +22,7 @@
 #include "dns/wire.hpp"
 #include "net/loadgen.hpp"
 #include "net/server.hpp"
+#include "net/stub_client.hpp"
 #include "net/tcp_framing.hpp"
 #include "workload/population.hpp"
 #include "workload/replay.hpp"
@@ -34,46 +34,21 @@ namespace {
 
 using Steady = std::chrono::steady_clock;
 
-/// A TCP client that frames queries and reads framed answers.
-struct TcpClient {
-  FdHandle fd;
-  FrameDecoder decoder;
+StubClient open_tcp(std::uint16_t port) {
+  return StubClient::open(Endpoint{IpAddr(Ipv4Addr(127, 0, 0, 1)), port}, Transport::Tcp,
+                          StubClient::deadline_in(Duration::seconds(1)))
+      .take();
+}
 
-  explicit TcpClient(std::uint16_t port, int rcvbuf = 0)
-      : fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0)) {
-    if (rcvbuf > 0) ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
-    sockaddr_storage dst{};
-    const socklen_t len =
-        sockaddr_from_endpoint(Endpoint{IpAddr(Ipv4Addr(127, 0, 0, 1)), port}, dst);
-    EXPECT_EQ(::connect(fd.get(), reinterpret_cast<const sockaddr*>(&dst), len), 0);
-  }
+void send(StubClient& tcp, const std::vector<std::uint8_t>& wire) {
+  const StubResult sent = tcp.send(wire, StubClient::deadline_in(Duration::seconds(1)));
+  EXPECT_TRUE(sent) << sent.error;
+}
 
-  void send(const std::vector<std::uint8_t>& wire) {
-    const auto prefix = frame_prefix(wire.size());
-    std::vector<std::uint8_t> framed(prefix.begin(), prefix.end());
-    framed.insert(framed.end(), wire.begin(), wire.end());
-    EXPECT_EQ(::send(fd.get(), framed.data(), framed.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(framed.size()));
-  }
-
-  /// True when one whole answer arrives within `timeout_ms`.
-  bool answered(int timeout_ms) {
-    const auto deadline = Steady::now() + std::chrono::milliseconds(timeout_ms);
-    while (!decoder.next()) {
-      const auto left =
-          std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Steady::now());
-      pollfd pfd{fd.get(), POLLIN, 0};
-      if (left.count() <= 0 || ::poll(&pfd, 1, static_cast<int>(left.count())) != 1) {
-        return false;
-      }
-      std::uint8_t buf[4096];
-      const ssize_t n = ::recv(fd.get(), buf, sizeof(buf), 0);
-      if (n <= 0) return false;
-      decoder.feed({buf, static_cast<std::size_t>(n)});
-    }
-    return true;
-  }
-};
+/// True when one whole answer arrives within `timeout_ms`.
+bool answered(StubClient& tcp, int timeout_ms) {
+  return static_cast<bool>(tcp.receive(StubClient::deadline_in(Duration::millis(timeout_ms))));
+}
 
 std::uint64_t frontend_event(const Server& server, const char* event) {
   return server.metrics_snapshot().sum("akadns_frontend_total",
@@ -201,9 +176,9 @@ TEST(NetDefenseShed, QueryOfDeathRulesDropOnTheReceivePath) {
   // The same query over TCP meets the same rule: no answer, one more
   // Firewall drop.
   const std::uint64_t udp_firewalled = defense_drops(server, "firewall");
-  TcpClient tcp(server.tcp_port());
-  tcp.send(first.wire);
-  EXPECT_FALSE(tcp.answered(500)) << "firewalled name answered over TCP";
+  StubClient tcp = open_tcp(server.tcp_port());
+  send(tcp, first.wire);
+  EXPECT_FALSE(answered(tcp, 500)) << "firewalled name answered over TCP";
   EXPECT_EQ(defense_drops(server, "firewall"), udp_firewalled + 1);
   server.stop();
 
@@ -230,13 +205,13 @@ TEST(NetDefenseShed, RandomSubdomainFloodOverTcpIsScoredAndShed) {
 
   // The flood never touches UDP. Three sequential misses arm the zone
   // (later ones may already be shed), then 20 probes arrive pipelined.
-  TcpClient tcp(server.tcp_port());
+  StubClient tcp = open_tcp(server.tcp_port());
   std::uint16_t id = 1;
   for (int i = 0; i < 3; ++i) {
-    tcp.send(query("miss" + std::to_string(i) + ".example.com", ++id));
-    tcp.answered(250);
+    send(tcp, query("miss" + std::to_string(i) + ".example.com", ++id));
+    answered(tcp, 250);
   }
-  for (int i = 0; i < 20; ++i) tcp.send(query("probe" + std::to_string(i) + ".example.com", ++id));
+  for (int i = 0; i < 20; ++i) send(tcp, query("probe" + std::to_string(i) + ".example.com", ++id));
 
   // Every flood query is scored once the worker has decoded it.
   const auto scored = [&] { return server.metrics_snapshot().sum("akadns_defense_scored_total"); };
@@ -269,12 +244,21 @@ TEST(NetDefenseShed, TcpClientThatNeverReadsStopsBeingDecoded) {
     burst.insert(burst.end(), prefix.begin(), prefix.end());
     burst.insert(burst.end(), wire.begin(), wire.end());
   }
-  TcpClient tcp(server.tcp_port(), /*rcvbuf=*/4096);
+  // The client that never reads is the subject, so it is built by hand:
+  // its small receive buffer has to be set before connect.
+  FdHandle fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  const int rcvbuf = 4096;
+  ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_storage dst{};
+  const socklen_t len =
+      sockaddr_from_endpoint(Endpoint{IpAddr(Ipv4Addr(127, 0, 0, 1)), server.tcp_port()}, dst);
+  ASSERT_EQ(::connect(fd.get(), reinterpret_cast<const sockaddr*>(&dst), len), 0);
+  StubClient tcp(std::move(fd), Transport::Tcp);
   std::size_t bytes_sent = 0;
   const auto send_without_blocking = [&] {
     for (ssize_t n = 1; n > 0;) {
       const std::size_t off = bytes_sent % burst.size();
-      n = ::send(tcp.fd.get(), burst.data() + off, burst.size() - off,
+      n = ::send(tcp.fd(), burst.data() + off, burst.size() - off,
                  MSG_NOSIGNAL | MSG_DONTWAIT);
       if (n > 0) bytes_sent += static_cast<std::size_t>(n);
     }
@@ -301,7 +285,7 @@ TEST(NetDefenseShed, TcpClientThatNeverReadsStopsBeingDecoded) {
 
   // Reading resumes it: every whole frame sent is answered.
   std::size_t answers = 0;
-  while (answers < bytes_sent / frame_len && tcp.answered(2000)) ++answers;
+  while (answers < bytes_sent / frame_len && answered(tcp, 2000)) ++answers;
   EXPECT_EQ(answers, bytes_sent / frame_len);
   server.stop();
 }

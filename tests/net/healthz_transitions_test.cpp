@@ -6,10 +6,6 @@
 // steer elsewhere. These transitions are what the probe suite's
 // SIGUSR1/SIGUSR2 signals and the supervisor's drain ultimately toggle.
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <string>
@@ -17,6 +13,7 @@
 
 #include "dns/wire.hpp"
 #include "net/server.hpp"
+#include "net/stub_client.hpp"
 #include "obs/stats_http.hpp"
 #include "zone/zone_builder.hpp"
 
@@ -46,22 +43,12 @@ int healthz_status(const std::string& base_url) {
 }
 
 bool answers_query(std::uint16_t port, std::uint16_t id) {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_storage dst{};
-  const socklen_t len = sockaddr_from_endpoint(Endpoint{IpAddr(kLoopback), port}, dst);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&dst), len), 0);
+  const auto deadline = StubClient::deadline_in(Duration::millis(2000));
+  auto client = StubClient::open(Endpoint{IpAddr(kLoopback), port}, Transport::Udp, deadline);
+  EXPECT_TRUE(client) << client.error();
   const auto wire =
       dns::encode(dns::make_query(id, DnsName::from("www.example.com"), RecordType::A));
-  EXPECT_EQ(::send(fd, wire.data(), wire.size(), 0), static_cast<ssize_t>(wire.size()));
-  pollfd pfd{fd, POLLIN, 0};
-  const bool got = ::poll(&pfd, 1, 2000) == 1;
-  if (got) {
-    std::uint8_t buf[4096];
-    EXPECT_GT(::recv(fd, buf, sizeof buf, 0), 0);
-  }
-  ::close(fd);
-  return got;
+  return client && client.value().ask(wire, deadline);
 }
 
 TEST(HealthzTransitions, SuspensionAndDrainFlipReadiness) {

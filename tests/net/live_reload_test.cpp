@@ -4,10 +4,6 @@
 // must never see the old one again — the generation bump has to tear
 // through warm AnswerCache entries, not just cold paths.
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -19,6 +15,7 @@
 #include "dns/wire.hpp"
 #include "net/loadgen.hpp"
 #include "net/server.hpp"
+#include "net/stub_client.hpp"
 #include "propagation/zone_publisher.hpp"
 #include "zone/zone_builder.hpp"
 
@@ -53,11 +50,10 @@ TEST(LiveReloadLoopback, MidRunPublishFlipsAnswersWithoutDrops) {
   auto started = server.start();
   ASSERT_TRUE(started) << started.error();
 
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_storage dst{};
-  const socklen_t dst_len =
-      sockaddr_from_endpoint(Endpoint{IpAddr(kLoopback), server.udp_port()}, dst);
+  auto opened = StubClient::open(Endpoint{IpAddr(kLoopback), server.udp_port()},
+                                 Transport::Udp, StubClient::deadline_in(Duration::seconds(3)));
+  ASSERT_TRUE(opened) << opened.error();
+  StubClient& client = opened.value();
 
   const Ipv4Addr old_addr(10, 9, 0, 1);
   const Ipv4Addr new_addr(10, 9, 0, 2);
@@ -67,17 +63,9 @@ TEST(LiveReloadLoopback, MidRunPublishFlipsAnswersWithoutDrops) {
   const auto ask = [&]() -> std::optional<Ipv4Addr> {
     const auto wire =
         dns::encode(dns::make_query(id++, DnsName::from("www.live.example"), RecordType::A));
-    if (::sendto(fd, wire.data(), wire.size(), 0, reinterpret_cast<const sockaddr*>(&dst),
-                 dst_len) != static_cast<ssize_t>(wire.size())) {
-      return std::nullopt;
-    }
-    pollfd pfd{fd, POLLIN, 0};
-    if (::poll(&pfd, 1, 3000) != 1) return std::nullopt;
-    std::vector<std::uint8_t> buf(4096);
-    const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
-    if (n <= 0) return std::nullopt;
-    buf.resize(static_cast<std::size_t>(n));
-    const auto decoded = dns::decode(buf);
+    const StubResult got = client.ask(wire, StubClient::deadline_in(Duration::seconds(3)));
+    if (!got) return std::nullopt;
+    const auto decoded = dns::decode(got.reply);
     if (!decoded.ok() || decoded.value().answers.empty()) return std::nullopt;
     const auto* a = std::get_if<dns::ARecord>(&decoded.value().answers.front().rdata);
     if (a == nullptr) return std::nullopt;
@@ -113,7 +101,6 @@ TEST(LiveReloadLoopback, MidRunPublishFlipsAnswersWithoutDrops) {
     }
   }
   EXPECT_TRUE(flipped) << "published version never became visible";
-  ::close(fd);
 
   server.stop();
   const auto stats = server.stats();

@@ -19,6 +19,7 @@
 
 #include "dns/wire.hpp"
 #include "net/server.hpp"
+#include "net/stub_client.hpp"
 #include "net/tcp_framing.hpp"
 #include "server/responder.hpp"
 #include "zone/zone_builder.hpp"
@@ -125,47 +126,34 @@ struct LoopbackServer : ::testing::Test {
 
   void TearDown() override { server->stop(); }
 
-  /// One UDP exchange through the real socket stack.
+  StubClient open_client(std::uint16_t port, Transport transport) {
+    return StubClient::open(Endpoint{IpAddr(kLoopback), port}, transport,
+                            StubClient::deadline_in(Duration::seconds(3)))
+        .take();
+  }
+
+  /// One exchange through the real socket stack; empty when no answer
+  /// came within 3 s.
+  static std::vector<std::uint8_t> exchange(StubClient& client,
+                                            const std::vector<std::uint8_t>& query) {
+    const StubResult got = client.ask(query, StubClient::deadline_in(Duration::seconds(3)));
+    return {got.reply.begin(), got.reply.end()};
+  }
+
   std::vector<std::uint8_t> exchange_udp(const std::vector<std::uint8_t>& query) {
-    const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_storage dst{};
-    const socklen_t dst_len = sockaddr_from_endpoint(
-        Endpoint{IpAddr(kLoopback), server->udp_port()}, dst);
-    EXPECT_EQ(::sendto(fd, query.data(), query.size(), 0,
-                       reinterpret_cast<const sockaddr*>(&dst), dst_len),
-              static_cast<ssize_t>(query.size()));
-    pollfd pfd{fd, POLLIN, 0};
-    EXPECT_EQ(::poll(&pfd, 1, 3000), 1) << "no UDP response";
-    std::vector<std::uint8_t> buf(65536);
-    const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
-    ::close(fd);
-    EXPECT_GT(n, 0);
-    buf.resize(n > 0 ? static_cast<std::size_t>(n) : 0);
-    return buf;
+    StubClient udp = open_client(server->udp_port(), Transport::Udp);
+    auto got = exchange(udp, query);
+    EXPECT_FALSE(got.empty()) << "no UDP response";
+    return got;
   }
 
-  /// Blocking read of exactly one length-framed TCP response.
-  static std::vector<std::uint8_t> read_frame(int fd) {
-    const auto read_exact = [&](std::uint8_t* out, std::size_t want) {
-      std::size_t got = 0;
-      while (got < want) {
-        pollfd pfd{fd, POLLIN, 0};
-        if (::poll(&pfd, 1, 3000) != 1) return false;
-        const ssize_t n = ::recv(fd, out + got, want - got, 0);
-        if (n <= 0) return false;
-        got += static_cast<std::size_t>(n);
-      }
-      return true;
-    };
-    std::uint8_t prefix[2];
-    if (!read_exact(prefix, 2)) return {};
-    const std::size_t len = (static_cast<std::size_t>(prefix[0]) << 8) | prefix[1];
-    std::vector<std::uint8_t> payload(len);
-    if (!read_exact(payload.data(), len)) return {};
-    return payload;
+  /// The next framed TCP answer; empty when none came within 3 s.
+  static std::vector<std::uint8_t> read_frame(StubClient& tcp) {
+    const StubResult got = tcp.receive(StubClient::deadline_in(Duration::seconds(3)));
+    return {got.reply.begin(), got.reply.end()};
   }
 
+  // The empty-frame test's peer misbehaves, so it keeps a raw socket.
   int connect_tcp() {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd, 0);
@@ -195,21 +183,15 @@ TEST_F(LoopbackServer, UdpByteIdenticalToSimResponder) {
 TEST_F(LoopbackServer, TcpByteIdenticalToSimResponder) {
   server::Responder reference(store);
   const Endpoint local_client{IpAddr(kLoopback), 1};
-  const int fd = connect_tcp();
+  StubClient tcp = open_client(server->tcp_port(), Transport::Tcp);
   for (const auto& q : make_corpus()) {
-    const auto prefix = frame_prefix(q.wire.size());
-    std::vector<std::uint8_t> framed(prefix.begin(), prefix.end());
-    framed.insert(framed.end(), q.wire.begin(), q.wire.end());
-    ASSERT_EQ(::send(fd, framed.data(), framed.size(), 0),
-              static_cast<ssize_t>(framed.size()));
-    const auto got = read_frame(fd);
+    const auto got = exchange(tcp, q.wire);
     ASSERT_FALSE(got.empty()) << "no TCP response: " << q.label;
     auto want = reference.respond_wire(q.wire, local_client, SimTime::origin(),
                                        dns::kMaxMessageSize);
     ASSERT_TRUE(want.has_value()) << q.label;
     EXPECT_EQ(got, *want) << "TCP response diverged from sim Responder: " << q.label;
   }
-  ::close(fd);
 }
 
 TEST_F(LoopbackServer, TruncatedOverUdpCompleteOverTcp) {
@@ -226,13 +208,8 @@ TEST_F(LoopbackServer, TruncatedOverUdpCompleteOverTcp) {
   EXPECT_TRUE(udp_decoded.value().header.tc) << "512-byte limit must truncate the fat TXT";
   EXPECT_LE(udp_response.size(), 512u);
 
-  const int fd = connect_tcp();
-  const auto prefix = frame_prefix(wire.size());
-  std::vector<std::uint8_t> framed(prefix.begin(), prefix.end());
-  framed.insert(framed.end(), wire.begin(), wire.end());
-  ASSERT_EQ(::send(fd, framed.data(), framed.size(), 0), static_cast<ssize_t>(framed.size()));
-  const auto tcp_response = read_frame(fd);
-  ::close(fd);
+  StubClient tcp = open_client(server->tcp_port(), Transport::Tcp);
+  const auto tcp_response = exchange(tcp, wire);
   const auto tcp_decoded = dns::decode(tcp_response);
   ASSERT_TRUE(tcp_decoded.ok()) << tcp_decoded.error();
   EXPECT_FALSE(tcp_decoded.value().header.tc);
@@ -251,16 +228,16 @@ TEST_F(LoopbackServer, TcpPipeliningAnswersInOrder) {
     burst.insert(burst.end(), prefix.begin(), prefix.end());
     burst.insert(burst.end(), q.wire.begin(), q.wire.end());
   }
-  const int fd = connect_tcp();
-  ASSERT_EQ(::send(fd, burst.data(), burst.size(), 0), static_cast<ssize_t>(burst.size()));
+  StubClient tcp = open_client(server->tcp_port(), Transport::Tcp);
+  ASSERT_EQ(::send(tcp.fd(), burst.data(), burst.size(), 0),
+            static_cast<ssize_t>(burst.size()));
   for (const auto& q : corpus) {
-    const auto got = read_frame(fd);
+    const auto got = read_frame(tcp);
     ASSERT_FALSE(got.empty()) << "pipelined response missing: " << q.label;
     auto want = reference.respond_wire(q.wire, local_client, SimTime::origin(),
                                        dns::kMaxMessageSize);
     EXPECT_EQ(got, *want) << "pipelined response diverged: " << q.label;
   }
-  ::close(fd);
 }
 
 TEST_F(LoopbackServer, TcpZeroLengthFrameClosesConnection) {

@@ -7,9 +7,7 @@
 // reason, or still sitting in a penalty queue. /healthz must report
 // readiness.
 
-#include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -21,7 +19,7 @@
 
 #include "dns/wire.hpp"
 #include "net/server.hpp"
-#include "net/tcp_framing.hpp"
+#include "net/stub_client.hpp"
 #include "obs/exposition.hpp"
 #include "obs/stats_http.hpp"
 #include "zone/zone_builder.hpp"
@@ -44,70 +42,32 @@ zone::ZoneStore make_store() {
   return store;
 }
 
-/// One client socket: all datagrams share a source port, so the kernel's
-/// reuseport hash pins them to a single worker — which makes the
-/// per-worker reconciliation below exercise an uneven split.
-struct Client {
-  int fd;
-  explicit Client(std::uint16_t port) : fd(::socket(AF_INET, SOCK_DGRAM, 0)) {
-    sockaddr_storage dst{};
-    const socklen_t len =
-        sockaddr_from_endpoint(Endpoint{IpAddr(kLoopback), port}, dst);
-    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&dst), len), 0);
-  }
-  ~Client() { ::close(fd); }
+/// A client conversation. Over UDP all datagrams share a source port,
+/// so the kernel's reuseport hash pins them to a single worker — which
+/// makes the per-worker reconciliation below exercise an uneven split;
+/// a TCP connection's queries share the connection's worker.
+StubClient open_client(std::uint16_t port, Transport transport) {
+  return StubClient::open(Endpoint{IpAddr(kLoopback), port}, transport,
+                          StubClient::deadline_in(Duration::seconds(1)))
+      .take();
+}
 
-  void send(const std::vector<std::uint8_t>& wire) {
-    EXPECT_EQ(::send(fd, wire.data(), wire.size(), 0),
-              static_cast<ssize_t>(wire.size()));
-  }
-  /// Waits up to `timeout_ms` for one response; false on timeout.
-  bool recv_one(int timeout_ms = 1000) {
-    pollfd pfd{fd, POLLIN, 0};
-    if (::poll(&pfd, 1, timeout_ms) != 1) return false;
-    std::uint8_t buf[4096];
-    return ::recv(fd, buf, sizeof buf, 0) > 0;
-  }
-  /// Drains whatever responses are ready without blocking long.
-  std::size_t drain(int quiet_ms = 200) {
-    std::size_t n = 0;
-    while (recv_one(quiet_ms)) ++n;
-    return n;
-  }
-};
+void send(StubClient& client, const std::vector<std::uint8_t>& wire) {
+  const StubResult sent = client.send(wire, StubClient::deadline_in(Duration::seconds(1)));
+  EXPECT_TRUE(sent) << sent.error;
+}
 
-/// One TCP connection; its queries share the connection's worker.
-struct TcpClient {
-  int fd;
-  FrameDecoder decoder;
-  explicit TcpClient(std::uint16_t port) : fd(::socket(AF_INET, SOCK_STREAM, 0)) {
-    sockaddr_storage dst{};
-    const socklen_t len =
-        sockaddr_from_endpoint(Endpoint{IpAddr(kLoopback), port}, dst);
-    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&dst), len), 0);
-  }
-  ~TcpClient() { ::close(fd); }
+/// Waits up to `timeout_ms` for one response; false on timeout.
+bool recv_one(StubClient& client, int timeout_ms = 1000) {
+  const auto deadline = StubClient::deadline_in(Duration::millis(timeout_ms));
+  return static_cast<bool>(client.receive(deadline));
+}
 
-  void send(const std::vector<std::uint8_t>& wire) {
-    const auto prefix = frame_prefix(wire.size());
-    std::vector<std::uint8_t> framed(prefix.begin(), prefix.end());
-    framed.insert(framed.end(), wire.begin(), wire.end());
-    EXPECT_EQ(::send(fd, framed.data(), framed.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(framed.size()));
+/// Drains whatever responses are ready without blocking long.
+void drain(StubClient& client, int quiet_ms = 200) {
+  while (recv_one(client, quiet_ms)) {
   }
-  /// Waits up to `timeout_ms` for one whole answer; false on timeout.
-  bool recv_one(int timeout_ms = 1000) {
-    while (!decoder.next()) {
-      pollfd pfd{fd, POLLIN, 0};
-      if (::poll(&pfd, 1, timeout_ms) != 1) return false;
-      std::uint8_t buf[4096];
-      const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-      if (n <= 0) return false;
-      decoder.feed({buf, static_cast<std::size_t>(n)});
-    }
-    return true;
-  }
-};
+}
 
 std::vector<std::uint8_t> query(const char* name, std::uint16_t id) {
   return dns::encode(dns::make_query(id, DnsName::from(name), RecordType::A));
@@ -160,48 +120,48 @@ TEST(StatsEndpoint, LiveScrapeReconcilesPerWorkerConservation) {
   EXPECT_EQ(health.status, 200);
   EXPECT_EQ(health.body, "ok\n");
 
-  Client client(server.udp_port());
+  StubClient client = open_client(server.udp_port(), Transport::Udp);
   std::uint16_t id = 1;
 
   // 20 answerable queries; all must come back.
-  for (int i = 0; i < 20; ++i) client.send(query("www.example.com", ++id));
+  for (int i = 0; i < 20; ++i) send(client, query("www.example.com", ++id));
   std::size_t answered = 0;
   for (int i = 0; i < 20; ++i) {
-    if (client.recv_one()) ++answered;
+    if (recv_one(client)) ++answered;
   }
   EXPECT_EQ(answered, 20u);
 
   // 5 undecodable datagrams: counted as udp_malformed, never answered.
-  for (int i = 0; i < 5; ++i) client.send({0xde, 0xad, 0xbe});
+  for (int i = 0; i < 5; ++i) send(client, {0xde, 0xad, 0xbe});
 
   // 5 queries matching the query-of-death rule: firewall drops, silent.
-  for (int i = 0; i < 5; ++i) client.send(query("blocked.example.com", ++id));
+  for (int i = 0; i < 5; ++i) send(client, query("blocked.example.com", ++id));
 
   // Arm the NXDOMAIN filter (3 sequential misses, each answered), then
   // probe 10 more random names — the armed worker sheds them by score.
   for (int i = 0; i < 3; ++i) {
-    client.send(query(("miss" + std::to_string(i) + ".example.com").c_str(), ++id));
-    client.recv_one();
+    send(client, query(("miss" + std::to_string(i) + ".example.com").c_str(), ++id));
+    recv_one(client);
   }
   for (int i = 0; i < 10; ++i) {
-    client.send(query(("probe" + std::to_string(i) + ".example.com").c_str(), ++id));
+    send(client, query(("probe" + std::to_string(i) + ".example.com").c_str(), ++id));
   }
-  client.drain();
+  drain(client);
 
   // Over TCP, 4 answerable queries and 1 firewalled one, pipelined: the
   // same gates, the same queue, answers framed back in order. The client
   // half-closes after its last query; the connection stays open until
   // the answers still queued for it are flushed.
-  TcpClient tcp(server.tcp_port());
-  for (int i = 0; i < 4; ++i) tcp.send(query("www.example.com", ++id));
-  tcp.send(query("blocked.example.com", ++id));
-  ::shutdown(tcp.fd, SHUT_WR);
+  StubClient tcp = open_client(server.tcp_port(), Transport::Tcp);
+  for (int i = 0; i < 4; ++i) send(tcp, query("www.example.com", ++id));
+  send(tcp, query("blocked.example.com", ++id));
+  ::shutdown(tcp.fd(), SHUT_WR);
   std::size_t tcp_answered = 0;
   for (int i = 0; i < 4; ++i) {
-    if (tcp.recv_one()) ++tcp_answered;
+    if (recv_one(tcp)) ++tcp_answered;
   }
   EXPECT_EQ(tcp_answered, 4u);
-  EXPECT_FALSE(tcp.recv_one(200)) << "firewalled name answered over TCP";
+  EXPECT_FALSE(recv_one(tcp, 200)) << "firewalled name answered over TCP";
 
   // Scrape at ~10 Hz until the traffic quiesces: every datagram and TCP
   // query landed (43 + 5) and the conservation sum catches up with the

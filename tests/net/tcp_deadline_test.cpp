@@ -14,11 +14,10 @@
 #include <memory>
 #include <optional>
 #include <thread>
-#include <vector>
 
 #include "dns/wire.hpp"
 #include "net/server.hpp"
-#include "net/tcp_framing.hpp"
+#include "net/stub_client.hpp"
 #include "zone/zone_builder.hpp"
 
 namespace akadns::net {
@@ -60,6 +59,29 @@ std::int64_t steady_now_ns() {
       .count();
 }
 
+StubClient open_client(std::uint16_t port, Transport transport) {
+  return StubClient::open(Endpoint{IpAddr(kLoopback), port}, transport,
+                          StubClient::deadline_in(Duration::seconds(3)))
+      .take();
+}
+
+/// Asks `client` for www's A record; the decoded answer, or nullopt.
+std::optional<dns::Message> ask(StubClient& client, std::uint16_t id) {
+  const StubResult got = client.ask(dns::encode(dns::make_query(id, kWww, RecordType::A)),
+                                    StubClient::deadline_in(Duration::seconds(3)));
+  if (!got) return std::nullopt;
+  auto decoded = dns::decode(got.reply);
+  if (!decoded.ok()) return std::nullopt;
+  return std::move(decoded).take();
+}
+
+/// The same over a client of its own.
+std::optional<dns::Message> ask(std::uint16_t port, Transport transport, std::uint16_t id) {
+  StubClient client = open_client(port, transport);
+  return ask(client, id);
+}
+
+// The reaper's subjects misbehave on raw sockets: silence, half a prefix.
 int connect_tcp(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
@@ -67,56 +89,6 @@ int connect_tcp(std::uint16_t port) {
   const socklen_t len = sockaddr_from_endpoint(Endpoint{IpAddr(kLoopback), port}, dst);
   EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&dst), len), 0);
   return fd;
-}
-
-// Sends one framed query and reads one framed response.
-std::optional<dns::Message> tcp_ask(int fd, std::uint16_t id) {
-  const auto wire = dns::encode(dns::make_query(id, kWww, RecordType::A));
-  const auto prefix = frame_prefix(wire.size());
-  std::vector<std::uint8_t> framed(prefix.begin(), prefix.end());
-  framed.insert(framed.end(), wire.begin(), wire.end());
-  if (::send(fd, framed.data(), framed.size(), MSG_NOSIGNAL) !=
-      static_cast<ssize_t>(framed.size())) {
-    return std::nullopt;
-  }
-  FrameDecoder decoder(65535);
-  std::uint8_t buf[4096];
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(3);
-  while (std::chrono::steady_clock::now() < deadline) {
-    pollfd pfd{fd, POLLIN, 0};
-    if (::poll(&pfd, 1, 200) != 1) continue;
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) return std::nullopt;
-    decoder.feed({buf, static_cast<std::size_t>(n)});
-    if (auto frame = decoder.next()) {
-      auto decoded = dns::decode(*frame);
-      if (!decoded.ok()) return std::nullopt;
-      return std::move(decoded).take();
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<dns::Message> udp_ask(std::uint16_t port, std::uint16_t id) {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  sockaddr_storage dst{};
-  const socklen_t len = sockaddr_from_endpoint(Endpoint{IpAddr(kLoopback), port}, dst);
-  const auto wire = dns::encode(dns::make_query(id, kWww, RecordType::A));
-  std::optional<dns::Message> out;
-  if (::sendto(fd, wire.data(), wire.size(), 0, reinterpret_cast<const sockaddr*>(&dst),
-               len) == static_cast<ssize_t>(wire.size())) {
-    pollfd pfd{fd, POLLIN, 0};
-    if (::poll(&pfd, 1, 3000) == 1) {
-      std::uint8_t buf[4096];
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n > 0) {
-        auto decoded = dns::decode({buf, static_cast<std::size_t>(n)});
-        if (decoded.ok()) out = std::move(decoded).take();
-      }
-    }
-  }
-  ::close(fd);
-  return out;
 }
 
 // True when the fd reports EOF/reset within `timeout_ms`.
@@ -181,17 +153,16 @@ TEST(TcpDeadline, ActiveConnectionOutlivesManyIdleWindows) {
   Server server(config, store);
   ASSERT_TRUE(server.start().ok());
 
-  const int fd = connect_tcp(server.tcp_port());
+  StubClient tcp = open_client(server.tcp_port(), Transport::Tcp);
   // Six exchanges over ~2x the idle window in total, each gap under the
   // window: byte movement keeps resetting the clock, so the reaper must
   // never fire.
   for (std::uint16_t i = 0; i < 6; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
-    const auto reply = tcp_ask(fd, static_cast<std::uint16_t>(100 + i));
+    const auto reply = ask(tcp, static_cast<std::uint16_t>(100 + i));
     ASSERT_TRUE(reply.has_value()) << "active connection lost at exchange " << i;
     EXPECT_EQ(reply->header.rcode, dns::Rcode::NoError);
   }
-  ::close(fd);
 
   server.stop();
   EXPECT_EQ(server.stats().frontend.tcp_idle_reaped.value(), 0u);
@@ -214,14 +185,12 @@ TEST(TcpDeadline, StaleZoneStillServesAndIsCounted) {
   ASSERT_EQ(tracker->evaluate(steady_now_ns()), propagation::Freshness::Stale);
 
   // Serve-stale: the answer is still the real answer, over both paths.
-  const auto udp = udp_ask(server.udp_port(), 1);
+  const auto udp = ask(server.udp_port(), Transport::Udp, 1);
   ASSERT_TRUE(udp.has_value());
   EXPECT_EQ(udp->header.rcode, dns::Rcode::NoError);
   ASSERT_FALSE(udp->answers.empty());
 
-  const int fd = connect_tcp(server.tcp_port());
-  const auto tcp = tcp_ask(fd, 2);
-  ::close(fd);
+  const auto tcp = ask(server.tcp_port(), Transport::Tcp, 2);
   ASSERT_TRUE(tcp.has_value());
   EXPECT_EQ(tcp->header.rcode, dns::Rcode::NoError);
 
@@ -245,7 +214,7 @@ TEST(TcpDeadline, ExpiredZoneIsWithdrawnWithRefused) {
   // Fresh first: the gate must not fire while within the caps.
   tracker->confirm(kApex, zone_soa(), steady_now_ns());
   ASSERT_EQ(tracker->evaluate(steady_now_ns()), propagation::Freshness::Fresh);
-  const auto fresh = udp_ask(server.udp_port(), 1);
+  const auto fresh = ask(server.udp_port(), Transport::Udp, 1);
   ASSERT_TRUE(fresh.has_value());
   EXPECT_EQ(fresh->header.rcode, dns::Rcode::NoError);
 
@@ -253,14 +222,12 @@ TEST(TcpDeadline, ExpiredZoneIsWithdrawnWithRefused) {
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   ASSERT_EQ(tracker->evaluate(steady_now_ns()), propagation::Freshness::Expired);
 
-  const auto udp = udp_ask(server.udp_port(), 2);
+  const auto udp = ask(server.udp_port(), Transport::Udp, 2);
   ASSERT_TRUE(udp.has_value()) << "expired must answer REFUSED, not go dark";
   EXPECT_EQ(udp->header.rcode, dns::Rcode::Refused);
   EXPECT_TRUE(udp->answers.empty());
 
-  const int fd = connect_tcp(server.tcp_port());
-  const auto tcp = tcp_ask(fd, 3);
-  ::close(fd);
+  const auto tcp = ask(server.tcp_port(), Transport::Tcp, 3);
   ASSERT_TRUE(tcp.has_value());
   EXPECT_EQ(tcp->header.rcode, dns::Rcode::Refused);
 

@@ -14,6 +14,8 @@
 #include <variant>
 
 #include "fleet/anycast_front.hpp"
+#include "fleet/probe_suite.hpp"
+#include "fleet/supervisor.hpp"
 #include "net/server.hpp"
 #include "net/zone_sync.hpp"
 #include "obs/series.hpp"
@@ -88,7 +90,8 @@ using Tables =
                      server::NameserverStats, pop::MachineStats, defense::DefenseLaneStats,
                      zone::CompileStats, propagation::ZoneSyncStats,
                      propagation::TransferStats, propagation::PublisherStats,
-                     propagation::JournalStats, net::SecondaryStats, fleet::FrontStats>;
+                     propagation::JournalStats, net::SecondaryStats, fleet::FrontStats,
+                     fleet::SupervisorStats, fleet::ProbeSuiteStats>;
 TYPED_TEST_SUITE(SeriesTable, Tables);
 
 TYPED_TEST(SeriesTable, ReadsBackWhatItRegisters) {
@@ -134,6 +137,29 @@ TEST(SeriesTableRead, SumsCountersAndCombinesGaugesAcrossTheFilter) {
       Exposition::parse(render_prometheus(snap)));
   EXPECT_EQ(from_text.compiles, 7u);
   EXPECT_EQ(from_text.last_micros, 40.0);
+}
+
+TEST(SeriesTableRead, FleetCountsAreExposedAsCounters) {
+  // akadns-fleet's restart and probe-round counts only ever grow, so
+  // /metrics must type them as counters, not gauges.
+  fleet::SupervisorConfig fleet_config;
+  fleet_config.machines = 0;
+  fleet::Supervisor supervisor(fleet_config, nullptr);
+  workload::HostedZonesConfig zones_config;
+  zones_config.zone_count = 2;
+  const workload::HostedZones zones(zones_config, 1);
+  fleet::ProbeSuite probes(fleet::ProbeConfig{}, zones, nullptr, nullptr);
+  MetricRegistry reg;
+  supervisor.register_metrics(reg, {});
+  probes.register_metrics(reg, {});
+  probes.run_round();  // no targets: the round completes at once
+
+  const std::string text = render_prometheus(reg.snapshot());
+  EXPECT_NE(text.find("# TYPE akadns_fleet_restarts_total counter\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("# TYPE akadns_fleet_probe_rounds_total counter\n"), std::string::npos)
+      << text;
+  EXPECT_EQ(Exposition::parse(text).sum("akadns_fleet_probe_rounds_total"), 1.0);
 }
 
 /// A table whose second row repeats the first row's label value.

@@ -18,6 +18,11 @@ so a same-named local function in another binary can make code look
 reached, but never unreached. A function that several objects define (an
 inline function or a template instance) counts once, under the first.
 
+Header-only code is invisible to it: an inline or template function is
+emitted into the objects that call it, not into a src/ archive, so one
+that only tests call, or nothing calls, counts in no class. Such code has
+to be found by reading.
+
 Prints the src/ text total, each class's total, a per-object table and the
 akadns:: functions of the two classes that no runtime binary reaches.
 Exits 1 when any akadns:: function is reached by nothing.
