@@ -33,6 +33,7 @@ std::string DatapathReport::render() const {
          " (cache hit rate " + std::to_string(responder.cache_hit_rate() * 100.0) + "%" +
          (answer_cache.evictions ? ", evictions=" + std::to_string(answer_cache.evictions)
                                  : "") +
+         (answer_cache.stale ? ", stale=" + std::to_string(answer_cache.stale) : "") +
          (answer_cache.invalidations
               ? ", invalidations=" + std::to_string(answer_cache.invalidations)
               : "") +

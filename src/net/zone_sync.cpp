@@ -458,8 +458,8 @@ Result<propagation::TransferPayload> SecondarySync::fetch(const dns::DnsName& ap
                           : "transfer read deadline exceeded");
       case StubFailure::Closed:  // the primary closed the connection mid-body
         return reject(TransferReject::Truncated, "transfer stream ended mid-body");
-      case StubFailure::BadFrame:
-        return reject(TransferReject::Oversize, "bad transfer frame: " + got.error);
+      case StubFailure::BadFrame:  // a zero-length frame: no DNS message is empty
+        return reject(TransferReject::Corrupt, "bad transfer frame: " + got.error);
       case StubFailure::Stopped:
       case StubFailure::Io:
         return reject(TransferReject::Io, "transfer read: " + got.error);

@@ -22,6 +22,51 @@ namespace {
 /// Budget for reading one whole request, however its bytes trickle in.
 constexpr auto kRequestDeadline = std::chrono::seconds(1);
 
+/// Waits until `fd` is ready for `events`; false once `deadline` passes
+/// (or on a poll error).
+bool wait_ready(int fd, short events, std::chrono::steady_clock::time_point deadline) {
+  for (;;) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return false;
+    pollfd pfd{fd, events, 0};
+    const int rc = ::poll(&pfd, 1, static_cast<int>(left.count()));
+    if (rc > 0) return true;
+    if (rc < 0 && errno != EINTR) return false;
+  }
+}
+
+/// http_get's conversation on a nonblocking socket: connect, send `req`,
+/// read to EOF into `resp`, each wait bounded by `deadline`. Returns ""
+/// or what failed.
+std::string exchange(int fd, const sockaddr_in& addr, std::string_view req,
+                     std::chrono::steady_clock::time_point deadline, std::string& resp) {
+  const auto failed = [](const char* what) { return std::string(what) + std::strerror(errno); };
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    if (errno != EINPROGRESS) return failed("connect: ");
+    if (!wait_ready(fd, POLLOUT, deadline)) return "connect timed out";
+    int err = 0;
+    socklen_t len = sizeof(err);
+    ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
+    if (err != 0) return std::string("connect: ") + std::strerror(err);
+  }
+  for (std::size_t off = 0; off < req.size();) {
+    if (!wait_ready(fd, POLLOUT, deadline)) return "send timed out";
+    const ssize_t n = ::send(fd, req.data() + off, req.size() - off, MSG_NOSIGNAL);
+    if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
+    if (n <= 0) return failed("send: ");
+    off += static_cast<std::size_t>(n);
+  }
+  char buf[4096];
+  for (;;) {
+    if (!wait_ready(fd, POLLIN, deadline)) return "read timed out";
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
+    if (n <= 0) return "";
+    resp.append(buf, static_cast<std::size_t>(n));
+  }
+}
+
 void send_all(int fd, std::string_view data) {
   std::size_t off = 0;
   while (off < data.size()) {
@@ -115,12 +160,7 @@ void StatsServer::handle_conn(int fd) {
   std::string req;
   char buf[1024];
   while (req.find("\r\n\r\n") == std::string::npos && req.size() < 8192) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    pollfd pfd{fd, POLLIN, 0};
-    const int rc = left.count() > 0 ? ::poll(&pfd, 1, static_cast<int>(left.count())) : 0;
-    if (rc < 0 && errno == EINTR) continue;
-    if (rc <= 0) {
+    if (!wait_ready(fd, POLLIN, deadline)) {
       timed_out = true;
       break;
     }
@@ -188,28 +228,19 @@ bool http_get(const std::string& url, HttpResponse* out, std::string* error,
   if (::inet_pton(AF_INET, target.c_str(), &addr.sin_addr) != 1) {
     return fail("bad host (need an IPv4 literal or localhost): " + host);
   }
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return fail(std::string("socket: ") + std::strerror(errno));
-  const timeval tv{timeout_ms / 1000, (timeout_ms % 1000) * 1000};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    return fail("connect " + hostport + ": " + err);
-  }
   const std::string req = "GET " + path + " HTTP/1.1\r\nHost: " + hostport +
                           "\r\nConnection: close\r\n\r\n";
-  send_all(fd, req);
+  // One deadline bounds the whole request: connect, send and every read
+  // wait only for what is left of it, so a peer trickling its body
+  // cannot hold the caller past `timeout_ms`.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
+  if (fd < 0) return fail(std::string("socket: ") + std::strerror(errno));
   std::string resp;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    resp.append(buf, static_cast<std::size_t>(n));
-  }
+  const std::string io_error = exchange(fd, addr, req, deadline, resp);
   ::close(fd);
+  if (!io_error.empty()) return fail(hostport + ": " + io_error);
   const std::size_t hdr_end = resp.find("\r\n\r\n");
   if (hdr_end == std::string::npos) return fail("truncated http response");
   const std::size_t sp = resp.find(' ');

@@ -62,9 +62,10 @@ struct HttpResponse {
   std::string body;
 };
 
-/// Blocking one-shot GET of `http://host:port/path`. Returns false with
-/// `*error` set on connect/IO/parse failure (status != 200 is a
-/// *successful* fetch — the caller inspects `status`).
+/// Blocking one-shot GET of `http://host:port/path`, bounded as a whole
+/// by `timeout_ms`. Returns false with `*error` set on connect/IO/parse
+/// failure or when the deadline passes (status != 200 is a *successful*
+/// fetch — the caller inspects `status`).
 bool http_get(const std::string& url, HttpResponse* out, std::string* error,
               int timeout_ms = 5000);
 

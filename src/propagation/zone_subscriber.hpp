@@ -6,9 +6,10 @@
 // construction, with no compile on the replica. (A replica on the far
 // side of a wire is a secondary's own publisher, fed IXFR or AXFR
 // through ZonePublisher::apply_chain and publish.) Every applied update
-// bumps the replica's generation, which the AnswerCache already polls
-// per query — so cache invalidation rides the normal publish signal and
-// a flipped zone can never serve stale-serial answers.
+// restamps its apex's slot in the replica, which the AnswerCache checks
+// before each hit — so cache invalidation rides the normal publish
+// signal, a flipped zone can never serve stale-serial answers, and the
+// answers of every other zone stay cached.
 //
 // Not internally synchronized: a subscriber belongs to one consumer
 // thread (a worker lane, a sim machine), which calls poll()/apply()

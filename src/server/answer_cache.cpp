@@ -21,11 +21,11 @@ AnswerCache::KeyView AnswerCache::make_view(const dns::Question& question, bool 
   return view;
 }
 
-void AnswerCache::sync_generation(std::uint64_t generation) {
-  if (generation == generation_) return;
+void AnswerCache::sync_generation(std::uint64_t layout_generation) {
+  if (layout_generation == layout_generation_) return;
   if (!entries_.empty()) ++stats_.invalidations;
   clear();
-  generation_ = generation;
+  layout_generation_ = layout_generation;
 }
 
 void AnswerCache::clear() {
@@ -42,14 +42,20 @@ std::optional<CachedStatDelta> AnswerCache::lookup(const dns::Question& question
     ++stats_.misses;
     return std::nullopt;
   }
-  if (it->second.expires <= now) {
-    // Lazy expiry: the slot is left for the next insert to overwrite (it
-    // still occupies its FIFO position, so it cannot pin memory forever).
+  const Entry& entry = it->second;
+  // Lazy expiry and staleness: the slot is left for the next insert to
+  // overwrite (it still occupies its FIFO position, so it cannot pin
+  // memory forever).
+  if (entry.expires <= now) {
     ++stats_.expired;
     ++stats_.misses;
     return std::nullopt;
   }
-  const Entry& entry = it->second;
+  if (!entry.reads.current()) {
+    ++stats_.stale;
+    ++stats_.misses;
+    return std::nullopt;
+  }
   out.assign(entry.wire.begin(), entry.wire.end());
   out[0] = static_cast<std::uint8_t>(id >> 8);
   out[1] = static_cast<std::uint8_t>(id & 0xFF);
@@ -60,32 +66,33 @@ std::optional<CachedStatDelta> AnswerCache::lookup(const dns::Question& question
 void AnswerCache::insert(const dns::Question& question, bool rd,
                          const std::optional<dns::Edns>& edns, SimTime now,
                          std::uint32_t ttl_seconds, const CachedStatDelta& delta,
-                         std::span<const std::uint8_t> wire) {
+                         const ChainStamps& reads, std::span<const std::uint8_t> wire) {
   if (max_entries_ == 0 || wire.size() < 2) return;
-  Entry entry;
+  const KeyView view = make_view(question, rd, edns);
+  auto it = entries_.find(view);
+  if (it == entries_.end()) {
+    Key key;
+    key.qname = question.name;
+    key.qtype = view.qtype;
+    key.rd = view.rd;
+    key.has_edns = view.has_edns;
+    key.udp_payload_size = view.udp_payload_size;
+    key.has_ecs = view.has_ecs;
+    key.ecs_addr = view.ecs_addr;
+    key.ecs_source_prefix = view.ecs_source_prefix;
+    key.ecs_scope_prefix = view.ecs_scope_prefix;
+    it = entries_.emplace(std::move(key), Entry{}).first;
+    fifo_.push_back(&it->first);
+  }
+  // A present key (expired or stale) is refreshed in place: its FIFO slot
+  // is unchanged and its wire buffer keeps its capacity.
+  Entry& entry = it->second;
   entry.wire.assign(wire.begin(), wire.end());
   entry.expires = now + Duration::seconds(ttl_seconds);
   entry.delta = delta;
-
-  const KeyView view = make_view(question, rd, edns);
-  if (auto it = entries_.find(view); it != entries_.end()) {
-    it->second = std::move(entry);  // refresh in place, FIFO slot unchanged
-    ++stats_.insertions;
-    return;
-  }
-  Key key;
-  key.qname = question.name;
-  key.qtype = view.qtype;
-  key.rd = view.rd;
-  key.has_edns = view.has_edns;
-  key.udp_payload_size = view.udp_payload_size;
-  key.has_ecs = view.has_ecs;
-  key.ecs_addr = view.ecs_addr;
-  key.ecs_source_prefix = view.ecs_source_prefix;
-  key.ecs_scope_prefix = view.ecs_scope_prefix;
-  auto [it, inserted] = entries_.emplace(std::move(key), std::move(entry));
-  fifo_.push_back(&it->first);
+  entry.reads = reads;
   ++stats_.insertions;
+  // The entry just written is the FIFO's newest, so it is never the victim.
   while (entries_.size() > max_entries_ && !fifo_.empty()) {
     const Key* oldest = fifo_.front();
     fifo_.pop_front();

@@ -1,13 +1,22 @@
 // Per-machine answer cache for the compiled response path.
 //
 // Static zone content changes only at publish time, so a fully-built wire
-// response stays valid until the shortest TTL it carries expires or the
-// zone store's generation moves. The cache keys on everything that can
+// response stays valid until the shortest TTL it carries expires or a
+// zone it read is republished. The cache keys on everything that can
 // change the response bytes — qname, qtype, the RD bit, and the query's
 // EDNS signature (presence, advertised payload size, and the full
 // client-subnet option) — and stores the finished wire image plus the
 // statistics the responder would have counted, so a hit is a memcpy with
 // a 2-byte transaction-id patch and exact stat parity with a miss.
+//
+// Each entry also holds the ZoneStamp of every distinct zone its CNAME
+// chain read (at most kMaxChainPins, inline). A hit is served only while
+// all of them are current, so republishing one apex refuses just the
+// answers built from it (counted as `stale`), and the next insert
+// overwrites such an entry in place, as it does an expired one. Adding or
+// removing an apex can move a name to another zone (a cached NXDOMAIN
+// under example.com is wrong once sub.example.com exists), so a move of
+// the store's layout generation still clears the whole cache.
 //
 // Deliberately NOT cached: mapped (GTM/CDN) answers, whose hook runs
 // before the cache so dynamic decisions can never be served stale, and
@@ -16,6 +25,7 @@
 // FIFO caps memory; expiry is lazy against simulated time.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -27,8 +37,41 @@
 #include "common/sim_time.hpp"
 #include "dns/message.hpp"
 #include "obs/series.hpp"
+#include "zone/zone_store.hpp"
 
 namespace akadns::server {
+
+/// CNAME links chased within hosted zones; a longer chain (or a loop)
+/// answers SERVFAIL.
+inline constexpr int kMaxCnameChain = 8;
+/// Zones one compiled answer can read: one per link of its chain.
+inline constexpr std::size_t kMaxChainPins = kMaxCnameChain + 1;
+
+/// The zone versions one answer was built from: the stamp of each
+/// distinct zone its CNAME chain read, held inline (no allocation).
+/// Stamps, not snapshots: a stale entry pins no old zone version.
+class ChainStamps {
+ public:
+  /// Records `stamp` unless a stamp of the same zone is already held.
+  void add(const zone::ZoneStamp& stamp) noexcept {
+    for (std::size_t i = 0; i < size_; ++i) {
+      if (stamps_[i].same_slot(stamp)) return;
+    }
+    stamps_[size_++] = stamp;
+  }
+
+  /// Whether no zone read has been republished since.
+  bool current() const noexcept {
+    for (std::size_t i = 0; i < size_; ++i) {
+      if (!stamps_[i].current()) return false;
+    }
+    return true;
+  }
+
+ private:
+  std::uint8_t size_ = 0;
+  std::array<zone::ZoneStamp, kMaxChainPins> stamps_;
+};
 
 /// The stats a cached response contributed on its original miss, replayed
 /// on every hit so ResponderStats counts cached and uncached queries
@@ -46,10 +89,11 @@ class AnswerCache {
   struct Stats {
     obs::Counter hits;
     obs::Counter misses;
-    obs::Counter insertions;  // writes, including expired-slot refreshes
+    obs::Counter insertions;  // writes, including refreshes of expired or stale slots
     obs::Counter evictions;
     obs::Counter expired;        // hits refused because the TTL ran out
-    obs::Counter invalidations;  // whole-cache clears on generation change
+    obs::Counter stale;          // hits refused because a zone read was republished
+    obs::Counter invalidations;  // whole-cache clears: an apex was added or removed
 
     static constexpr obs::FamilySpec kEvent{"akadns_answer_cache_total", "event",
                                             "answer-cache events"};
@@ -59,29 +103,32 @@ class AnswerCache {
         {kEvent, "insertion", &Stats::insertions},
         {kEvent, "eviction", &Stats::evictions},
         {kEvent, "expired", &Stats::expired},
+        {kEvent, "stale", &Stats::stale},
         {kEvent, "invalidation", &Stats::invalidations},
     };
   };
 
   explicit AnswerCache(std::size_t max_entries) : max_entries_(max_entries) {}
 
-  /// Drops everything when the zone store's generation has moved (any
-  /// publish or removal invalidates conservatively, like the paper's
-  /// whole-snapshot metadata pushes).
-  void sync_generation(std::uint64_t generation);
+  /// Drops everything when the zone store's layout generation has moved
+  /// (an apex was added or removed). Call it before every lookup: it is
+  /// what keeps each held ZoneStamp safe to check.
+  void sync_generation(std::uint64_t layout_generation);
 
   /// Looks up a response. On a hit, copies the cached wire into `out`
   /// with the transaction id patched to `id` and returns the stat delta.
-  /// Expired entries count as misses (and as `expired`).
+  /// Expired entries and entries a republish made stale count as misses
+  /// (and as `expired` or `stale`).
   std::optional<CachedStatDelta> lookup(const dns::Question& question, bool rd,
                                         const std::optional<dns::Edns>& edns, SimTime now,
                                         std::uint16_t id, std::vector<std::uint8_t>& out);
 
-  /// Inserts a response valid for `ttl_seconds` of simulated time.
-  /// Overwrites in place if the key is already present.
+  /// Inserts a response built from the zone versions in `reads`, valid
+  /// for `ttl_seconds` of simulated time. Overwrites in place if the key
+  /// is already present.
   void insert(const dns::Question& question, bool rd, const std::optional<dns::Edns>& edns,
               SimTime now, std::uint32_t ttl_seconds, const CachedStatDelta& delta,
-              std::span<const std::uint8_t> wire);
+              const ChainStamps& reads, std::span<const std::uint8_t> wire);
 
   void clear();
 
@@ -151,13 +198,14 @@ class AnswerCache {
     std::vector<std::uint8_t> wire;
     SimTime expires;
     CachedStatDelta delta;
+    ChainStamps reads;
   };
 
   static KeyView make_view(const dns::Question& question, bool rd,
                            const std::optional<dns::Edns>& edns) noexcept;
 
   std::size_t max_entries_;
-  std::uint64_t generation_ = 0;
+  std::uint64_t layout_generation_ = 0;
   std::unordered_map<Key, Entry, KeyHash, KeyEq> entries_;
   /// Insertion order; pointers into the map's stable key storage.
   std::deque<const Key*> fifo_;

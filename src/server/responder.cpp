@@ -14,17 +14,6 @@ using dns::Question;
 using dns::Rcode;
 using dns::RecordType;
 
-namespace {
-
-/// CNAME links chased within hosted zones; a longer chain (or a loop)
-/// answers SERVFAIL.
-constexpr int kMaxCnameChain = 8;
-/// One zone snapshot and one answer span per link on the compiled path
-/// (stack arrays).
-constexpr std::size_t kMaxChainPins = kMaxCnameChain + 1;
-
-}  // namespace
-
 Responder::Responder(const zone::ZoneStore& store, ResponderConfig config)
     : store_(store), config_(config), cache_(config.answer_cache_entries) {}
 
@@ -163,7 +152,7 @@ bool Responder::try_compiled(const Question& question, const dns::Header& query_
   //    stat delta its miss counted, so cached and uncached queries are
   //    indistinguishable in every counter.
   if (use_cache) {
-    cache_.sync_generation(store_.generation());
+    cache_.sync_generation(store_.layout_generation());
     if (const auto hit = cache_.lookup(question, query_header.rd, edns, now, query_header.id,
                                        out)) {
       ++stats_.responses;
@@ -180,8 +169,10 @@ bool Responder::try_compiled(const Question& question, const dns::Header& query_
   // 2. Fragment-stitched resolution: the same chase loop as resolve(),
   //    but over CompiledZone snapshots. Each link's snapshot is pinned so
   //    its fragments stay alive through encoding even if a concurrent
-  //    republish swaps the store.
+  //    republish swaps the store, and each zone's stamp is kept for the
+  //    cache entry, which a republish of any of them makes stale.
   std::array<zone::CompiledZonePtr, kMaxChainPins> pins;
+  ChainStamps reads;
   std::array<dns::FragmentSpan, kMaxChainPins> answer_spans;
   std::size_t n_answers = 0;
   dns::FragmentSpan authority_span;
@@ -194,8 +185,8 @@ bool Responder::try_compiled(const Question& question, const dns::Header& query_
 
   const DnsName* qname = &question.name;
   for (int link = 0; !done && link <= kMaxCnameChain; ++link) {
-    zone::CompiledZonePtr zone = store_.find_best_compiled(*qname);
-    if (!zone) {
+    zone::ZoneHandle found = store_.find_best(*qname);
+    if (!found.zone) {
       if (link == 0) {
         rcode = Rcode::Refused;  // not ours — the common attack outcome
         authoritative = false;
@@ -203,8 +194,9 @@ bool Responder::try_compiled(const Question& question, const dns::Header& query_
       done = true;  // mid-chain: the resolver follows the CNAME externally
       break;
     }
-    const zone::CompiledAnswer answer = zone->lookup(*qname, question.qtype);
-    pins[static_cast<std::size_t>(link)] = std::move(zone);
+    const zone::CompiledAnswer answer = found.zone->lookup(*qname, question.qtype);
+    reads.add(found.stamp);
+    pins[static_cast<std::size_t>(link)] = std::move(found.zone);
     if (answer.wildcard_match) ++delta.wildcard_answers;
     min_ttl = std::min(min_ttl, answer.min_ttl);
     switch (answer.status) {
@@ -276,7 +268,7 @@ bool Responder::try_compiled(const Question& question, const dns::Header& query_
   //    either (loop protection, not data).
   if (use_cache && min_ttl != UINT32_MAX && min_ttl > 0 &&
       (rcode == Rcode::NoError || rcode == Rcode::NxDomain)) {
-    cache_.insert(question, query_header.rd, edns, now, min_ttl, delta, out);
+    cache_.insert(question, query_header.rd, edns, now, min_ttl, delta, reads, out);
   }
   return true;
 }

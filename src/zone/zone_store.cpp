@@ -14,11 +14,12 @@ void ZoneStore::note_compile(const CompiledZone& compiled) {
 
 void ZoneStore::install(CompiledZonePtr compiled) {
   const DnsName& apex = compiled->apex();
-  const std::size_t depth = apex.label_count();
-  if (zones_.insert_or_assign(ApexKey{apex, apex.suffix_hash()}, std::move(compiled)).second) {
-    ++apexes_at_depth_[depth];
+  const auto [it, added] = zones_.try_emplace(ApexKey{apex, apex.suffix_hash()});
+  if (added) {
+    ++apexes_at_depth_[apex.label_count()];
+    ++layout_generation_;
   }
-  ++generation_;
+  it->second = Slot{std::move(compiled), ++generation_};
 }
 
 void ZoneStore::store(ZonePtr zone) {
@@ -34,7 +35,7 @@ bool ZoneStore::publish(Zone zone) {
 
 bool ZoneStore::publish(ZonePtr zone) {
   auto it = zones_.find(exact(zone->apex()));
-  if (it != zones_.end() && it->second->serial() >= zone->serial()) {
+  if (it != zones_.end() && it->second.compiled->serial() >= zone->serial()) {
     return false;
   }
   store(std::move(zone));
@@ -56,7 +57,7 @@ Result<CompiledZonePtr> ZoneStore::apply_chain(std::span<const ZoneDiff> chain) 
   }
   // Compile the whole chain off to the side; the store is only touched
   // once every delta has applied. apply_diff checks apex and serial.
-  CompiledZonePtr work = it->second;
+  CompiledZonePtr work = it->second.compiled;
   for (const ZoneDiff& diff : chain) {
     auto next = apply_diff(work->zone(), diff);
     if (!next) return fail(next.error());
@@ -71,7 +72,7 @@ Result<CompiledZonePtr> ZoneStore::apply_chain(std::span<const ZoneDiff> chain) 
 
 bool ZoneStore::publish_compiled(CompiledZonePtr compiled, bool force) {
   auto it = zones_.find(exact(compiled->apex()));
-  if (!force && it != zones_.end() && it->second->serial() >= compiled->serial()) {
+  if (!force && it != zones_.end() && it->second.compiled->serial() >= compiled->serial()) {
     return false;
   }
   ++compile_stats_.adopted;
@@ -81,7 +82,7 @@ bool ZoneStore::publish_compiled(CompiledZonePtr compiled, bool force) {
 
 void ZoneStore::adopt(const ZoneStore& other) {
   zones_.reserve(zones_.size() + other.zones_.size());
-  for (const auto& [apex, compiled] : other.zones_) publish_compiled(compiled, /*force=*/true);
+  for (const auto& [apex, slot] : other.zones_) publish_compiled(slot.compiled, /*force=*/true);
 }
 
 bool ZoneStore::remove(const DnsName& apex) {
@@ -90,11 +91,12 @@ bool ZoneStore::remove(const DnsName& apex) {
   zones_.erase(it);
   --apexes_at_depth_[apex.label_count()];
   ++generation_;
+  ++layout_generation_;
   return true;
 }
 
-CompiledZonePtr ZoneStore::find_best_compiled(const DnsName& qname) const noexcept {
-  if (zones_.empty()) return nullptr;
+ZoneHandle ZoneStore::find_best(const DnsName& qname) const noexcept {
+  if (zones_.empty()) return {};
   const DnsName::Labels labels(qname);
   const std::size_t qn = labels.size();  // <= 127 by DnsName limits
   std::uint64_t hashes[DnsName::kMaxLabels + 1];
@@ -108,9 +110,12 @@ CompiledZonePtr ZoneStore::find_best_compiled(const DnsName& qname) const noexce
   for (std::size_t depth = qn + 1; depth-- > 0;) {
     if (apexes_at_depth_[depth] == 0) continue;
     auto it = zones_.find(ApexProbe{labels.tail(depth), hashes[depth]});
-    if (it != zones_.end()) return it->second;
+    if (it != zones_.end()) {
+      const Slot& slot = it->second;
+      return {slot.compiled, ZoneStamp(&slot.stamp, slot.stamp)};
+    }
   }
-  return nullptr;
+  return {};
 }
 
 ZonePtr ZoneStore::find_best_zone(const DnsName& qname) const {
@@ -120,24 +125,24 @@ ZonePtr ZoneStore::find_best_zone(const DnsName& qname) const {
 
 ZonePtr ZoneStore::find_zone(const DnsName& apex) const {
   auto it = zones_.find(exact(apex));
-  return it == zones_.end() ? nullptr : it->second->source();
+  return it == zones_.end() ? nullptr : it->second.compiled->source();
 }
 
 CompiledZonePtr ZoneStore::find_compiled(const DnsName& apex) const {
   auto it = zones_.find(exact(apex));
-  return it == zones_.end() ? nullptr : it->second;
+  return it == zones_.end() ? nullptr : it->second.compiled;
 }
 
 std::size_t ZoneStore::total_records() const noexcept {
   std::size_t total = 0;
-  for (const auto& [apex, zone] : zones_) total += zone->zone().record_count();
+  for (const auto& [apex, slot] : zones_) total += slot.compiled->zone().record_count();
   return total;
 }
 
 std::vector<DnsName> ZoneStore::zone_apexes() const {
   std::vector<DnsName> out;
   out.reserve(zones_.size());
-  for (const auto& [apex, zone] : zones_) out.push_back(apex.name);
+  for (const auto& [apex, slot] : zones_) out.push_back(apex.name);
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -14,9 +14,16 @@
 // publish() compiles from scratch. All snapshots sit in one hash map
 // keyed by apex and hashed by its suffix hash, so the map is itself the
 // longest-suffix index: an install is one insert-or-assign, O(1) in the
-// zone count. find_best_compiled() hashes every suffix of the query name
-// in one pass and probes the map at each depth that holds an apex — zero
-// heap allocations even on the miss path, which a REFUSED flood exercises.
+// zone count. find_best() hashes every suffix of the query name in one
+// pass and probes the map at each depth that holds an apex — zero heap
+// allocations even on the miss path, which a REFUSED flood exercises.
+//
+// Two counters say what changed. Each apex slot carries a stamp, the store
+// generation at which its current snapshot was installed, and find_best()
+// hands that stamp out with the snapshot, so a reader can tell in O(1)
+// whether the zone it read has been republished since. The layout
+// generation moves only when an apex is added or removed, the one change
+// that can move a name to another zone (longest-suffix match).
 #pragma once
 
 #include <array>
@@ -72,6 +79,35 @@ struct CompileStats {
   };
 };
 
+/// Which install of an apex slot a snapshot came from. current() is O(1):
+/// it compares the stamp taken at lookup with the slot's live stamp,
+/// which every install at that apex moves. A removed apex frees its slot,
+/// so a stamp may be checked only while the store's layout_generation()
+/// still reads what it read when the stamp was taken.
+class ZoneStamp {
+ public:
+  ZoneStamp() = default;
+
+  bool current() const noexcept { return *slot_ == stamp_; }
+  /// Whether both stamps were taken from the same apex slot.
+  bool same_slot(const ZoneStamp& other) const noexcept { return slot_ == other.slot_; }
+
+ private:
+  friend class ZoneStore;
+  ZoneStamp(const std::uint64_t* slot, std::uint64_t stamp) noexcept
+      : slot_(slot), stamp_(stamp) {}
+
+  const std::uint64_t* slot_ = nullptr;
+  std::uint64_t stamp_ = 0;
+};
+
+/// find_best()'s answer: the snapshot (null when no apex matches) and the
+/// stamp of the slot that held it.
+struct ZoneHandle {
+  CompiledZonePtr zone;
+  ZoneStamp stamp;
+};
+
 class ZoneStore {
  public:
   /// Publishes a zone snapshot. Returns false (and keeps the old version)
@@ -107,10 +143,16 @@ class ZoneStore {
   /// Removes a zone; returns true if it existed.
   bool remove(const DnsName& apex);
 
-  /// The compiled zone whose apex is the longest suffix of `qname`, or
-  /// nullptr. Allocation-free: probes the apex map at each populated
-  /// depth instead of materializing suffix names.
-  CompiledZonePtr find_best_compiled(const DnsName& qname) const noexcept;
+  /// The compiled zone whose apex is the longest suffix of `qname` (null
+  /// when none is), with its slot's stamp. Allocation-free: probes the
+  /// apex map at each populated depth instead of materializing suffix
+  /// names.
+  ZoneHandle find_best(const DnsName& qname) const noexcept;
+
+  /// find_best() without the stamp.
+  CompiledZonePtr find_best_compiled(const DnsName& qname) const noexcept {
+    return find_best(qname).zone;
+  }
 
   /// The zone whose apex is the longest suffix of `qname`, or nullptr.
   ZonePtr find_best_zone(const DnsName& qname) const;
@@ -129,10 +171,16 @@ class ZoneStore {
   /// Apexes of all hosted zones (stable canonical order).
   std::vector<DnsName> zone_apexes() const;
 
-  /// Monotone counter incremented on every successful publish/remove;
-  /// the staleness detector and the answer cache use it as a cheap
-  /// change signal.
+  /// Monotone counter incremented on every successful install or remove
+  /// (each worker exports its replica's as a gauge). An install stamps
+  /// its apex slot with the value it moved to; see ZoneStamp.
   std::uint64_t generation() const noexcept { return generation_; }
+
+  /// Moves only when an apex is added or removed, the one change that can
+  /// move a name to another zone. A republish leaves it alone. The answer
+  /// cache clears itself when it moves; until then every ZoneStamp taken
+  /// under it stays safe to check.
+  std::uint64_t layout_generation() const noexcept { return layout_generation_; }
 
   const CompileStats& compile_stats() const noexcept { return compile_stats_; }
 
@@ -162,6 +210,14 @@ class ZoneStore {
     bool operator()(const ApexKey& k, const ApexProbe& p) const noexcept { return (*this)(p, k); }
   };
 
+  /// An apex's current snapshot and the generation that installed it.
+  /// Map nodes never move, so a ZoneStamp may point at `stamp` for as
+  /// long as the apex stays.
+  struct Slot {
+    CompiledZonePtr compiled;
+    std::uint64_t stamp = 0;
+  };
+
   static ApexProbe exact(const DnsName& apex) noexcept {
     return {apex.wire_labels(), apex.suffix_hash()};
   }
@@ -169,10 +225,11 @@ class ZoneStore {
   void install(CompiledZonePtr compiled);
   void note_compile(const CompiledZone& compiled);
 
-  std::unordered_map<ApexKey, CompiledZonePtr, ApexHash, ApexEq> zones_;
+  std::unordered_map<ApexKey, Slot, ApexHash, ApexEq> zones_;
   /// Apexes per label count (at most 127): lookups skip empty depths.
   std::array<std::uint32_t, 128> apexes_at_depth_{};
   std::uint64_t generation_ = 0;
+  std::uint64_t layout_generation_ = 0;
   CompileStats compile_stats_;
 };
 

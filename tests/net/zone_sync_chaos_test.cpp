@@ -1,18 +1,20 @@
 // SecondarySync against a real primary over real sockets, under
 // injected faults: the degradation ladder's client side. Covers the
 // retry/backoff counters, the transfer deadline, wire-level truncation
-// (the held zone must stay untouched), the NOTIFY-during-pass race, and
-// stop() latency against a blackholed primary — the two directed
-// regression tests this PR's satellites call for.
+// (the held zone must stay untouched), a zero-length transfer frame
+// (counted as corrupt), the NOTIFY-during-pass race, and stop() latency
+// against a blackholed primary.
 
 #include "net/zone_sync.hpp"
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -22,6 +24,7 @@
 #include "common/clock.hpp"
 #include "net/server.hpp"
 #include "propagation/zone_publisher.hpp"
+#include "server/responder.hpp"
 #include "zone/zone_builder.hpp"
 
 namespace akadns::net {
@@ -213,6 +216,60 @@ TEST(ZoneSyncChaos, TruncatedWireStreamNeverTouchesTheHeldZone) {
   EXPECT_EQ(local_serial(local), 3u);
 
   primary.server.stop();
+}
+
+TEST(ZoneSyncChaos, ZeroLengthTransferFrameCountsAsCorrupt) {
+  // A primary that answers the SOA probe from a real zone over UDP, then
+  // opens its transfer stream with a zero-length frame on TCP. No DNS
+  // message is empty, so the stream is corrupt, not oversized.
+  const Ipv4Addr loopback(127, 0, 0, 1);
+  auto listener = TcpListener::open(loopback, 0).take();
+  auto udp_opened = UdpSocket::open(loopback, listener.port());
+  ASSERT_TRUE(udp_opened.ok()) << udp_opened.error();
+  UdpSocket udp = std::move(udp_opened).take();
+  zone::ZoneStore held;
+  held.publish(version(4));
+  server::Responder responder(held);
+
+  std::atomic<bool> done{false};
+  std::thread primary([&] {
+    std::vector<FdHandle> conns;
+    while (!done.load()) {
+      pollfd fds[2] = {{udp.fd(), POLLIN, 0}, {listener.fd(), POLLIN, 0}};
+      if (::poll(fds, 2, 20) <= 0) continue;
+      std::uint8_t buf[512];
+      sockaddr_storage peer{};
+      socklen_t peer_len = sizeof(peer);
+      const ssize_t n = ::recvfrom(udp.fd(), buf, sizeof(buf), 0,
+                                   reinterpret_cast<sockaddr*>(&peer), &peer_len);
+      if (n > 0) {
+        const auto reply = responder.respond_wire({buf, static_cast<std::size_t>(n)},
+                                                  endpoint_from_sockaddr(peer));
+        if (reply) {
+          ::sendto(udp.fd(), reply->data(), reply->size(), 0,
+                   reinterpret_cast<const sockaddr*>(&peer), peer_len);
+        }
+      }
+      FdHandle conn = listener.accept(peer);
+      if (!conn.valid()) continue;
+      const std::uint8_t empty_frame[] = {0x00, 0x00};
+      ::send(conn.get(), empty_frame, sizeof(empty_frame), MSG_NOSIGNAL);
+      conns.push_back(std::move(conn));  // held open: the frame, not a close, ends the stream
+    }
+  });
+
+  MonotonicClock clock;
+  propagation::ZonePublisher local(clock);
+  SecondarySync sync(secondary_config(listener.port()), local);
+  EXPECT_EQ(sync.sync_once(), 0u);
+  done.store(true);
+  primary.join();
+
+  const auto stats = sync.stats();
+  EXPECT_GE(stats.soa_checks.value(), 1u) << "the probe never reached the transfer";
+  EXPECT_EQ(stats.rejected_corrupt, 1u);
+  EXPECT_EQ(stats.rejected_oversize, 0u);
+  EXPECT_EQ(local.snapshot(kApex), nullptr);
 }
 
 TEST(ZoneSyncChaos, NotifyKickDuringARefreshPassSchedulesOneMorePass) {

@@ -131,6 +131,50 @@ TEST(StatsServer, TricklingPeerDoesNotBlockHealthz) {
   EXPECT_EQ(resp.status, 200);
 }
 
+TEST(HttpGet, TricklingServerCannotHoldARequestPastItsTimeout) {
+  // A server that answers one byte every 50 ms for 3 s: each read sees
+  // data quickly, so only one deadline on the whole request ends it.
+  const int listener = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  std::atomic<bool> done{false};
+  std::thread trickle([&] {
+    const int conn = ::accept4(listener, nullptr, nullptr, SOCK_CLOEXEC);
+    if (conn < 0) return;
+    const std::string reply = "HTTP/1.1 200 OK\r\nContent-Length: 60\r\n\r\n" +
+                              std::string(60, 'x');
+    const auto end = std::chrono::steady_clock::now() + std::chrono::seconds(3);
+    for (std::size_t i = 0;
+         i < reply.size() && !done.load() && std::chrono::steady_clock::now() < end; ++i) {
+      ::send(conn, &reply[i], 1, MSG_NOSIGNAL);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    ::close(conn);
+  });
+
+  HttpResponse resp;
+  std::string err;
+  const auto t0 = std::chrono::steady_clock::now();
+  const bool fetched = http_get(
+      "http://127.0.0.1:" + std::to_string(ntohs(addr.sin_port)) + "/metrics", &resp, &err, 200);
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+  done.store(true);
+  trickle.join();
+  ::close(listener);
+  EXPECT_FALSE(fetched) << "a 200 ms request read a body trickled over 3 s";
+  EXPECT_NE(err.find("timed out"), std::string::npos) << err;
+  EXPECT_GE(elapsed, 200);
+  EXPECT_LT(elapsed, 1000);
+}
+
 TEST(HttpGet, RejectsBadUrls) {
   HttpResponse resp;
   std::string err;

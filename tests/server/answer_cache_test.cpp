@@ -1,8 +1,10 @@
-// Answer-cache correctness: TTL expiry against simulated time,
-// whole-cache invalidation on zone-store generation changes, the
-// mapping-hook bypass (dynamic answers can never be served stale),
-// REFUSED never cached, bounded FIFO eviction, transaction-id patching,
-// and exact stat parity between hits and misses.
+// Answer-cache correctness: TTL expiry against simulated time, per-zone
+// staleness on a republish (only the answers that read the republished
+// apex are refused, a CNAME chain's every zone counts), whole-cache
+// invalidation when an apex is added or removed, the mapping-hook bypass
+// (dynamic answers can never be served stale), REFUSED never cached,
+// bounded FIFO eviction, transaction-id patching, and exact stat parity
+// between hits and misses.
 
 #include "server/answer_cache.hpp"
 
@@ -121,7 +123,7 @@ TEST(AnswerCache, PublishInvalidatesAndServesNewData) {
   const auto fresh = f.ask(responder, "www.example.com", RecordType::A,
                            SimTime::origin() + Duration::seconds(1));
   EXPECT_NE(stale, fresh);  // new rdata, not the cached bytes
-  EXPECT_EQ(responder.answer_cache().stats().invalidations, 1u);
+  EXPECT_EQ(responder.answer_cache().stats().stale, 1u);
   EXPECT_EQ(responder.answer_cache().stats().hits, 0u);
 
   const auto decoded = dns::decode(fresh);
@@ -139,6 +141,82 @@ TEST(AnswerCache, RemoveInvalidatesViaGeneration) {
   ASSERT_TRUE(f.store.remove(DnsName::from("other.net")));
   f.ask(responder, "www.example.com", RecordType::A, SimTime::origin() + Duration::seconds(1));
   // Conservative whole-cache clear even though example.com did not change.
+  EXPECT_EQ(responder.answer_cache().stats().invalidations, 1u);
+  EXPECT_EQ(responder.answer_cache().stats().hits, 0u);
+}
+
+zone::Zone other_zone(std::uint32_t serial) {
+  return zone::ZoneBuilder("other.net", serial)
+      .soa("ns1.other.net", "hostmaster.other.net", serial, 3600, 300)
+      .ns("@", "ns1.other.net")
+      .a("ns1", "10.0.0.2")
+      .a("www", "198.51.100.7")
+      .cname("to-example", "www.example.com")
+      .build();
+}
+
+TEST(AnswerCache, RepublishingOneApexKeepsAnotherApexsEntries) {
+  Fixture f;
+  ASSERT_TRUE(f.store.publish(other_zone(1)));
+  Responder responder(f.store);
+  const auto t1 = SimTime::origin() + Duration::seconds(1);
+  f.ask(responder, "www.example.com", RecordType::A);
+  const auto other_before = f.ask(responder, "www.other.net", RecordType::A);
+
+  ASSERT_TRUE(f.store.publish(example_zone(2, "203.0.113.99")));
+  const auto other_after = f.ask(responder, "www.other.net", RecordType::A, t1);
+  EXPECT_EQ(other_before, other_after);
+  EXPECT_EQ(responder.answer_cache().stats().hits, 1u) << "other.net's entry was refused";
+  f.ask(responder, "www.example.com", RecordType::A, t1);
+  EXPECT_EQ(responder.answer_cache().stats().hits, 1u);
+  EXPECT_EQ(responder.answer_cache().stats().stale, 1u);
+  EXPECT_EQ(responder.answer_cache().stats().invalidations, 0u);
+}
+
+TEST(AnswerCache, CnameIntoAnotherZoneIsStaleOnceItsTargetZoneIsRepublished) {
+  Fixture f;
+  ASSERT_TRUE(f.store.publish(other_zone(1)));
+  Responder responder(f.store);
+  const auto t1 = SimTime::origin() + Duration::seconds(1);
+  const auto t2 = SimTime::origin() + Duration::seconds(2);
+  // other.net's CNAME leads into example.com: the answer read both zones.
+  const auto before = f.ask(responder, "to-example.other.net", RecordType::A);
+  f.ask(responder, "to-example.other.net", RecordType::A, t1);
+  EXPECT_EQ(responder.answer_cache().stats().hits, 1u);
+
+  ASSERT_TRUE(f.store.publish(example_zone(2, "203.0.113.99")));
+  const auto after = f.ask(responder, "to-example.other.net", RecordType::A, t2);
+  EXPECT_NE(before, after);
+  EXPECT_EQ(responder.answer_cache().stats().hits, 1u);
+  EXPECT_EQ(responder.answer_cache().stats().stale, 1u);
+  EXPECT_EQ(responder.stats().cname_chases, 3u);
+
+  const auto decoded = dns::decode(after);
+  ASSERT_TRUE(decoded);
+  ASSERT_EQ(decoded.value().answers.size(), 2u);
+  EXPECT_EQ(decoded.value().answers[1].to_string(),
+            "www.example.com. 300 IN A 203.0.113.99");
+}
+
+TEST(AnswerCache, NxdomainIsRefusedOnceADeeperApexIsAdded) {
+  Fixture f;
+  Responder responder(f.store);
+  const auto t1 = SimTime::origin() + Duration::seconds(1);
+  const auto nx = f.ask(responder, "www.sub.example.com", RecordType::A);
+  ASSERT_EQ(dns::decode(nx).value().header.rcode, Rcode::NxDomain);
+
+  ASSERT_TRUE(f.store.publish(zone::ZoneBuilder("sub.example.com", 1)
+                                  .soa("ns1.sub.example.com", "hostmaster.sub.example.com", 1)
+                                  .ns("@", "ns1.sub.example.com")
+                                  .a("ns1", "10.0.0.3")
+                                  .a("www", "10.3.3.3")
+                                  .build()));
+  const auto answer = f.ask(responder, "www.sub.example.com", RecordType::A, t1);
+  const auto decoded = dns::decode(answer);
+  ASSERT_TRUE(decoded);
+  EXPECT_EQ(decoded.value().header.rcode, Rcode::NoError);
+  ASSERT_EQ(decoded.value().answers.size(), 1u);
+  EXPECT_EQ(decoded.value().answers[0].to_string(), "www.sub.example.com. 300 IN A 10.3.3.3");
   EXPECT_EQ(responder.answer_cache().stats().invalidations, 1u);
   EXPECT_EQ(responder.answer_cache().stats().hits, 0u);
 }
